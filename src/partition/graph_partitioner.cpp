@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <queue>
+#include <utility>
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
@@ -68,45 +71,77 @@ Subgraph induced_subgraph(const Graph& g, const std::vector<index_t>& part,
   return sub;
 }
 
+// One k-way partition in flight through the recursion: the result it
+// writes, and the part count and first part id of the current subtree.
+struct PartRequest {
+  std::size_t output = 0;
+  index_t num_parts = 0;
+  index_t first_part = 0;
+};
+
+// Recursive bisection for several part counts at once. A bisection is a pure
+// function of the subgraph, the target fraction left_parts / num_parts and
+// the path-derived seed, none of which depends on k, so the requests whose
+// fractions agree at a node share one bisect_graph call and the subtree below
+// it. Requests are grouped by their reduced integer fraction: equal reduced
+// fractions divide to the same double, so the shared bisection is exactly the
+// one each request would have made alone.
 void recursive_bisect(const Graph& g, const PartitionOptions& options,
-                      index_t num_parts, index_t first_part,
+                      const std::vector<PartRequest>& requests,
                       const std::vector<index_t>& to_parent,
-                      std::vector<index_t>& out_part, std::uint64_t seed) {
-  if (num_parts <= 1 || g.num_vertices() == 0) {
-    for (index_t v = 0; v < g.num_vertices(); ++v) {
-      out_part[static_cast<std::size_t>(to_parent[static_cast<std::size_t>(v)])] =
-          first_part;
+                      std::vector<PartitionResult>& out, std::uint64_t seed) {
+  std::map<std::pair<index_t, index_t>, std::vector<PartRequest>> groups;
+  for (const PartRequest& request : requests) {
+    if (request.num_parts <= 1 || g.num_vertices() == 0) {
+      std::vector<index_t>& part = out[request.output].part;
+      for (index_t v = 0; v < g.num_vertices(); ++v) {
+        part[static_cast<std::size_t>(to_parent[static_cast<std::size_t>(v)])] =
+            request.first_part;
+      }
+      continue;
     }
-    return;
-  }
-  poll_cancelled(options.cancel, "partition_graph");
-  const index_t left_parts = num_parts / 2;
-  const index_t right_parts = num_parts - left_parts;
-  const double target_fraction =
-      static_cast<double>(left_parts) / static_cast<double>(num_parts);
-
-  PartitionOptions bisect_options = options;
-  bisect_options.seed = seed;
-  const PartitionResult bisection =
-      bisect_graph(g, target_fraction, bisect_options);
-
-  const Subgraph left = induced_subgraph(g, bisection.part, 0);
-  const Subgraph right = induced_subgraph(g, bisection.part, 1);
-
-  // Translate the sub-to-parent maps one level further up.
-  std::vector<index_t> left_map(left.to_parent.size());
-  for (std::size_t i = 0; i < left.to_parent.size(); ++i) {
-    left_map[i] = to_parent[static_cast<std::size_t>(left.to_parent[i])];
-  }
-  std::vector<index_t> right_map(right.to_parent.size());
-  for (std::size_t i = 0; i < right.to_parent.size(); ++i) {
-    right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
+    const index_t left_parts = request.num_parts / 2;
+    const index_t divisor = std::gcd(left_parts, request.num_parts);
+    groups[{left_parts / divisor, request.num_parts / divisor}].push_back(
+        request);
   }
 
-  recursive_bisect(left.graph, options, left_parts, first_part, left_map,
-                   out_part, seed * 6364136223846793005ULL + 1);
-  recursive_bisect(right.graph, options, right_parts, first_part + left_parts,
-                   right_map, out_part, seed * 6364136223846793005ULL + 2);
+  for (const auto& [fraction, group] : groups) {
+    poll_cancelled(options.cancel, "partition_graph");
+    PartitionOptions bisect_options = options;
+    bisect_options.seed = seed;
+    const PartitionResult bisection = bisect_graph(
+        g,
+        static_cast<double>(fraction.first) /
+            static_cast<double>(fraction.second),
+        bisect_options);
+
+    const Subgraph left = induced_subgraph(g, bisection.part, 0);
+    const Subgraph right = induced_subgraph(g, bisection.part, 1);
+
+    // Translate the sub-to-parent maps one level further up.
+    std::vector<index_t> left_map(left.to_parent.size());
+    for (std::size_t i = 0; i < left.to_parent.size(); ++i) {
+      left_map[i] = to_parent[static_cast<std::size_t>(left.to_parent[i])];
+    }
+    std::vector<index_t> right_map(right.to_parent.size());
+    for (std::size_t i = 0; i < right.to_parent.size(); ++i) {
+      right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
+    }
+
+    std::vector<PartRequest> left_requests;
+    std::vector<PartRequest> right_requests;
+    for (const PartRequest& request : group) {
+      const index_t left_parts = request.num_parts / 2;
+      left_requests.push_back({request.output, left_parts, request.first_part});
+      right_requests.push_back({request.output, request.num_parts - left_parts,
+                                request.first_part + left_parts});
+    }
+    recursive_bisect(left.graph, options, left_requests, left_map, out,
+                     seed * 6364136223846793005ULL + 1);
+    recursive_bisect(right.graph, options, right_requests, right_map, out,
+                     seed * 6364136223846793005ULL + 2);
+  }
 }
 
 // Repairs a degenerate bisection (every vertex on one side). The FM balance
@@ -152,45 +187,53 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
   std::vector<CoarseLevel> hierarchy;
   const Graph* current = &g;
   std::uint64_t seed = options.seed;
-  while (current->num_vertices() > options.coarsen_to) {
-    CoarseLevel level = coarsen_once(*current, seed++);
-    if (level.graph.num_vertices() >
-        static_cast<index_t>(0.9 * current->num_vertices())) {
-      break;
+  {
+    ORDO_SCOPE("partition/coarsen");
+    while (current->num_vertices() > options.coarsen_to) {
+      CoarseLevel level = coarsen_once(*current, seed++);
+      if (level.graph.num_vertices() >
+          static_cast<index_t>(0.9 * current->num_vertices())) {
+        break;
+      }
+      hierarchy.push_back(std::move(level));
+      current = &hierarchy.back().graph;
     }
-    hierarchy.push_back(std::move(level));
-    current = &hierarchy.back().graph;
   }
   ORDO_COUNTER_ADD("partition.gp.bisections", 1);
   ORDO_COUNTER_ADD("partition.gp.coarsen_levels",
                    static_cast<std::int64_t>(hierarchy.size()));
 
   // Initial bisection on the coarsest graph, refined in place.
-  std::vector<index_t> part =
-      greedy_graph_growing_bisection(*current, target_fraction, seed);
-  fm_refine_bisection(
-      *current, part,
-      make_balance(*current, target_fraction, options.imbalance_tolerance),
-      options.refine_passes);
+  std::vector<index_t> part;
+  {
+    ORDO_SCOPE("partition/initial");
+    part = greedy_graph_growing_bisection(*current, target_fraction, seed);
+    fm_refine_bisection(
+        *current, part,
+        make_balance(*current, target_fraction, options.imbalance_tolerance),
+        options.refine_passes);
+  }
 
   // Uncoarsening: project the partition to each finer level and refine.
-  for (std::size_t level = hierarchy.size(); level > 0; --level) {
-    const Graph& fine =
-        level >= 2 ? hierarchy[level - 2].graph : g;
-    const std::vector<index_t>& fine_to_coarse =
-        hierarchy[level - 1].fine_to_coarse;
-    std::vector<index_t> fine_part(
-        static_cast<std::size_t>(fine.num_vertices()));
-    for (index_t v = 0; v < fine.num_vertices(); ++v) {
-      fine_part[static_cast<std::size_t>(v)] =
-          part[static_cast<std::size_t>(
-              fine_to_coarse[static_cast<std::size_t>(v)])];
+  {
+    ORDO_SCOPE("partition/refine");
+    for (std::size_t level = hierarchy.size(); level > 0; --level) {
+      const Graph& fine = level >= 2 ? hierarchy[level - 2].graph : g;
+      const std::vector<index_t>& fine_to_coarse =
+          hierarchy[level - 1].fine_to_coarse;
+      std::vector<index_t> fine_part(
+          static_cast<std::size_t>(fine.num_vertices()));
+      for (index_t v = 0; v < fine.num_vertices(); ++v) {
+        fine_part[static_cast<std::size_t>(v)] =
+            part[static_cast<std::size_t>(
+                fine_to_coarse[static_cast<std::size_t>(v)])];
+      }
+      part = std::move(fine_part);
+      fm_refine_bisection(
+          fine, part,
+          make_balance(fine, target_fraction, options.imbalance_tolerance),
+          options.refine_passes);
     }
-    part = std::move(fine_part);
-    fm_refine_bisection(
-        fine, part,
-        make_balance(fine, target_fraction, options.imbalance_tolerance),
-        options.refine_passes);
   }
 
   repair_degenerate_bisection(g, part);
@@ -206,27 +249,37 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
   return result;
 }
 
+std::vector<PartitionResult> partition_graph(
+    const Graph& g, const std::vector<index_t>& part_counts,
+    const PartitionOptions& options) {
+  ORDO_SCOPE("partition/graph_kway");
+  const index_t n = g.num_vertices();
+  std::vector<PartitionResult> results(part_counts.size());
+  std::vector<PartRequest> requests;
+  for (std::size_t i = 0; i < part_counts.size(); ++i) {
+    require(part_counts[i] >= 1, "partition_graph: num_parts must be >= 1");
+    results[i].part.assign(static_cast<std::size_t>(n), 0);
+    results[i].num_parts = part_counts[i];
+    requests.push_back({i, part_counts[i], 0});
+  }
+  if (n > 0) {
+    std::vector<index_t> to_parent(static_cast<std::size_t>(n));
+    std::iota(to_parent.begin(), to_parent.end(), index_t{0});
+    recursive_bisect(g, options, requests, to_parent, results, options.seed);
+  }
+  for (PartitionResult& result : results) {
+    result.cut = compute_edge_cut(g, result.part);
+    result.imbalance =
+        compute_partition_imbalance(g, result.part, result.num_parts);
+    ORDO_CHECK(
+        validate_partition(g, result, result.num_parts, "partition_graph"));
+  }
+  return results;
+}
+
 PartitionResult partition_graph(const Graph& g,
                                 const PartitionOptions& options) {
-  require(options.num_parts >= 1, "partition_graph: num_parts must be >= 1");
-  ORDO_SCOPE("partition/graph_kway");
-  PartitionResult result;
-  result.part.assign(static_cast<std::size_t>(g.num_vertices()), 0);
-  result.num_parts = options.num_parts;
-  if (options.num_parts > 1 && g.num_vertices() > 0) {
-    std::vector<index_t> to_parent(static_cast<std::size_t>(g.num_vertices()));
-    for (index_t v = 0; v < g.num_vertices(); ++v) {
-      to_parent[static_cast<std::size_t>(v)] = v;
-    }
-    recursive_bisect(g, options, options.num_parts, 0, to_parent, result.part,
-                     options.seed);
-  }
-  result.cut = compute_edge_cut(g, result.part);
-  result.imbalance =
-      compute_partition_imbalance(g, result.part, options.num_parts);
-  ORDO_CHECK(
-      validate_partition(g, result, options.num_parts, "partition_graph"));
-  return result;
+  return std::move(partition_graph(g, {options.num_parts}, options).front());
 }
 
 std::vector<bool> vertex_separator_from_bisection(

@@ -5,7 +5,7 @@
 // at every level while projecting back up. k-way partitions are produced by
 // recursive bisection with proportional weight targets, so k need not be a
 // power of two (the study partitions into 16, 32, 48, 64, 72 or 128 parts to
-// match core counts).
+// match core counts, all six from one shared bisection tree).
 #pragma once
 
 #include "graph/graph.hpp"
@@ -19,9 +19,20 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
                              const PartitionOptions& options);
 
 /// Partitions `g` into options.num_parts parts via recursive bisection,
-/// minimizing edge-cut under the balance constraint.
+/// minimizing edge-cut under the balance constraint. The one-element case of
+/// the overload below.
 PartitionResult partition_graph(const Graph& g,
                                 const PartitionOptions& options);
+
+/// Partitions `g` once per entry of `part_counts` (options.num_parts is
+/// ignored), result i being exactly partition_graph with num_parts =
+/// part_counts[i]. The counts share one recursive-bisection tree: a node
+/// whose target fraction agrees across counts is bisected once, so the
+/// study's six core counts {16, 32, 48, 64, 72, 128} cost 223 bisections
+/// instead of 354.
+std::vector<PartitionResult> partition_graph(
+    const Graph& g, const std::vector<index_t>& part_counts,
+    const PartitionOptions& options);
 
 /// Extracts a vertex separator from a bisection: boundary vertices forming a
 /// vertex cover of the cut edges, chosen greedily by cut-degree so the

@@ -420,46 +420,57 @@ PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
   std::vector<HypergraphCoarseLevel> hierarchy;
   const Hypergraph* current = &h;
   std::uint64_t seed = options.seed;
-  while (current->num_vertices() > options.coarsen_to) {
-    HypergraphCoarseLevel level = coarsen_hypergraph_once(*current, seed++);
-    if (level.hypergraph.num_vertices() >
-        static_cast<index_t>(0.9 * current->num_vertices())) {
-      break;
+  {
+    ORDO_SCOPE("partition/coarsen");
+    while (current->num_vertices() > options.coarsen_to) {
+      HypergraphCoarseLevel level = coarsen_hypergraph_once(*current, seed++);
+      if (level.hypergraph.num_vertices() >
+          static_cast<index_t>(0.9 * current->num_vertices())) {
+        break;
+      }
+      hierarchy.push_back(std::move(level));
+      current = &hierarchy.back().hypergraph;
     }
-    hierarchy.push_back(std::move(level));
-    current = &hierarchy.back().hypergraph;
   }
   ORDO_COUNTER_ADD("partition.hp.bisections", 1);
   ORDO_COUNTER_ADD("partition.hp.coarsen_levels",
                    static_cast<std::int64_t>(hierarchy.size()));
 
-  const std::int64_t target_weight = static_cast<std::int64_t>(
-      static_cast<double>(current->total_vertex_weight()) * target_fraction +
-      0.5);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<index_t> dist(0, current->num_vertices() - 1);
-  std::vector<index_t> part = grow_bisection(*current, dist(rng), target_weight);
-  hypergraph_fm_refine(
-      *current, part,
-      make_balance(*current, target_fraction, options.imbalance_tolerance),
-      options.refine_passes);
-
-  for (std::size_t level = hierarchy.size(); level > 0; --level) {
-    const Hypergraph& fine =
-        level >= 2 ? hierarchy[level - 2].hypergraph : h;
-    const std::vector<index_t>& fine_to_coarse =
-        hierarchy[level - 1].fine_to_coarse;
-    std::vector<index_t> fine_part(
-        static_cast<std::size_t>(fine.num_vertices()));
-    for (index_t v = 0; v < fine.num_vertices(); ++v) {
-      fine_part[static_cast<std::size_t>(v)] = part[static_cast<std::size_t>(
-          fine_to_coarse[static_cast<std::size_t>(v)])];
-    }
-    part = std::move(fine_part);
+  std::vector<index_t> part;
+  {
+    ORDO_SCOPE("partition/initial");
+    const std::int64_t target_weight = static_cast<std::int64_t>(
+        static_cast<double>(current->total_vertex_weight()) * target_fraction +
+        0.5);
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<index_t> dist(0,
+                                                current->num_vertices() - 1);
+    part = grow_bisection(*current, dist(rng), target_weight);
     hypergraph_fm_refine(
-        fine, part,
-        make_balance(fine, target_fraction, options.imbalance_tolerance),
+        *current, part,
+        make_balance(*current, target_fraction, options.imbalance_tolerance),
         options.refine_passes);
+  }
+
+  {
+    ORDO_SCOPE("partition/refine");
+    for (std::size_t level = hierarchy.size(); level > 0; --level) {
+      const Hypergraph& fine =
+          level >= 2 ? hierarchy[level - 2].hypergraph : h;
+      const std::vector<index_t>& fine_to_coarse =
+          hierarchy[level - 1].fine_to_coarse;
+      std::vector<index_t> fine_part(
+          static_cast<std::size_t>(fine.num_vertices()));
+      for (index_t v = 0; v < fine.num_vertices(); ++v) {
+        fine_part[static_cast<std::size_t>(v)] = part[static_cast<std::size_t>(
+            fine_to_coarse[static_cast<std::size_t>(v)])];
+      }
+      part = std::move(fine_part);
+      hypergraph_fm_refine(
+          fine, part,
+          make_balance(fine, target_fraction, options.imbalance_tolerance),
+          options.refine_passes);
+    }
   }
 
   PartitionResult result;

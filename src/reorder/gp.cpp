@@ -4,7 +4,9 @@
 // edge-cut partitioner using an unweighted graph — which balances the number
 // of rows per part, exactly the configuration Section 3.3 uses with METIS —
 // and rows/columns are then grouped by part id, preserving the original
-// relative order within each part.
+// relative order within each part. Several part counts (the study's one per
+// machine core count) come from one shared recursive-bisection tree.
+#include <algorithm>
 #include <numeric>
 
 #include "graph/graph.hpp"
@@ -13,8 +15,10 @@
 
 namespace ordo {
 
-Permutation gp_ordering(const CsrMatrix& a, const ReorderOptions& options) {
-  require(a.is_square(), "gp_ordering: matrix must be square");
+std::vector<Permutation> gp_orderings(const CsrMatrix& a,
+                                      const std::vector<index_t>& part_counts,
+                                      const ReorderOptions& options) {
+  require(a.is_square(), "gp_orderings: matrix must be square");
   Graph g = Graph::from_matrix(a);
   if (options.gp_nnz_weighted) {
     // Weight vertices by row nonzero count: the partitioner then balances
@@ -31,26 +35,36 @@ Permutation gp_ordering(const CsrMatrix& a, const ReorderOptions& options) {
   }
 
   PartitionOptions popt;
-  popt.num_parts = std::min<index_t>(options.gp_parts,
-                                     std::max<index_t>(1, g.num_vertices()));
   popt.seed = options.seed;
   popt.cancel = options.cancel;
-  const PartitionResult partition = partition_graph(g, popt);
+  std::vector<index_t> capped;
+  for (index_t parts : part_counts) {
+    capped.push_back(
+        std::min<index_t>(parts, std::max<index_t>(1, g.num_vertices())));
+  }
 
-  // Stable counting sort of vertices by part id.
-  std::vector<offset_t> part_begin(
-      static_cast<std::size_t>(partition.num_parts) + 1, 0);
-  for (index_t p : partition.part) {
-    part_begin[static_cast<std::size_t>(p) + 1]++;
+  std::vector<Permutation> perms;
+  for (const PartitionResult& partition : partition_graph(g, capped, popt)) {
+    // Stable counting sort of vertices by part id.
+    std::vector<offset_t> part_begin(
+        static_cast<std::size_t>(partition.num_parts) + 1, 0);
+    for (index_t p : partition.part) {
+      part_begin[static_cast<std::size_t>(p) + 1]++;
+    }
+    std::partial_sum(part_begin.begin(), part_begin.end(), part_begin.begin());
+    Permutation perm(static_cast<std::size_t>(g.num_vertices()));
+    for (index_t v = 0; v < g.num_vertices(); ++v) {
+      perm[static_cast<std::size_t>(
+          part_begin[static_cast<std::size_t>(
+              partition.part[static_cast<std::size_t>(v)])]++)] = v;
+    }
+    perms.push_back(std::move(perm));
   }
-  std::partial_sum(part_begin.begin(), part_begin.end(), part_begin.begin());
-  Permutation perm(static_cast<std::size_t>(g.num_vertices()));
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    perm[static_cast<std::size_t>(
-        part_begin[static_cast<std::size_t>(
-            partition.part[static_cast<std::size_t>(v)])]++)] = v;
-  }
-  return perm;
+  return perms;
+}
+
+Permutation gp_ordering(const CsrMatrix& a, const ReorderOptions& options) {
+  return std::move(gp_orderings(a, {options.gp_parts}, options).front());
 }
 
 }  // namespace ordo

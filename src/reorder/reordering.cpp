@@ -97,6 +97,26 @@ Ordering compute_ordering(const CsrMatrix& a, OrderingKind kind,
   return result;
 }
 
+std::vector<Ordering> compute_gp_orderings(
+    const CsrMatrix& a, const std::vector<index_t>& part_counts,
+    const ReorderOptions& options) {
+  obs::Span span("reorder/GP");
+  obs::Stopwatch watch;
+  std::vector<Permutation> perms = gp_orderings(a, part_counts, options);
+  [[maybe_unused]] const double seconds = watch.seconds();
+  ORDO_HISTOGRAM_RECORD("reorder.GP.shared_seconds", seconds);
+  std::vector<Ordering> orderings;
+  for (Permutation& perm : perms) {
+    Ordering ordering;
+    ordering.row_perm = std::move(perm);
+    ordering.col_perm = ordering.row_perm;
+    ORDO_CHECK(
+        validate_reordering_result(a, ordering, "compute_gp_orderings"));
+    orderings.push_back(std::move(ordering));
+  }
+  return orderings;
+}
+
 CsrMatrix apply_ordering(const CsrMatrix& a, const Ordering& ordering) {
   if (ordering.symmetric) return permute_symmetric(a, ordering.row_perm);
   // Unsymmetric orderings carry independent row and column permutations

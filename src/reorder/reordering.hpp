@@ -75,6 +75,16 @@ struct Ordering {
 Ordering compute_ordering(const CsrMatrix& a, OrderingKind kind,
                           const ReorderOptions& options = {});
 
+/// The GP ordering for each entry of `part_counts` (options.gp_parts is
+/// ignored), element i equal to compute_ordering(a, kGp, ...) with gp_parts =
+/// part_counts[i], built from one shared bisection tree (gp_orderings). One
+/// "reorder/GP" span; the wall time lands in reorder.GP.shared_seconds, never
+/// in reorder.GP.seconds, which stays the cold single-count cost Table 5 and
+/// the selector's cost curves measure.
+std::vector<Ordering> compute_gp_orderings(
+    const CsrMatrix& a, const std::vector<index_t>& part_counts,
+    const ReorderOptions& options = {});
+
 /// Applies an ordering to a matrix (symmetric or row-only as appropriate).
 CsrMatrix apply_ordering(const CsrMatrix& a, const Ordering& ordering);
 
@@ -132,6 +142,13 @@ Permutation nd_ordering(const CsrMatrix& a, const ReorderOptions& options = {});
 /// Graph-partitioning ordering: k-way edge-cut partition of A + Aᵀ with rows
 /// grouped by part id (original order kept within a part).
 Permutation gp_ordering(const CsrMatrix& a, const ReorderOptions& options = {});
+
+/// gp_ordering for each entry of `part_counts` (options.gp_parts is
+/// ignored), from one shared recursive-bisection tree; each count is capped
+/// at the row count as in gp_ordering.
+std::vector<Permutation> gp_orderings(const CsrMatrix& a,
+                                      const std::vector<index_t>& part_counts,
+                                      const ReorderOptions& options = {});
 
 /// Hypergraph-partitioning ordering: column-net model, cut-net objective,
 /// rows grouped by part id.

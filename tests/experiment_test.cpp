@@ -76,7 +76,13 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
     EXPECT_TRUE(obs::has_metric("study." + name + ".seconds")) << name;
     EXPECT_TRUE(obs::has_metric("study." + name + ".max_thread_nnz")) << name;
     EXPECT_TRUE(obs::has_metric("study." + name + ".imbalance")) << name;
-    if (kind != OrderingKind::kOriginal) {
+    // GP's six core counts come from one shared call per matrix, timed
+    // apart from the cold single-count reorder.GP.seconds.
+    if (kind == OrderingKind::kGp) {
+      EXPECT_TRUE(obs::has_metric("reorder.GP.shared_seconds"));
+      EXPECT_EQ(obs::histogram("reorder.GP.shared_seconds").snapshot().count,
+                static_cast<std::int64_t>(corpus.size()));
+    } else if (kind != OrderingKind::kOriginal) {
       EXPECT_TRUE(obs::has_metric("reorder." + name + ".seconds")) << name;
       EXPECT_GT(obs::histogram("reorder." + name + ".seconds")
                     .snapshot().count, 0) << name;
@@ -87,6 +93,22 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
   // counters.
   EXPECT_GT(obs::counter("partition.gp.bisections").value(), 0);
   EXPECT_GT(obs::counter("partition.fm.passes").value(), 0);
+}
+
+TEST(FullStudy, SharesOneGpBisectionTreePerMatrix) {
+  // Six separate k-way calls would bisect 15 + 31 + 47 + 63 + 71 + 127 = 354
+  // times; the shared tree bisects 223 times. ND bisects through the same
+  // partitioner, so its share is counted apart and subtracted.
+  const CorpusEntry entry = generate_named("333SP", 0.05);
+  ASSERT_GE(entry.matrix.num_rows(), 128);
+  StudyOptions options;
+  obs::Counter& bisections = obs::counter("partition.gp.bisections");
+  std::int64_t before = bisections.value();
+  compute_ordering(entry.matrix, OrderingKind::kNd, options.reorder);
+  const std::int64_t nd = bisections.value() - before;
+  before = bisections.value();
+  run_matrix_study(entry, options);
+  EXPECT_EQ(bisections.value() - before - nd, 223);
 }
 #endif
 

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <queue>
 
+#include "corpus/generators.hpp"
+#include "obs/obs.hpp"
 #include "partition/coarsening.hpp"
 #include "partition/fm_refinement.hpp"
 #include "partition/graph_partitioner.hpp"
@@ -139,6 +141,87 @@ TEST(KwayPartition, CutGrowsWithParts) {
     previous = result.cut;
   }
 }
+
+// The study's Table 2 core counts, in the order the machines name them.
+const std::vector<index_t> kStudyPartCounts = {32, 72, 64, 16, 48, 128};
+
+// The shared recursion must reproduce every single-count partition exactly.
+void expect_shared_matches_separate(
+    const Graph& g, const std::vector<index_t>& counts = kStudyPartCounts) {
+  PartitionOptions options;
+  const std::vector<PartitionResult> shared =
+      partition_graph(g, counts, options);
+  ASSERT_EQ(shared.size(), counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    options.num_parts = counts[i];
+    const PartitionResult separate = partition_graph(g, options);
+    EXPECT_EQ(shared[i].part, separate.part) << counts[i];
+    EXPECT_EQ(shared[i].num_parts, separate.num_parts);
+    EXPECT_EQ(shared[i].cut, separate.cut) << counts[i];
+  }
+}
+
+TEST(SharedKway, MatchesSeparateCallsOnMesh) {
+  expect_shared_matches_separate(
+      Graph::from_matrix(grid_laplacian_2d(40, 40)));
+}
+
+TEST(SharedKway, MatchesSeparateCallsOnRmat) {
+  expect_shared_matches_separate(
+      Graph::from_matrix(gen_rmat(10, 8, 0.57, 0.19, 0.19, 3)));
+}
+
+TEST(SharedKway, MatchesSeparateCallsWithFewerVerticesThanParts) {
+  expect_shared_matches_separate(Graph::from_matrix(grid_laplacian_2d(5, 6)));
+}
+
+TEST(SharedKway, MatchesSeparateCallsOnOneVertex) {
+  expect_shared_matches_separate(Graph::from_matrix(grid_laplacian_2d(1, 1)));
+}
+
+TEST(SharedKway, MatchesSeparateCallsOnDisconnectedGraph) {
+  // Two disjoint grids plus isolated vertices (a diagonal-only block).
+  CooMatrix coo(500, 500);
+  const CsrMatrix grid = grid_laplacian_2d(12, 12);
+  for (index_t block = 0; block < 2; ++block) {
+    const index_t base = block * grid.num_rows();
+    for (index_t i = 0; i < grid.num_rows(); ++i) {
+      for (index_t j : grid.row_cols(i)) coo.add(base + i, base + j, 1.0);
+    }
+  }
+  for (index_t i = 2 * grid.num_rows(); i < 500; ++i) coo.add(i, i, 1.0);
+  expect_shared_matches_separate(Graph::from_matrix(CsrMatrix::from_coo(coo)));
+}
+
+TEST(SharedKway, MatchesSeparateCallsForMixedCounts) {
+  // One part, a duplicate, and counts whose root fractions share a
+  // numerator but not a value (1/2, 1/3; 2/4, 2/5): only equal reduced
+  // fractions may share a bisection.
+  expect_shared_matches_separate(Graph::from_matrix(grid_laplacian_2d(20, 20)),
+                                 {1, 2, 3, 3, 4, 5, 6, 7, 9, 12});
+}
+
+#if defined(ORDO_OBS_ENABLED)
+TEST(SharedKway, SharesBisectionsAcrossStudyCounts) {
+  // 15 + 31 + 47 + 63 + 71 + 127 = 354 bisections for six separate calls;
+  // the shared tree needs the 127 of the 128-way tree (16, 32 and 64 are its
+  // prefixes), 32 more for 48 (below its 4 shared levels) and 64 for 72
+  // (below its 3): 223.
+  const Graph g = Graph::from_matrix(grid_laplacian_2d(30, 30));
+  obs::Counter& bisections = obs::counter("partition.gp.bisections");
+  const std::int64_t before_shared = bisections.value();
+  partition_graph(g, kStudyPartCounts, PartitionOptions{});
+  EXPECT_EQ(bisections.value() - before_shared, 223);
+
+  const std::int64_t before_separate = bisections.value();
+  for (index_t parts : kStudyPartCounts) {
+    PartitionOptions options;
+    options.num_parts = parts;
+    partition_graph(g, options);
+  }
+  EXPECT_EQ(bisections.value() - before_separate, 354);
+}
+#endif
 
 TEST(Separator, DisconnectsTheParts) {
   const Graph g = Graph::from_matrix(grid_laplacian_2d(16, 16));

@@ -114,6 +114,29 @@ TEST(Gp, GroupsRowsByPart) {
   EXPECT_TRUE(is_valid_permutation(perm));
 }
 
+TEST(Gp, SharedOrderingsMatchPerCountOrderings) {
+  const std::vector<index_t> counts = {32, 72, 64, 16, 48, 128};
+  // A mesh larger than every count, and a matrix smaller than most, where
+  // each count is capped at the row count.
+  for (const CsrMatrix& a :
+       {grid_laplacian_2d(24, 24), random_symmetric(40, 3.0, 5)}) {
+    ReorderOptions options;
+    const std::vector<Permutation> shared = gp_orderings(a, counts, options);
+    const std::vector<Ordering> computed =
+        compute_gp_orderings(a, counts, options);
+    ASSERT_EQ(shared.size(), counts.size());
+    ASSERT_EQ(computed.size(), counts.size());
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      options.gp_parts = counts[i];
+      const Permutation single = gp_ordering(a, options);
+      EXPECT_EQ(shared[i], single) << counts[i] << " parts";
+      EXPECT_EQ(computed[i].row_perm, single) << counts[i] << " parts";
+      EXPECT_EQ(computed[i].col_perm, single);
+      EXPECT_TRUE(computed[i].symmetric);
+    }
+  }
+}
+
 TEST(Hp, ValidOnUnsymmetric) {
   const CsrMatrix a = random_square(256, 3.0, 11);
   ReorderOptions options;

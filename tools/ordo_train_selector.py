@@ -23,8 +23,15 @@ realized net time of the selector's picks vs. the best single fixed ordering.
 
 Usage:
   python3 tools/ordo_train_selector.py --results ordo_results \
-      --costs ordo_results/reorder_times.txt --out src/select/model_coeffs.inc
+      --costs ordo_results/reorder_times.txt --version 2 \
+      --out src/select/model_coeffs.inc
+  python3 tools/ordo_train_selector.py --check src/select/model_coeffs.inc
   python3 tools/ordo_train_selector.py --self-test
+
+--check regenerates the table from the same tracked inputs, stamped with the
+kModelVersion the checked file carries, and byte-compares it with that file
+(exit 1 on any difference), so a committed table that no longer follows from
+its inputs fails the `check` ctest label.
 """
 
 import argparse
@@ -350,8 +357,8 @@ def emit_inc(weights, coeffs, margin, version):
     out("// Generated by tools/ordo_train_selector.py — do not edit by hand.")
     out("// Trained on the cached ss490 sweep; regenerate with:")
     out("//   python3 tools/ordo_train_selector.py --results ordo_results")
-    out("//     --costs ordo_results/reorder_times.txt "
-        "--out src/select/model_coeffs.inc")
+    out("//     --costs ordo_results/reorder_times.txt --version %d "
+        "--out src/select/model_coeffs.inc" % version)
     out("inline constexpr int kModelVersion = %d;" % version)
     out("inline constexpr int kModelFeatureVersion = %d;" % FEATURE_VERSION)
     out("inline constexpr int kModelNumKernels = %d;" % len(KERNELS))
@@ -481,8 +488,14 @@ def main(argv):
                         help="L2 penalty for the speedup fit")
     parser.add_argument("--cost-ridge", type=float, default=1e-2,
                         help="L2 penalty for the reorder-cost fit")
-    parser.add_argument("--version", type=int, default=1,
-                        help="kModelVersion to stamp into the table")
+    parser.add_argument("--version", type=int, default=None,
+                        help="kModelVersion to stamp into the table "
+                             "(default 1, or with --check the checked "
+                             "file's own)")
+    parser.add_argument("--check", default=None, metavar="INC",
+                        help="regenerate the table and byte-compare it with "
+                             "INC instead of writing it; exit 1 on a "
+                             "difference")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in unit checks and exit")
     args = parser.parse_args(argv)
@@ -538,7 +551,21 @@ def main(argv):
     if win <= 0.0:
         print("WARNING: selector does not beat the best fixed ordering")
 
-    if args.out:
+    if args.check:
+        with open(args.check, "rb") as f:
+            committed = f.read()
+        if args.version is None:
+            m = re.search(rb"kModelVersion = (\d+);", committed)
+            args.version = int(m.group(1)) if m else 1
+        inc = emit_inc(weights, coeffs, margin, args.version)
+        if committed != inc.encode("utf-8"):
+            print("\n%s does not match its regeneration from %s and %s; "
+                  "retrain with --out (see EXPERIMENTS.md)"
+                  % (args.check, args.results, costs_path))
+            return 1
+        print("\n%s matches its regeneration" % args.check)
+    elif args.out:
+        args.version = args.version or 1
         inc = emit_inc(weights, coeffs, margin, args.version)
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(inc)
