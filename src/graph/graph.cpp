@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 #include "check/invariants.hpp"
 #include "sparse/csr_ops.hpp"
@@ -148,25 +149,44 @@ Components connected_components(const Graph& g) {
 index_t pseudo_peripheral_vertex(const Graph& g, index_t seed) {
   require(seed >= 0 && seed < g.num_vertices(),
           "pseudo_peripheral_vertex: seed out of range");
-  index_t current = seed;
-  BfsResult bfs = bfs_degree_ordered(g, current);
-  index_t eccentricity = bfs.eccentricity;
-  // Iterate: pick a minimum-degree vertex from the deepest level; stop once
-  // the eccentricity no longer increases (George & Liu 1979).
-  for (int iteration = 0; iteration < 16; ++iteration) {
-    index_t best = -1;
-    for (index_t v : bfs.order) {
-      if (bfs.levels[static_cast<std::size_t>(v)] == eccentricity &&
-          (best < 0 || g.degree(v) < g.degree(best))) {
-        best = v;
+  // One level array and BFS queue serve every search; each search resets
+  // only the vertices the previous one reached.
+  std::vector<index_t> level(static_cast<std::size_t>(g.num_vertices()), -1);
+  std::vector<index_t> queue;
+  // BFS from `start`: its eccentricity, and the minimum-(degree, id) vertex
+  // of its deepest level. Levels are BFS distances, so no level is sorted.
+  auto search = [&](index_t start) {
+    for (index_t v : queue) level[static_cast<std::size_t>(v)] = -1;
+    queue.assign(1, start);
+    level[static_cast<std::size_t>(start)] = 0;
+    index_t deepest = start;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const index_t v = queue[head];
+      const index_t depth = level[static_cast<std::size_t>(v)];
+      // Levels arrive in ascending order, so `depth` is never shallower.
+      if (depth > level[static_cast<std::size_t>(deepest)] ||
+          std::pair(g.degree(v), v) < std::pair(g.degree(deepest), deepest)) {
+        deepest = v;
+      }
+      for (index_t u : g.neighbors(v)) {
+        if (level[static_cast<std::size_t>(u)] < 0) {
+          level[static_cast<std::size_t>(u)] = depth + 1;
+          queue.push_back(u);
+        }
       }
     }
-    if (best < 0) break;
-    BfsResult trial = bfs_degree_ordered(g, best);
-    if (trial.eccentricity <= eccentricity) break;
-    current = best;
-    eccentricity = trial.eccentricity;
-    bfs = std::move(trial);
+    return std::pair(level[static_cast<std::size_t>(deepest)], deepest);
+  };
+  index_t current = seed;
+  auto [eccentricity, candidate] = search(seed);
+  // Move to a minimum-degree vertex of the deepest level while that raises
+  // the eccentricity (George & Liu 1979).
+  for (int iteration = 0; iteration < 16; ++iteration) {
+    const auto [trial_eccentricity, trial_candidate] = search(candidate);
+    if (trial_eccentricity <= eccentricity) break;
+    current = candidate;
+    eccentricity = trial_eccentricity;
+    candidate = trial_candidate;
   }
   return current;
 }

@@ -1,9 +1,7 @@
 #include "partition/fm_refinement.hpp"
 
-#include <algorithm>
-#include <queue>
-
 #include "obs/metrics.hpp"
+#include "partition/gain_queue.hpp"
 #include "partition/partitioning.hpp"
 
 namespace ordo {
@@ -27,76 +25,63 @@ std::int64_t fm_move_gain(const Graph& g, const std::vector<index_t>& part,
 
 namespace {
 
+// State one fm_refine_bisection call reuses across its passes.
+struct FmScratch {
+  FmGainQueue queue;
+  std::vector<index_t> moves;
+  std::int64_t weight0 = 0;  // part 0's weight under the current `part`
+};
+
 // One FM pass. Returns the improvement achieved (>= 0); `part` is updated to
 // the best prefix of the move sequence.
 //
 // Only *boundary* vertices (those with a neighbour across the cut) are
-// seeded into the gain heap — interior vertices can only become worth moving
+// seeded into the gain queue — interior vertices can only become worth moving
 // after a neighbour moves, at which point the update loop inserts them. This
 // keeps a pass proportional to the cut region rather than the whole graph.
 std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
-                     const BisectionBalance& balance) {
+                     const BisectionBalance& balance, FmScratch& scratch,
+                     FmTally& tally) {
   const index_t n = g.num_vertices();
-  std::vector<std::int64_t> gain(static_cast<std::size_t>(n));
-  std::vector<bool> locked(static_cast<std::size_t>(n), false);
-  std::vector<bool> queued(static_cast<std::size_t>(n), false);
-  // Max-heap of (gain, vertex) with lazy invalidation: stale entries are
-  // skipped when their recorded gain no longer matches.
-  std::priority_queue<std::pair<std::int64_t, index_t>> heap;
+  FmGainQueue& queue = scratch.queue;
+  queue.reset(n);
   for (index_t v = 0; v < n; ++v) {
-    bool boundary = false;
     for (index_t u : g.neighbors(v)) {
       if (part[static_cast<std::size_t>(u)] !=
           part[static_cast<std::size_t>(v)]) {
-        boundary = true;
+        queue.insert(v, fm_move_gain(g, part, v));
         break;
       }
     }
-    if (boundary) {
-      gain[static_cast<std::size_t>(v)] = fm_move_gain(g, part, v);
-      heap.emplace(gain[static_cast<std::size_t>(v)], v);
-      queued[static_cast<std::size_t>(v)] = true;
-    }
   }
 
-  std::int64_t weight0 = 0;
-  for (index_t v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == 0) weight0 += g.vertex_weight(v);
-  }
+  std::int64_t& weight0 = scratch.weight0;
+  // Moves v to the other side, keeping part 0's weight in step.
+  auto flip = [&](index_t v) {
+    index_t& side = part[static_cast<std::size_t>(v)];
+    weight0 += side == 0 ? -g.vertex_weight(v) : g.vertex_weight(v);
+    side = 1 - side;
+  };
+  auto feasible = [&](index_t v) {
+    const std::int64_t w = g.vertex_weight(v);
+    const std::int64_t after =
+        part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
+    return after >= balance.min_weight0 && after <= balance.max_weight0;
+  };
 
-  std::vector<index_t> moves;
-  moves.reserve(static_cast<std::size_t>(n));
+  std::vector<index_t>& moves = scratch.moves;
+  moves.clear();
   std::int64_t cumulative = 0, best_cumulative = 0;
   std::size_t best_prefix = 0;
-  // Deferred entries whose move would violate balance right now; they are
-  // reconsidered after the next successful move shifts the weights.
-  std::vector<std::pair<std::int64_t, index_t>> deferred;
   // Classic FM moves every vertex once per pass; in practice all improvement
   // comes early, so a pass aborts after a long run of non-improving moves.
   const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
 
-  while (!heap.empty()) {
-    if (moves.size() - best_prefix > stall_limit) break;
-    const auto [g_top, v] = heap.top();
-    heap.pop();
-    if (locked[static_cast<std::size_t>(v)] ||
-        g_top != gain[static_cast<std::size_t>(v)]) {
-      continue;  // stale entry
-    }
-    const index_t from = part[static_cast<std::size_t>(v)];
-    const std::int64_t new_weight0 =
-        from == 0 ? weight0 - g.vertex_weight(v) : weight0 + g.vertex_weight(v);
-    if (new_weight0 < balance.min_weight0 ||
-        new_weight0 > balance.max_weight0) {
-      deferred.emplace_back(g_top, v);
-      continue;
-    }
-
-    // Commit the move and lock the vertex.
-    part[static_cast<std::size_t>(v)] = 1 - from;
-    weight0 = new_weight0;
-    locked[static_cast<std::size_t>(v)] = true;
-    cumulative += g_top;
+  while (moves.size() - best_prefix <= stall_limit) {
+    const index_t v = queue.next(feasible);
+    if (v < 0) break;
+    flip(v);
+    cumulative += queue.gain(v);
     moves.push_back(v);
     if (cumulative > best_cumulative) {
       best_cumulative = cumulative;
@@ -104,37 +89,31 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
     }
 
     // Update neighbour gains; vertices newly touching the boundary get a
-    // fresh gain computation and enter the heap.
+    // fresh gain computation and enter the queue.
     const auto neighbors = g.neighbors(v);
     const offset_t base = g.adj_ptr()[v];
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
       const index_t u = neighbors[k];
-      if (locked[static_cast<std::size_t>(u)]) continue;
-      if (!queued[static_cast<std::size_t>(u)]) {
-        gain[static_cast<std::size_t>(u)] = fm_move_gain(g, part, u);
-        queued[static_cast<std::size_t>(u)] = true;
-      } else {
-        const index_t w = g.edge_weight(base + static_cast<offset_t>(k));
-        // v moved to u's side iff their parts are now equal.
-        if (part[static_cast<std::size_t>(u)] ==
-            part[static_cast<std::size_t>(v)]) {
-          gain[static_cast<std::size_t>(u)] -= 2 * w;
-        } else {
-          gain[static_cast<std::size_t>(u)] += 2 * w;
-        }
+      if (queue.locked(u)) continue;
+      if (!queue.tracked(u)) {
+        queue.insert(u, fm_move_gain(g, part, u));
+        continue;
       }
-      heap.emplace(gain[static_cast<std::size_t>(u)], u);
+      const index_t w = g.edge_weight(base + static_cast<offset_t>(k));
+      // v moved to u's side iff their parts are now equal.
+      queue.add(u, part[static_cast<std::size_t>(u)] ==
+                           part[static_cast<std::size_t>(v)]
+                       ? -2 * w
+                       : 2 * w);
     }
-    // Balance shifted: blocked vertices may be movable now.
-    for (const auto& entry : deferred) heap.push(entry);
-    deferred.clear();
   }
 
   // Roll back every move after the best prefix.
-  for (std::size_t k = moves.size(); k > best_prefix; --k) {
-    const index_t v = moves[k - 1];
-    part[static_cast<std::size_t>(v)] = 1 - part[static_cast<std::size_t>(v)];
-  }
+  for (std::size_t k = moves.size(); k > best_prefix; --k) flip(moves[k - 1]);
+  ++tally.passes;
+  tally.cut_improvement += best_cumulative;
+  tally.moves += static_cast<std::int64_t>(moves.size());
+  tally.moves_kept += static_cast<std::int64_t>(best_prefix);
   return best_cumulative;
 }
 
@@ -145,17 +124,21 @@ std::int64_t fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
                                  int max_passes) {
   require(part.size() == static_cast<std::size_t>(g.num_vertices()),
           "fm_refine_bisection: partition size mismatch");
-  std::int64_t total = 0;
-  int passes = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const std::int64_t improvement = fm_pass(g, part, balance);
-    total += improvement;
-    ++passes;
-    if (improvement <= 0) break;
+  FmScratch scratch;
+  for (index_t v = 0; v < g.num_vertices(); ++v) {
+    if (part[static_cast<std::size_t>(v)] == 0) {
+      scratch.weight0 += g.vertex_weight(v);
+    }
   }
-  ORDO_COUNTER_ADD("partition.fm.passes", passes);
-  ORDO_COUNTER_ADD("partition.fm.cut_improvement", total);
-  return total;
+  FmTally tally;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    if (fm_pass(g, part, balance, scratch, tally) <= 0) break;
+  }
+  ORDO_COUNTER_ADD("partition.fm.passes", tally.passes);
+  ORDO_COUNTER_ADD("partition.fm.cut_improvement", tally.cut_improvement);
+  ORDO_COUNTER_ADD("partition.fm.moves", tally.moves);
+  ORDO_COUNTER_ADD("partition.fm.moves_kept", tally.moves_kept);
+  return tally.cut_improvement;
 }
 
 }  // namespace ordo

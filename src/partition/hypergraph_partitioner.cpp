@@ -10,6 +10,8 @@
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
+#include "partition/fm_refinement.hpp"
+#include "partition/gain_queue.hpp"
 
 namespace ordo {
 namespace {
@@ -116,15 +118,10 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
 
 namespace {
 
-struct HgBalance {
-  std::int64_t min_weight0 = 0;
-  std::int64_t max_weight0 = 0;
-};
-
-HgBalance make_balance(const Hypergraph& h, double target_fraction,
-                       double tolerance) {
+BisectionBalance make_balance(const Hypergraph& h, double target_fraction,
+                              double tolerance) {
   const double total = static_cast<double>(h.total_vertex_weight());
-  return HgBalance{
+  return BisectionBalance{
       static_cast<std::int64_t>(
           std::floor(total * target_fraction * (1.0 - tolerance))),
       static_cast<std::int64_t>(
@@ -175,25 +172,28 @@ std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
   return part;
 }
 
-// One FM pass under the cut-net metric. pins_in[e][p] tracks how many pins
-// of net e lie in part p. Only boundary vertices (pins of cut nets) are
-// seeded into the gain heap, and gains are maintained with exact delta
-// updates on each move — a net's pins are only revisited when its pin counts
-// cross a critical value (0, 1 or 2 on either side), which is the standard
-// FM trick that keeps a pass near-linear in the number of pins.
+// State one hypergraph_fm_refine call reuses across its passes.
+// pins_in[e][p] counts the pins of net e in part p; it follows `part`
+// through every move and rollback instead of being recounted each pass.
+struct HgFmScratch {
+  std::vector<std::array<index_t, 2>> pins_in;
+  FmGainQueue queue;
+  std::vector<index_t> moves;
+  std::vector<index_t> newly_boundary;
+  std::int64_t weight0 = 0;  // part 0's weight under the current `part`
+};
+
+// One FM pass under the cut-net metric. Only boundary vertices (pins of cut
+// nets) are seeded into the gain queue, and gains are maintained with exact
+// delta updates on each move — a net's pins are only revisited when its pin
+// counts cross a critical value (0, 1 or 2 on either side), which is the
+// standard FM trick that keeps a pass near-linear in the number of pins.
 std::int64_t hypergraph_fm_pass(const Hypergraph& h,
                                 std::vector<index_t>& part,
-                                const HgBalance& balance) {
+                                const BisectionBalance& balance,
+                                HgFmScratch& scratch, FmTally& tally) {
   const index_t n = h.num_vertices();
-  const index_t num_nets = h.num_nets();
-  std::vector<std::array<index_t, 2>> pins_in(
-      static_cast<std::size_t>(num_nets), {0, 0});
-  for (index_t e = 0; e < num_nets; ++e) {
-    for (index_t pin : h.net_pins(e)) {
-      pins_in[static_cast<std::size_t>(e)]
-             [static_cast<std::size_t>(part[static_cast<std::size_t>(pin)])]++;
-    }
-  }
+  auto& pins_in = scratch.pins_in;
 
   // Cut-net gain of moving v from side s to 1-s:
   //   +w(e) for nets where v is the last pin on side s (net becomes uncut),
@@ -211,59 +211,45 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
     return gain;
   };
 
-  std::vector<std::int64_t> gain(static_cast<std::size_t>(n));
-  std::vector<bool> locked(static_cast<std::size_t>(n), false);
-  std::vector<bool> queued(static_cast<std::size_t>(n), false);
-  std::priority_queue<std::pair<std::int64_t, index_t>> heap;
-  auto enqueue = [&](index_t v) {
-    if (queued[static_cast<std::size_t>(v)] ||
-        locked[static_cast<std::size_t>(v)]) {
-      return;
-    }
-    gain[static_cast<std::size_t>(v)] = move_gain(v);
-    queued[static_cast<std::size_t>(v)] = true;
-    heap.emplace(gain[static_cast<std::size_t>(v)], v);
-  };
-  for (index_t e = 0; e < num_nets; ++e) {
+  FmGainQueue& queue = scratch.queue;
+  queue.reset(n);
+  for (index_t e = 0; e < h.num_nets(); ++e) {
     const auto& counts = pins_in[static_cast<std::size_t>(e)];
     if (counts[0] > 0 && counts[1] > 0) {
-      for (index_t pin : h.net_pins(e)) enqueue(pin);
+      for (index_t pin : h.net_pins(e)) {
+        if (!queue.tracked(pin)) queue.insert(pin, move_gain(pin));
+      }
     }
   }
 
-  std::int64_t weight0 = 0;
-  for (index_t v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == 0) weight0 += h.vertex_weight(v);
-  }
+  std::int64_t& weight0 = scratch.weight0;
+  // Moves v to the other side, keeping part 0's weight in step; the caller
+  // updates the pin counts.
+  auto flip = [&](index_t v) {
+    index_t& side = part[static_cast<std::size_t>(v)];
+    weight0 += side == 0 ? -h.vertex_weight(v) : h.vertex_weight(v);
+    side = 1 - side;
+  };
+  auto feasible = [&](index_t v) {
+    const std::int64_t w = h.vertex_weight(v);
+    const std::int64_t after =
+        part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
+    return after >= balance.min_weight0 && after <= balance.max_weight0;
+  };
 
-  std::vector<index_t> moves;
+  std::vector<index_t>& moves = scratch.moves;
+  moves.clear();
   std::int64_t cumulative = 0, best_cumulative = 0;
   std::size_t best_prefix = 0;
-  std::vector<std::pair<std::int64_t, index_t>> deferred;
   // Abort the pass after a long run of non-improving moves (see the graph
   // FM for rationale).
   const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
-  while (!heap.empty()) {
-    if (moves.size() - best_prefix > stall_limit) break;
-    const auto [g_top, v] = heap.top();
-    heap.pop();
-    if (locked[static_cast<std::size_t>(v)] ||
-        g_top != gain[static_cast<std::size_t>(v)]) {
-      continue;  // stale entry
-    }
+  while (moves.size() - best_prefix <= stall_limit) {
+    const index_t v = queue.next(feasible);
+    if (v < 0) break;
     const index_t from = part[static_cast<std::size_t>(v)];
-    const std::int64_t new_weight0 =
-        from == 0 ? weight0 - h.vertex_weight(v) : weight0 + h.vertex_weight(v);
-    if (new_weight0 < balance.min_weight0 ||
-        new_weight0 > balance.max_weight0) {
-      deferred.emplace_back(g_top, v);
-      continue;
-    }
-
-    part[static_cast<std::size_t>(v)] = 1 - from;
-    weight0 = new_weight0;
-    locked[static_cast<std::size_t>(v)] = true;
-    cumulative += g_top;
+    flip(v);
+    cumulative += queue.gain(v);
     moves.push_back(v);
     if (cumulative > best_cumulative) {
       best_cumulative = cumulative;
@@ -273,7 +259,8 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
     // Vertices that newly reach the boundary are enqueued only after every
     // net of v has had its counts updated, so their full gain is computed
     // against the post-move state.
-    std::vector<index_t> newly_boundary;
+    std::vector<index_t>& newly_boundary = scratch.newly_boundary;
+    newly_boundary.clear();
     for (index_t e : h.vertex_nets(v)) {
       auto& counts = pins_in[static_cast<std::size_t>(e)];
       // Pin counts *before* the move; v still counts toward `from`.
@@ -285,8 +272,8 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
       // critical value.
       if (f == 1 || f == 2 || t == 0 || t == 1) {
         for (index_t u : h.net_pins(e)) {
-          if (u == v || locked[static_cast<std::size_t>(u)]) continue;
-          if (!queued[static_cast<std::size_t>(u)]) {
+          if (queue.locked(u)) continue;  // v itself is locked too
+          if (!queue.tracked(u)) {
             newly_boundary.push_back(u);
             continue;
           }
@@ -298,37 +285,59 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
             if (f == 1) delta -= w;  // e becomes uncut-on-`to`
             if (t == 1) delta -= w;  // u is no longer the last `to` pin
           }
-          if (delta != 0) {
-            gain[static_cast<std::size_t>(u)] += delta;
-            heap.emplace(gain[static_cast<std::size_t>(u)], u);
-          }
+          if (delta != 0) queue.add(u, delta);
         }
       }
       counts[static_cast<std::size_t>(from)]--;
       counts[static_cast<std::size_t>(1 - from)]++;
     }
-    for (index_t u : newly_boundary) enqueue(u);
-    for (const auto& entry : deferred) heap.push(entry);
-    deferred.clear();
+    for (index_t u : newly_boundary) {
+      if (!queue.tracked(u)) queue.insert(u, move_gain(u));
+    }
   }
 
+  // Roll back every move after the best prefix, pin counts included.
   for (std::size_t k = moves.size(); k > best_prefix; --k) {
     const index_t v = moves[k - 1];
-    part[static_cast<std::size_t>(v)] = 1 - part[static_cast<std::size_t>(v)];
+    const auto side =
+        static_cast<std::size_t>(part[static_cast<std::size_t>(v)]);
+    for (index_t e : h.vertex_nets(v)) {
+      pins_in[static_cast<std::size_t>(e)][side]--;
+      pins_in[static_cast<std::size_t>(e)][1 - side]++;
+    }
+    flip(v);
   }
+  ++tally.passes;
+  tally.cut_improvement += best_cumulative;
+  tally.moves += static_cast<std::int64_t>(moves.size());
+  tally.moves_kept += static_cast<std::int64_t>(best_prefix);
   return best_cumulative;
 }
 
-std::int64_t hypergraph_fm_refine(const Hypergraph& h,
-                                  std::vector<index_t>& part,
-                                  const HgBalance& balance, int max_passes) {
-  std::int64_t total = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const std::int64_t improvement = hypergraph_fm_pass(h, part, balance);
-    total += improvement;
-    if (improvement <= 0) break;
+void hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
+                          const BisectionBalance& balance, int max_passes) {
+  HgFmScratch scratch;
+  scratch.pins_in.assign(static_cast<std::size_t>(h.num_nets()), {0, 0});
+  for (index_t e = 0; e < h.num_nets(); ++e) {
+    for (index_t pin : h.net_pins(e)) {
+      scratch.pins_in[static_cast<std::size_t>(e)]
+                     [static_cast<std::size_t>(
+                         part[static_cast<std::size_t>(pin)])]++;
+    }
   }
-  return total;
+  for (index_t v = 0; v < h.num_vertices(); ++v) {
+    if (part[static_cast<std::size_t>(v)] == 0) {
+      scratch.weight0 += h.vertex_weight(v);
+    }
+  }
+  FmTally tally;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    if (hypergraph_fm_pass(h, part, balance, scratch, tally) <= 0) break;
+  }
+  ORDO_COUNTER_ADD("partition.hp.fm.passes", tally.passes);
+  ORDO_COUNTER_ADD("partition.hp.fm.cut_improvement", tally.cut_improvement);
+  ORDO_COUNTER_ADD("partition.hp.fm.moves", tally.moves);
+  ORDO_COUNTER_ADD("partition.hp.fm.moves_kept", tally.moves_kept);
 }
 
 struct HgSubgraph {

@@ -4,6 +4,7 @@
 #include <limits>
 #include <random>
 
+#include "partition/gain_queue.hpp"
 #include "partition/partitioning.hpp"
 
 namespace ordo {
@@ -16,9 +17,14 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
                                std::int64_t target_weight) {
   const index_t n = g.num_vertices();
   std::vector<index_t> part(static_cast<std::size_t>(n), 1);
-  std::vector<std::int64_t> gain(static_cast<std::size_t>(n), 0);
-  std::vector<bool> in_frontier(static_cast<std::size_t>(n), false);
-  std::vector<index_t> frontier;
+  // The frontier, keyed by gain; ties go to the vertex that joined it first.
+  // The queue breaks ties toward the higher id, so a frontier vertex's queue
+  // id is n - 1 - (its arrival rank), and `arrived[id]` maps it back.
+  FmGainQueue frontier;
+  frontier.reset(n);
+  std::vector<index_t> queue_id(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> arrived(static_cast<std::size_t>(n));
+  index_t arrivals = 0;
 
   std::int64_t weight0 = 0;
   index_t next = start;
@@ -26,7 +32,6 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
     const index_t v = next;
     part[static_cast<std::size_t>(v)] = 0;
     weight0 += g.vertex_weight(v);
-    in_frontier[static_cast<std::size_t>(v)] = false;
 
     const auto neighbors = g.neighbors(v);
     const offset_t base = g.adj_ptr()[v];
@@ -34,27 +39,19 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
       const index_t u = neighbors[k];
       if (part[static_cast<std::size_t>(u)] == 0) continue;
       const index_t w = g.edge_weight(base + static_cast<offset_t>(k));
-      gain[static_cast<std::size_t>(u)] += 2 * w;
-      if (!in_frontier[static_cast<std::size_t>(u)]) {
-        in_frontier[static_cast<std::size_t>(u)] = true;
-        frontier.push_back(u);
+      index_t& id = queue_id[static_cast<std::size_t>(u)];
+      if (id < 0) {
+        id = n - 1 - arrivals++;
+        arrived[static_cast<std::size_t>(id)] = u;
+        frontier.insert(id, 2 * w);
+      } else {
+        frontier.add(id, 2 * w);
       }
     }
 
-    // Pick the best frontier vertex; compact out absorbed entries lazily.
-    next = -1;
-    std::int64_t best_gain = std::numeric_limits<std::int64_t>::min();
-    std::size_t out = 0;
-    for (std::size_t k = 0; k < frontier.size(); ++k) {
-      const index_t u = frontier[k];
-      if (part[static_cast<std::size_t>(u)] == 0) continue;
-      frontier[out++] = u;
-      if (gain[static_cast<std::size_t>(u)] > best_gain) {
-        best_gain = gain[static_cast<std::size_t>(u)];
-        next = u;
-      }
-    }
-    frontier.resize(out);
+    // Absorb the best frontier vertex next.
+    const index_t best = frontier.next([](index_t) { return true; });
+    next = best >= 0 ? arrived[static_cast<std::size_t>(best)] : -1;
 
     // Disconnected remainder: restart growth from any unassigned vertex.
     if (next < 0 && weight0 < target_weight) {

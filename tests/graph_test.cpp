@@ -107,6 +107,67 @@ TEST(PseudoPeripheral, GridCornerish) {
   EXPECT_GE(ecc, 12);
 }
 
+// The degree-sorted definition pseudo_peripheral_vertex had before it
+// dropped the sort: the first minimum-degree vertex, in Cuthill–McKee visit
+// order, of the deepest level.
+index_t sorted_pseudo_peripheral_vertex(const Graph& g, index_t seed) {
+  index_t current = seed;
+  BfsResult bfs = bfs_degree_ordered(g, current);
+  for (int iteration = 0; iteration < 16; ++iteration) {
+    index_t best = -1;
+    for (index_t v : bfs.order) {
+      if (bfs.levels[static_cast<std::size_t>(v)] == bfs.eccentricity &&
+          (best < 0 || g.degree(v) < g.degree(best))) {
+        best = v;
+      }
+    }
+    BfsResult trial = bfs_degree_ordered(g, best);
+    if (trial.eccentricity <= bfs.eccentricity) break;
+    current = best;
+    bfs = std::move(trial);
+  }
+  return current;
+}
+
+TEST(PseudoPeripheral, MatchesDegreeSortedDefinition) {
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    graphs.push_back(
+        Graph::from_matrix(testing::random_symmetric(150, 3.0, seed)));
+  }
+  // Disconnected: two grids and isolated vertices.
+  CooMatrix disconnected(300, 300);
+  const CsrMatrix grid = grid_laplacian_2d(10, 10);
+  for (index_t block = 0; block < 2; ++block) {
+    for (index_t i = 0; i < grid.num_rows(); ++i) {
+      for (index_t j : grid.row_cols(i)) {
+        disconnected.add(block * 100 + i, block * 100 + j, 1.0);
+      }
+    }
+  }
+  for (index_t i = 200; i < 300; ++i) disconnected.add(i, i, 1.0);
+  graphs.push_back(Graph::from_matrix(CsrMatrix::from_coo(disconnected)));
+  // Tie-heavy: many deepest-level vertices of equal degree.
+  CooMatrix cycle(40, 40);
+  for (index_t i = 0; i < 40; ++i) cycle.add_symmetric(i, (i + 1) % 40, 1.0);
+  graphs.push_back(Graph::from_matrix(CsrMatrix::from_coo(cycle)));
+  CooMatrix bipartite(12, 12);
+  for (index_t i = 0; i < 5; ++i) {
+    for (index_t j = 5; j < 12; ++j) bipartite.add_symmetric(i, j, 1.0);
+  }
+  graphs.push_back(Graph::from_matrix(CsrMatrix::from_coo(bipartite)));
+  graphs.push_back(Graph::from_matrix(grid_laplacian_2d(12, 7)));
+  graphs.push_back(path_graph(17));
+
+  for (const Graph& g : graphs) {
+    for (index_t v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(pseudo_peripheral_vertex(g, v),
+                sorted_pseudo_peripheral_vertex(g, v))
+          << "seed vertex " << v << " of " << g.num_vertices();
+    }
+  }
+}
+
 TEST(Graph, WeightedAccessors) {
   Graph g(3, {0, 1, 2, 2}, {1, 0}, {5, 7, 2}, {3, 3});
   EXPECT_EQ(g.vertex_weight(1), 7);

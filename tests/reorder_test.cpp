@@ -2,8 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 #include <set>
+#include <string>
 
+#include "corpus/corpus.hpp"
+#include "corpus/generators.hpp"
 #include "features/features.hpp"
 #include "graph/graph.hpp"
 #include "reorder/reordering.hpp"
@@ -16,6 +21,74 @@ namespace {
 using testing::grid_laplacian_2d;
 using testing::random_square;
 using testing::random_symmetric;
+
+// FNV-1a over the permutations' entries, in order, as a hex string.
+std::string digest(const std::vector<Permutation>& perms) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Permutation& perm : perms) {
+    for (index_t v : perm) {
+      const auto bits = static_cast<std::uint32_t>(v);
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffU;
+        hash *= 0x100000001b3ULL;
+      }
+    }
+  }
+  char text[24];
+  std::snprintf(text, sizeof(text), "%016" PRIx64, hash);
+  return text;
+}
+
+struct RecordedDigests {
+  const char* matrix;
+  std::uint64_t seed;
+  const char* gp72;     // gp_ordering at 72 parts
+  const char* gp_all;   // gp_orderings over the six Table 2 counts
+  const char* hp;
+  const char* nd;
+  const char* rcm;
+};
+
+// Ordering bytes recorded before the FM refiners moved to the addressable
+// gain queue (DESIGN §17). Any change to the partitioners' tie order, or to
+// the pseudo-peripheral start vertex, changes these.
+const RecordedDigests kRecordedDigests[] = {
+    {"mesh", 1, "c6db4eb4a40abb11", "c68266067f92d3ad", "951156ebaa4a658d",
+     "528090bcf0502269", "b3adf9cf26431971"},
+    {"mesh", 2023, "6cce1d182a4e9ef1", "8b3f7430fc2e992d", "906f4e8ce8b37831",
+     "92dcac4901590b21", "b3adf9cf26431971"},
+    {"rmat", 1, "aeabbc171c124489", "f09847d81bb23205", "8ab00960464cc2c5",
+     "63af2e00f172ffb1", "80a682aa8ab7aac1"},
+    {"rmat", 2023, "009c894ca63700d1", "40e749cbfb5250a5", "fe7144e0f4b108c9",
+     "6e5d38bb70429661", "80a682aa8ab7aac1"},
+    {"circuit", 1, "403190ad85c1fb1d", "297079aeb0092645", "78b0237816207b75",
+     "0a1c5d0b28571e05", "469bac5b60da84fd"},
+    {"circuit", 2023, "ece0dde972b15505", "55678ba8674145a1",
+     "24e74df9272e3fed", "e2fce10d3e17fec5", "469bac5b60da84fd"},
+};
+
+CsrMatrix digest_matrix(const std::string& name) {
+  if (name == "mesh") return gen_mesh2d(48, 48, 5);
+  if (name == "rmat") return gen_rmat(11, 8, 0.57, 0.19, 0.19, 3);
+  return generate_named("Freescale2", 0.1).matrix;
+}
+
+TEST(OrderingBytes, MatchRecordedDigests) {
+  const std::vector<index_t> counts = {32, 72, 64, 16, 48, 128};
+  for (const RecordedDigests& expected : kRecordedDigests) {
+    SCOPED_TRACE(std::string(expected.matrix) + " seed " +
+                 std::to_string(expected.seed));
+    const CsrMatrix a = digest_matrix(expected.matrix);
+    ReorderOptions options;
+    options.seed = expected.seed;
+    options.gp_parts = 72;
+    EXPECT_EQ(digest({gp_ordering(a, options)}), expected.gp72);
+    EXPECT_EQ(digest(gp_orderings(a, counts, options)), expected.gp_all);
+    EXPECT_EQ(digest({hp_ordering(a, options)}), expected.hp);
+    EXPECT_EQ(digest({nd_ordering(a, options)}), expected.nd);
+    EXPECT_EQ(digest({rcm_ordering(a)}), expected.rcm);
+  }
+}
 
 TEST(Rcm, ProducesValidPermutation) {
   const CsrMatrix a = random_square(200, 4.0, 7);
