@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks for the reordering algorithms themselves
 // (serial, as in the study) on two structural extremes: a 2D mesh and a
-// power-law graph.
+// power-law graph. BM_RcmManyComponents guards RCM's cost against growing
+// with the number of connected components.
 #include <benchmark/benchmark.h>
+
+#include <random>
 
 #include "bench_report_main.hpp"
 #include "corpus/generators.hpp"
@@ -17,6 +20,24 @@ const CsrMatrix& mesh() {
 }
 const CsrMatrix& powerlaw() {
   static const CsrMatrix a = gen_rmat(12, 8, 0.57, 0.19, 0.19, 5);
+  return a;
+}
+
+// 80k rows with a full diagonal and 20k random off-diagonal pairs: about
+// 60k connected components, most of them single vertices.
+const CsrMatrix& many_components() {
+  static const CsrMatrix a = [] {
+    const index_t n = 80000;
+    CooMatrix coo(n, n);
+    for (index_t i = 0; i < n; ++i) coo.add(i, i, 1.0);
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<index_t> vertex(0, n - 1);
+    for (int e = 0; e < 20000; ++e) {
+      const index_t i = vertex(rng), j = vertex(rng);
+      if (i != j) coo.add_symmetric(i, j, -1.0);
+    }
+    return CsrMatrix::from_coo(coo);
+  }();
   return a;
 }
 
@@ -41,6 +62,9 @@ void BM_RcmPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), Orderin
 void BM_AmdPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kAmd); }
 void BM_GpPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kGp); }
 void BM_GrayPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kGray); }
+void BM_RcmManyComponents(benchmark::State& s) {
+  bench_ordering(s, many_components(), OrderingKind::kRcm);
+}
 
 BENCHMARK(BM_RcmMesh);
 BENCHMARK(BM_AmdMesh);
@@ -52,6 +76,7 @@ BENCHMARK(BM_RcmPowerLaw);
 BENCHMARK(BM_AmdPowerLaw);
 BENCHMARK(BM_GpPowerLaw);
 BENCHMARK(BM_GrayPowerLaw);
+BENCHMARK(BM_RcmManyComponents);
 
 }  // namespace
 

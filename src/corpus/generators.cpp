@@ -19,24 +19,38 @@ value_t diag_for_degree(double degree) { return degree + 4.0; }
 CsrMatrix gen_mesh2d(index_t nx, index_t ny, int stencil) {
   require(stencil == 5 || stencil == 9, "gen_mesh2d: stencil must be 5 or 9");
   const index_t n = nx * ny;
-  CooMatrix coo(n, n);
-  auto id = [nx](index_t x, index_t y) { return y * nx + x; };
+  // Rows are emitted directly, in column order: the neighbours in the
+  // previous grid row, the point's own grid row, then the next grid row,
+  // each left to right. The diagonal holds stencil - 1, axis neighbours -1
+  // and (9-point only) diagonal neighbours -0.5.
+  std::vector<offset_t> row_ptr;
+  std::vector<index_t> col_idx;
+  std::vector<value_t> values;
+  row_ptr.reserve(static_cast<std::size_t>(n) + 1);
+  const std::size_t max_nnz =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(stencil);
+  col_idx.reserve(max_nnz);
+  values.reserve(max_nnz);
+  row_ptr.push_back(0);
   for (index_t y = 0; y < ny; ++y) {
     for (index_t x = 0; x < nx; ++x) {
-      coo.add(id(x, y), id(x, y), static_cast<value_t>(stencil - 1));
-      if (x + 1 < nx) coo.add_symmetric(id(x, y), id(x + 1, y), -1.0);
-      if (y + 1 < ny) coo.add_symmetric(id(x, y), id(x, y + 1), -1.0);
-      if (stencil == 9) {
-        if (x + 1 < nx && y + 1 < ny) {
-          coo.add_symmetric(id(x, y), id(x + 1, y + 1), -0.5);
-        }
-        if (x > 0 && y + 1 < ny) {
-          coo.add_symmetric(id(x, y), id(x - 1, y + 1), -0.5);
+      for (index_t dy = -1; dy <= 1; ++dy) {
+        if (y + dy < 0 || y + dy >= ny) continue;
+        for (index_t dx = -1; dx <= 1; ++dx) {
+          if (x + dx < 0 || x + dx >= nx) continue;
+          const bool corner = dx != 0 && dy != 0;
+          if (corner && stencil == 5) continue;
+          col_idx.push_back((y + dy) * nx + x + dx);
+          values.push_back(dx == 0 && dy == 0
+                               ? static_cast<value_t>(stencil - 1)
+                               : (corner ? -0.5 : -1.0));
         }
       }
+      row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
     }
   }
-  return CsrMatrix::from_coo(coo);
+  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 CsrMatrix gen_mesh3d(index_t nx, index_t ny, index_t nz, int stencil) {

@@ -9,6 +9,12 @@
 #include "sparse/csr_ops.hpp"
 
 namespace ordo {
+namespace {
+
+// How far ahead in its queue a BFS prefetches adjacency lists.
+constexpr std::size_t kPrefetchVertices = 16;
+
+}  // namespace
 
 Graph::Graph(index_t num_vertices, std::vector<offset_t> adj_ptr,
              std::vector<index_t> adj)
@@ -90,39 +96,6 @@ std::vector<index_t> bfs_levels(const Graph& g, index_t start) {
   return levels;
 }
 
-BfsResult bfs_degree_ordered(const Graph& g, index_t start) {
-  BfsResult result;
-  result.levels.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  result.order.reserve(static_cast<std::size_t>(g.num_vertices()));
-
-  std::vector<index_t> frontier{start};
-  result.levels[static_cast<std::size_t>(start)] = 0;
-  index_t level = 0;
-  std::vector<index_t> next;
-  while (!frontier.empty()) {
-    // Cuthill–McKee: within a level, visit vertices in ascending degree
-    // order (ties broken by vertex id for determinism).
-    std::sort(frontier.begin(), frontier.end(), [&](index_t a, index_t b) {
-      const index_t da = g.degree(a), db = g.degree(b);
-      return da != db ? da < db : a < b;
-    });
-    next.clear();
-    for (index_t v : frontier) {
-      result.order.push_back(v);
-      for (index_t u : g.neighbors(v)) {
-        if (result.levels[static_cast<std::size_t>(u)] < 0) {
-          result.levels[static_cast<std::size_t>(u)] = level + 1;
-          next.push_back(u);
-        }
-      }
-    }
-    result.eccentricity = level;
-    frontier.swap(next);
-    ++level;
-  }
-  return result;
-}
-
 Components connected_components(const Graph& g) {
   Components result;
   result.component.assign(static_cast<std::size_t>(g.num_vertices()), -1);
@@ -146,49 +119,66 @@ Components connected_components(const Graph& g) {
   return result;
 }
 
-index_t pseudo_peripheral_vertex(const Graph& g, index_t seed) {
-  require(seed >= 0 && seed < g.num_vertices(),
-          "pseudo_peripheral_vertex: seed out of range");
-  // One level array and BFS queue serve every search; each search resets
-  // only the vertices the previous one reached.
-  std::vector<index_t> level(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<index_t> queue;
-  // BFS from `start`: its eccentricity, and the minimum-(degree, id) vertex
-  // of its deepest level. Levels are BFS distances, so no level is sorted.
-  auto search = [&](index_t start) {
-    for (index_t v : queue) level[static_cast<std::size_t>(v)] = -1;
-    queue.assign(1, start);
-    level[static_cast<std::size_t>(start)] = 0;
-    index_t deepest = start;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const index_t v = queue[head];
-      const index_t depth = level[static_cast<std::size_t>(v)];
-      // Levels arrive in ascending order, so `depth` is never shallower.
-      if (depth > level[static_cast<std::size_t>(deepest)] ||
-          std::pair(g.degree(v), v) < std::pair(g.degree(deepest), deepest)) {
-        deepest = v;
-      }
-      for (index_t u : g.neighbors(v)) {
-        if (level[static_cast<std::size_t>(u)] < 0) {
-          level[static_cast<std::size_t>(u)] = depth + 1;
-          queue.push_back(u);
-        }
+PeripheralSearch::PeripheralSearch(const Graph& g) : g_(g) {
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  accepted_.level.assign(n, -1);
+  trial_.level.assign(n, -1);
+}
+
+index_t PeripheralSearch::search(Bfs& bfs, index_t start) const {
+  // Reset only what this buffer's previous search reached. Levels are BFS
+  // distances, so no level is sorted.
+  for (index_t v : bfs.queue) bfs.level[static_cast<std::size_t>(v)] = -1;
+  bfs.queue.assign(1, start);
+  bfs.level[static_cast<std::size_t>(start)] = 0;
+  index_t deepest = start;
+  const auto adj_ptr = g_.adj_ptr();
+  const auto adj = g_.adj();
+  for (std::size_t head = 0; head < bfs.queue.size(); ++head) {
+    // The queue already names the vertices visited next; prefetch the
+    // adjacency of the one kPrefetchVertices ahead (DESIGN §18).
+    if (head + kPrefetchVertices < bfs.queue.size()) {
+      const auto ahead =
+          static_cast<std::size_t>(bfs.queue[head + kPrefetchVertices]);
+      __builtin_prefetch(adj.data() + adj_ptr[ahead]);
+    }
+    const index_t v = bfs.queue[head];
+    const index_t depth = bfs.level[static_cast<std::size_t>(v)];
+    // Levels arrive in ascending order, so `depth` is never shallower.
+    if (depth > bfs.level[static_cast<std::size_t>(deepest)] ||
+        std::pair(g_.degree(v), v) < std::pair(g_.degree(deepest), deepest)) {
+      deepest = v;
+    }
+    for (index_t u : g_.neighbors(v)) {
+      if (bfs.level[static_cast<std::size_t>(u)] < 0) {
+        bfs.level[static_cast<std::size_t>(u)] = depth + 1;
+        bfs.queue.push_back(u);
       }
     }
-    return std::pair(level[static_cast<std::size_t>(deepest)], deepest);
-  };
+  }
+  return deepest;
+}
+
+index_t PeripheralSearch::run(index_t seed) {
+  require(seed >= 0 && seed < g_.num_vertices(),
+          "PeripheralSearch::run: seed out of range");
   index_t current = seed;
-  auto [eccentricity, candidate] = search(seed);
+  index_t candidate = search(accepted_, seed);
   // Move to a minimum-degree vertex of the deepest level while that raises
-  // the eccentricity (George & Liu 1979).
+  // the eccentricity (George & Liu 1979). An accepted trial's BFS becomes
+  // the current one by swapping buffers.
   for (int iteration = 0; iteration < 16; ++iteration) {
-    const auto [trial_eccentricity, trial_candidate] = search(candidate);
-    if (trial_eccentricity <= eccentricity) break;
+    const index_t trial_candidate = search(trial_, candidate);
+    if (trial_.eccentricity() <= eccentricity()) break;
     current = candidate;
-    eccentricity = trial_eccentricity;
     candidate = trial_candidate;
+    std::swap(accepted_, trial_);
   }
   return current;
+}
+
+index_t pseudo_peripheral_vertex(const Graph& g, index_t seed) {
+  return PeripheralSearch(g).run(seed);
 }
 
 }  // namespace ordo

@@ -80,17 +80,6 @@ class Graph {
 /// vertex reachable from `start`; unreachable vertices get level -1.
 std::vector<index_t> bfs_levels(const Graph& g, index_t start);
 
-/// Result of a BFS that also records the visit order.
-struct BfsResult {
-  std::vector<index_t> order;   // visited vertices, in visit order
-  std::vector<index_t> levels;  // level per vertex, -1 when unreachable
-  index_t eccentricity = 0;     // index of the last (deepest) level
-};
-
-/// BFS that visits each level's vertices in ascending-degree order, as the
-/// Cuthill–McKee algorithm requires.
-BfsResult bfs_degree_ordered(const Graph& g, index_t start);
-
 /// Connected components: returns a component id per vertex and the number of
 /// components.
 struct Components {
@@ -99,9 +88,49 @@ struct Components {
 };
 Components connected_components(const Graph& g);
 
-/// George–Liu pseudo-peripheral vertex heuristic: starting from `seed`,
-/// repeatedly moves to a minimum-degree vertex of the deepest BFS level until
-/// the eccentricity stops growing. Used to pick RCM starting vertices.
+/// George–Liu pseudo-peripheral vertex search over one graph, with its
+/// scratch (two level arrays and BFS queues) allocated once and reset per
+/// search in O(vertices reached). One run costs O(vertices + edges) of the
+/// seed's component, so a run per component costs O(n + m) in total. The
+/// graph must outlive the search.
+class PeripheralSearch {
+ public:
+  explicit PeripheralSearch(const Graph& g);
+
+  /// Starting from `seed`, repeatedly moves to the minimum-(degree, id)
+  /// vertex of the deepest BFS level while that raises the eccentricity, and
+  /// returns the last vertex that raised it. Afterwards `order()` and
+  /// `level()` describe the BFS from the returned vertex.
+  index_t run(index_t seed);
+
+  /// The returned vertex's component, in BFS visit order (levels ascending).
+  std::span<const index_t> order() const { return accepted_.queue; }
+  /// BFS distance of `v` from the returned vertex; `v` must be in `order()`.
+  index_t level(index_t v) const {
+    return accepted_.level[static_cast<std::size_t>(v)];
+  }
+  /// Index of the deepest BFS level from the returned vertex.
+  index_t eccentricity() const { return accepted_.eccentricity(); }
+
+ private:
+  struct Bfs {
+    std::vector<index_t> level;  // -1 outside the last search
+    std::vector<index_t> queue;  // vertices the last search reached
+    index_t eccentricity() const {
+      return level[static_cast<std::size_t>(queue.back())];
+    }
+  };
+  /// BFS from `start` into `bfs`; returns the minimum-(degree, id) vertex of
+  /// the deepest level.
+  index_t search(Bfs& bfs, index_t start) const;
+
+  const Graph& g_;
+  Bfs accepted_;  // BFS from the current start vertex
+  Bfs trial_;     // BFS from the candidate being tried
+};
+
+/// One search from `seed`: `PeripheralSearch(g).run(seed)`. Callers that
+/// search the same graph more than once keep a `PeripheralSearch` instead.
 index_t pseudo_peripheral_vertex(const Graph& g, index_t seed);
 
 }  // namespace ordo

@@ -32,9 +32,10 @@ Permutation king_ordering(const CsrMatrix& a) {
   for (index_t v = 0; v < n; ++v) unnumbered[static_cast<std::size_t>(v)] = g.degree(v);
 
   std::vector<index_t> frontier;
+  PeripheralSearch search(g);
   for (index_t component_seed = 0; component_seed < n; ++component_seed) {
     if (numbered[static_cast<std::size_t>(component_seed)]) continue;
-    index_t next = pseudo_peripheral_vertex(g, component_seed);
+    index_t next = search.run(component_seed);
     while (next >= 0) {
       const index_t v = next;
       numbered[static_cast<std::size_t>(v)] = true;

@@ -121,7 +121,8 @@ CsrMatrix apply_ordering(const CsrMatrix& a, const Ordering& ordering) {
   if (ordering.symmetric) return permute_symmetric(a, ordering.row_perm);
   // Unsymmetric orderings carry independent row and column permutations
   // (Gray's column permutation is the identity; SBD's is not).
-  if (ordering.col_perm == identity_permutation(a.num_cols())) {
+  if (static_cast<index_t>(ordering.col_perm.size()) == a.num_cols() &&
+      is_identity_permutation(ordering.col_perm)) {
     return permute_rows(a, ordering.row_perm);
   }
   return permute(a, ordering.row_perm, ordering.col_perm);

@@ -16,6 +16,8 @@
 
 namespace ordo {
 
+class Graph;
+
 /// The reordering algorithms of the study, plus extra baselines used for
 /// ablation benches.
 enum class OrderingKind {
@@ -111,6 +113,10 @@ Permutation rcm_ordering(const CsrMatrix& a);
 
 /// Cuthill–McKee without the final reversal (exposed for tests/ablation).
 Permutation cuthill_mckee_ordering(const CsrMatrix& a);
+
+/// Cuthill–McKee order of a graph's vertices; windowed RCM runs it on each
+/// window's graph.
+Permutation cuthill_mckee_ordering(const Graph& g);
 
 /// Band-limited windowed RCM — the out-of-core variant: RCM is computed
 /// independently on each contiguous block of `window_rows` rows (edges

@@ -65,18 +65,7 @@ Permutation windowed_rcm_ordering(const CsrMatrix& a, index_t window_rows,
     // Window-local CM, then the RCM reversal within the window: component
     // starts follow the same ascending-lowest-vertex discipline as the
     // global algorithm, so the pass is deterministic.
-    std::vector<index_t> window_order;
-    window_order.reserve(static_cast<std::size_t>(wn));
-    std::vector<bool> visited(static_cast<std::size_t>(wn), false);
-    for (index_t s = 0; s < wn; ++s) {
-      if (visited[static_cast<std::size_t>(s)]) continue;
-      const index_t start = pseudo_peripheral_vertex(g, s);
-      const BfsResult bfs = bfs_degree_ordered(g, start);
-      for (index_t v : bfs.order) {
-        visited[static_cast<std::size_t>(v)] = true;
-        window_order.push_back(v);
-      }
-    }
+    Permutation window_order = cuthill_mckee_ordering(g);
     std::reverse(window_order.begin(), window_order.end());
     for (const index_t v : window_order) order.push_back(w0 + v);
   }
@@ -90,11 +79,11 @@ CsrMatrix apply_ordering_out_of_core(const CsrMatrix& a,
   require(!spill_dir.empty(),
           "apply_ordering_out_of_core: spill directory must be set");
   require_valid_permutation(ordering.row_perm, "apply_ordering_out_of_core");
-  require_valid_permutation(ordering.col_perm, "apply_ordering_out_of_core");
   require(static_cast<index_t>(ordering.row_perm.size()) == a.num_rows() &&
               static_cast<index_t>(ordering.col_perm.size()) == a.num_cols(),
           "apply_ordering_out_of_core: permutation size mismatch");
 
+  // Inverting validates col_perm.
   const Permutation inv_col = invert_permutation(ordering.col_perm);
   namespace fs = std::filesystem;
   fs::create_directories(spill_dir);

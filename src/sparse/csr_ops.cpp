@@ -37,9 +37,26 @@ CsrMatrix transpose(const CsrMatrix& a) {
 
 bool is_pattern_symmetric(const CsrMatrix& a) {
   if (!a.is_square()) return false;
-  const CsrMatrix at = transpose(a);
-  return std::ranges::equal(a.row_ptr(), at.row_ptr()) &&
-         std::ranges::equal(a.col_idx(), at.col_idx());
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  // next[j]: the first entry of row j no entry (i, j) has matched yet. Rows
+  // are walked in ascending order and every row is sorted, so the mirror of
+  // (i, j) must be exactly that entry. Each of the nnz entries consumes a
+  // distinct one, so every entry is also some entry's mirror (DESIGN §18).
+  std::vector<offset_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
+         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const auto j =
+          static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]);
+      const offset_t mirror = next[j]++;
+      if (mirror == row_ptr[j + 1] ||
+          col_idx[static_cast<std::size_t>(mirror)] != i) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 CsrMatrix symmetrize(const CsrMatrix& a) {
@@ -89,9 +106,81 @@ CsrMatrix symmetrize(const CsrMatrix& a) {
   return s;
 }
 
+namespace {
+
+// Rows up to this long are insertion-sorted in place in the output; longer
+// ones go through a pair buffer and std::sort.
+constexpr std::size_t kInsertionSortMaxRow = 32;
+// Source rows are read in row_perm order, a jump per row; the row this many
+// output rows ahead is prefetched (DESIGN §18).
+constexpr std::size_t kPrefetchRows = 16;
+
+// B(i, j) = A(row_perm[i], col_perm[j]), given a valid row_perm and the
+// inverse of a valid col_perm.
+CsrMatrix permute_with_inverse(const CsrMatrix& a, const Permutation& row_perm,
+                               const Permutation& col_inv) {
+  require(static_cast<index_t>(row_perm.size()) == a.num_rows(),
+          "permute: row permutation length must equal row count");
+  require(static_cast<index_t>(col_inv.size()) == a.num_cols(),
+          "permute: column permutation length must equal column count");
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  const auto values = a.values();
+  const auto m = static_cast<std::size_t>(a.num_rows());
+  std::vector<offset_t> b_ptr(m + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    b_ptr[i + 1] = b_ptr[i] + a.row_nonzeros(row_perm[i]);
+  }
+  std::vector<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
+  std::vector<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
+  std::vector<std::pair<index_t, value_t>> long_row;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (i + kPrefetchRows < m) {
+      const auto ahead = static_cast<std::size_t>(
+          row_ptr[static_cast<std::size_t>(row_perm[i + kPrefetchRows])]);
+      __builtin_prefetch(col_idx.data() + ahead);
+      __builtin_prefetch(values.data() + ahead);
+    }
+    const auto src = static_cast<std::size_t>(row_perm[i]);
+    const auto begin = static_cast<std::size_t>(row_ptr[src]);
+    const auto end = static_cast<std::size_t>(row_ptr[src + 1]);
+    const auto out = static_cast<std::size_t>(b_ptr[i]);
+    if (end - begin <= kInsertionSortMaxRow) {
+      for (std::size_t k = begin; k < end; ++k) {
+        const index_t j = col_inv[static_cast<std::size_t>(col_idx[k])];
+        std::size_t pos = out + (k - begin);
+        for (; pos > out && b_col[pos - 1] > j; --pos) {
+          b_col[pos] = b_col[pos - 1];
+          b_val[pos] = b_val[pos - 1];
+        }
+        b_col[pos] = j;
+        b_val[pos] = values[k];
+      }
+      continue;
+    }
+    long_row.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      long_row.emplace_back(col_inv[static_cast<std::size_t>(col_idx[k])],
+                            values[k]);
+    }
+    // Column indices in a row are distinct, so the sort is unambiguous.
+    std::sort(long_row.begin(), long_row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (std::size_t k = 0; k < long_row.size(); ++k) {
+      b_col[out + k] = long_row[k].first;
+      b_val[out + k] = long_row[k].second;
+    }
+  }
+  return CsrMatrix(a.num_rows(), a.num_cols(), std::move(b_ptr),
+                   std::move(b_col), std::move(b_val));
+}
+
+}  // namespace
+
 CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& perm) {
   require(a.is_square(), "permute_symmetric: matrix must be square");
-  return permute(a, perm, perm);
+  // Inverting validates `perm`, which is also the row permutation.
+  return permute_with_inverse(a, perm, invert_permutation(perm));
 }
 
 CsrMatrix permute_rows(const CsrMatrix& a, const Permutation& perm) {
@@ -125,42 +214,8 @@ CsrMatrix permute_rows(const CsrMatrix& a, const Permutation& perm) {
 CsrMatrix permute(const CsrMatrix& a, const Permutation& row_perm,
                   const Permutation& col_perm) {
   require_valid_permutation(row_perm, "permute(row_perm)");
-  require_valid_permutation(col_perm, "permute(col_perm)");
-  require(static_cast<index_t>(row_perm.size()) == a.num_rows(),
-          "permute: row permutation length must equal row count");
-  require(static_cast<index_t>(col_perm.size()) == a.num_cols(),
-          "permute: column permutation length must equal column count");
-  const Permutation col_inv = invert_permutation(col_perm);
-
-  const index_t m = a.num_rows();
-  std::vector<offset_t> b_ptr(static_cast<std::size_t>(m) + 1, 0);
-  for (index_t i = 0; i < m; ++i) {
-    b_ptr[static_cast<std::size_t>(i) + 1] =
-        b_ptr[static_cast<std::size_t>(i)] +
-        a.row_nonzeros(row_perm[static_cast<std::size_t>(i)]);
-  }
-  std::vector<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<std::pair<index_t, value_t>> row;
-  for (index_t i = 0; i < m; ++i) {
-    const index_t src = row_perm[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(src);
-    const auto vals = a.row_values(src);
-    row.clear();
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      row.emplace_back(col_inv[static_cast<std::size_t>(cols[k])], vals[k]);
-    }
-    std::sort(row.begin(), row.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    offset_t out = b_ptr[static_cast<std::size_t>(i)];
-    for (const auto& [j, v] : row) {
-      b_col[static_cast<std::size_t>(out)] = j;
-      b_val[static_cast<std::size_t>(out)] = v;
-      ++out;
-    }
-  }
-  return CsrMatrix(m, a.num_cols(), std::move(b_ptr), std::move(b_col),
-                   std::move(b_val));
+  // Inverting validates `col_perm`.
+  return permute_with_inverse(a, row_perm, invert_permutation(col_perm));
 }
 
 index_t diagonal_nonzeros(const CsrMatrix& a) {

@@ -29,12 +29,25 @@ void require_valid_permutation(const Permutation& perm, const char* who) {
 }
 
 Permutation invert_permutation(const Permutation& perm) {
-  require_valid_permutation(perm, "invert_permutation");
-  Permutation inv(perm.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    inv[static_cast<std::size_t>(perm[i])] = static_cast<index_t>(i);
+  // Inverting validates in the same pass: every entry must be in range and
+  // hit a slot no earlier entry hit.
+  Permutation inv(perm.size(), -1);
+  bool valid = true;
+  for (std::size_t i = 0; i < perm.size() && valid; ++i) {
+    // A negative entry converts to a value past the end.
+    const auto p = static_cast<std::size_t>(perm[i]);
+    valid = p < inv.size() && inv[p] < 0;
+    if (valid) inv[p] = static_cast<index_t>(i);
   }
+  require(valid, "invert_permutation: not a valid permutation");
   return inv;
+}
+
+bool is_identity_permutation(const Permutation& perm) {
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    if (perm[i] != static_cast<index_t>(i)) return false;
+  }
+  return true;
 }
 
 Permutation compose_permutations(const Permutation& first,

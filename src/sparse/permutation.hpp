@@ -24,8 +24,13 @@ bool is_valid_permutation(const Permutation& perm);
 /// Throws invalid_argument_error when `perm` is not a valid permutation.
 void require_valid_permutation(const Permutation& perm, const char* who);
 
-/// Returns the inverse permutation: inv[perm[i]] == i.
+/// Returns the inverse permutation: inv[perm[i]] == i. Throws
+/// invalid_argument_error when `perm` is not a valid permutation, so callers
+/// that invert need no separate validation.
 Permutation invert_permutation(const Permutation& perm);
+
+/// True when perm[i] == i for every i (no allocation).
+bool is_identity_permutation(const Permutation& perm);
 
 /// Returns the composition `second ∘ first`: applying the result is the same
 /// as applying `first`, then `second` to the already-permuted object.

@@ -10,6 +10,8 @@
 namespace ordo {
 namespace {
 
+using testing::BfsResult;
+using testing::degree_ordered_bfs;
 using testing::grid_laplacian_2d;
 
 Graph path_graph(index_t n) {
@@ -61,21 +63,6 @@ TEST(Bfs, UnreachableVerticesStayAtMinusOne) {
   EXPECT_EQ(levels[3], -1);
 }
 
-TEST(BfsDegreeOrdered, VisitsLowDegreeFirstWithinLevel) {
-  // Star with an extra pendant on leaf 1: from the hub, leaves are level 1
-  // and must be visited in ascending degree order (leaf 1 has degree 2, the
-  // rest degree 1, so leaf 1 comes last in its level).
-  CooMatrix coo(6, 6);
-  for (index_t leaf = 1; leaf <= 4; ++leaf) coo.add_symmetric(0, leaf, 1.0);
-  coo.add_symmetric(1, 5, 1.0);
-  const Graph g = Graph::from_matrix(CsrMatrix::from_coo(coo));
-  const BfsResult bfs = bfs_degree_ordered(g, 0);
-  ASSERT_EQ(bfs.order.size(), 6u);
-  EXPECT_EQ(bfs.order[0], 0);
-  EXPECT_EQ(bfs.order[4], 1);  // the degree-2 leaf is last in level 1
-  EXPECT_EQ(bfs.eccentricity, 2);
-}
-
 TEST(Components, CountsAndLabels) {
   CooMatrix coo(7, 7);
   coo.add_symmetric(0, 1, 1.0);
@@ -107,12 +94,12 @@ TEST(PseudoPeripheral, GridCornerish) {
   EXPECT_GE(ecc, 12);
 }
 
-// The degree-sorted definition pseudo_peripheral_vertex had before it
+// The degree-sorted definition the pseudo-peripheral search had before it
 // dropped the sort: the first minimum-degree vertex, in Cuthill–McKee visit
 // order, of the deepest level.
 index_t sorted_pseudo_peripheral_vertex(const Graph& g, index_t seed) {
   index_t current = seed;
-  BfsResult bfs = bfs_degree_ordered(g, current);
+  BfsResult bfs = degree_ordered_bfs(g, current);
   for (int iteration = 0; iteration < 16; ++iteration) {
     index_t best = -1;
     for (index_t v : bfs.order) {
@@ -121,7 +108,7 @@ index_t sorted_pseudo_peripheral_vertex(const Graph& g, index_t seed) {
         best = v;
       }
     }
-    BfsResult trial = bfs_degree_ordered(g, best);
+    BfsResult trial = degree_ordered_bfs(g, best);
     if (trial.eccentricity <= bfs.eccentricity) break;
     current = best;
     bfs = std::move(trial);
@@ -129,7 +116,8 @@ index_t sorted_pseudo_peripheral_vertex(const Graph& g, index_t seed) {
   return current;
 }
 
-TEST(PseudoPeripheral, MatchesDegreeSortedDefinition) {
+// Random, disconnected and tie-heavy graphs for the start-vertex tests.
+std::vector<Graph> search_test_graphs() {
   std::vector<Graph> graphs;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     graphs.push_back(
@@ -158,12 +146,35 @@ TEST(PseudoPeripheral, MatchesDegreeSortedDefinition) {
   graphs.push_back(Graph::from_matrix(CsrMatrix::from_coo(bipartite)));
   graphs.push_back(Graph::from_matrix(grid_laplacian_2d(12, 7)));
   graphs.push_back(path_graph(17));
+  return graphs;
+}
 
-  for (const Graph& g : graphs) {
+TEST(PseudoPeripheral, MatchesDegreeSortedDefinition) {
+  for (const Graph& g : search_test_graphs()) {
     for (index_t v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(pseudo_peripheral_vertex(g, v),
                 sorted_pseudo_peripheral_vertex(g, v))
           << "seed vertex " << v << " of " << g.num_vertices();
+    }
+  }
+}
+
+TEST(PeripheralSearch, ReusedScratchMatchesFreshSearches) {
+  // One search object serves every seed, in a scrambled order, and each
+  // run leaves the BFS of the vertex it returned.
+  for (const Graph& g : search_test_graphs()) {
+    PeripheralSearch search(g);
+    for (index_t seed : random_permutation(g.num_vertices(), 7)) {
+      const index_t start = search.run(seed);
+      ASSERT_EQ(start, sorted_pseudo_peripheral_vertex(g, seed))
+          << "seed vertex " << seed << " of " << g.num_vertices();
+      const BfsResult bfs = degree_ordered_bfs(g, start);
+      ASSERT_EQ(search.order().size(), bfs.order.size());
+      EXPECT_EQ(search.order().front(), start);
+      for (index_t v : search.order()) {
+        ASSERT_EQ(search.level(v), bfs.levels[static_cast<std::size_t>(v)]);
+      }
+      EXPECT_EQ(search.eccentricity(), bfs.eccentricity);
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <random>
 #include <set>
 #include <string>
 
@@ -125,6 +126,154 @@ TEST(Rcm, HandlesDisconnectedComponents) {
   const Permutation perm = rcm_ordering(a);
   EXPECT_TRUE(is_valid_permutation(perm));
   EXPECT_EQ(perm.size(), 5u);
+}
+
+TEST(CuthillMckee, VisitsLowDegreeFirstWithinLevel) {
+  // A broom: handle 0-1-2, bristles 3, 4, 5 on vertex 2, and a pendant 6 on
+  // bristle 3. The search starts at 0, so the level {3, 4, 5} must come
+  // out in ascending degree: the degree-2 vertex 3 after 4 and 5.
+  CooMatrix coo(7, 7);
+  coo.add_symmetric(0, 1, 1.0);
+  coo.add_symmetric(1, 2, 1.0);
+  for (index_t bristle = 3; bristle <= 5; ++bristle) {
+    coo.add_symmetric(2, bristle, 1.0);
+  }
+  coo.add_symmetric(3, 6, 1.0);
+  EXPECT_EQ(cuthill_mckee_ordering(CsrMatrix::from_coo(coo)),
+            (Permutation{0, 1, 2, 4, 5, 3, 6}));
+}
+
+// The George–Liu search and Cuthill–McKee order as ordo computed them before
+// both moved onto one search object per graph (DESIGN §18), kept as the
+// reference: per component, a fresh search with its own O(n) scratch, then
+// a second BFS that sorts every level by (degree, id).
+index_t reference_pseudo_peripheral_vertex(const Graph& g, index_t seed) {
+  std::vector<index_t> level(static_cast<std::size_t>(g.num_vertices()), -1);
+  std::vector<index_t> queue;
+  auto search = [&](index_t start) {
+    for (index_t v : queue) level[static_cast<std::size_t>(v)] = -1;
+    queue.assign(1, start);
+    level[static_cast<std::size_t>(start)] = 0;
+    index_t deepest = start;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const index_t v = queue[head];
+      const index_t depth = level[static_cast<std::size_t>(v)];
+      if (depth > level[static_cast<std::size_t>(deepest)] ||
+          std::pair(g.degree(v), v) < std::pair(g.degree(deepest), deepest)) {
+        deepest = v;
+      }
+      for (index_t u : g.neighbors(v)) {
+        if (level[static_cast<std::size_t>(u)] < 0) {
+          level[static_cast<std::size_t>(u)] = depth + 1;
+          queue.push_back(u);
+        }
+      }
+    }
+    return std::pair(level[static_cast<std::size_t>(deepest)], deepest);
+  };
+  index_t current = seed;
+  auto [eccentricity, candidate] = search(seed);
+  for (int iteration = 0; iteration < 16; ++iteration) {
+    const auto [trial_eccentricity, trial_candidate] = search(candidate);
+    if (trial_eccentricity <= eccentricity) break;
+    current = candidate;
+    eccentricity = trial_eccentricity;
+    candidate = trial_candidate;
+  }
+  return current;
+}
+
+Permutation reference_cuthill_mckee(const Graph& g) {
+  Permutation order;
+  std::vector<bool> visited(static_cast<std::size_t>(g.num_vertices()), false);
+  for (index_t s = 0; s < g.num_vertices(); ++s) {
+    if (visited[static_cast<std::size_t>(s)]) continue;
+    const index_t start = reference_pseudo_peripheral_vertex(g, s);
+    for (index_t v : testing::degree_ordered_bfs(g, start).order) {
+      visited[static_cast<std::size_t>(v)] = true;
+      order.push_back(v);
+    }
+  }
+  return order;
+}
+
+Permutation reference_rcm(const CsrMatrix& a) {
+  Permutation order = reference_cuthill_mckee(Graph::from_matrix(a));
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+// `n` vertices of which only `edges` random pairs are joined: many isolated
+// vertices and small components.
+CsrMatrix sparse_forest(index_t n, index_t edges, std::uint64_t seed) {
+  CooMatrix coo(n, n);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<index_t> dist(0, n - 1);
+  for (index_t e = 0; e < edges; ++e) {
+    const index_t i = dist(rng), j = dist(rng);
+    if (i != j) coo.add_symmetric(i, j, 1.0);
+  }
+  return CsrMatrix::from_coo(coo);
+}
+
+TEST(Rcm, MatchesLevelSortedReference) {
+  std::vector<std::pair<std::string, CsrMatrix>> cases;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::string tag = std::to_string(seed);
+    cases.emplace_back("random_symmetric " + tag,
+                       random_symmetric(400, 3.0, seed));
+    // Unsymmetric: both sides symmetrize first.
+    cases.emplace_back("random_square " + tag, random_square(400, 2.5, seed));
+    cases.emplace_back("forest " + tag, sparse_forest(2000, 600, seed));
+  }
+  // Mostly isolated vertices, each a component whose row is empty.
+  cases.emplace_back("mostly isolated", sparse_forest(3000, 200, 9));
+  // Tie-heavy: equal degrees throughout most levels.
+  CooMatrix cycle(60, 60);
+  for (index_t i = 0; i < 60; ++i) cycle.add_symmetric(i, (i + 1) % 60, 1.0);
+  cases.emplace_back("cycle", CsrMatrix::from_coo(cycle));
+  CooMatrix bipartite(30, 30);
+  for (index_t i = 0; i < 12; ++i) {
+    for (index_t j = 12; j < 30; ++j) bipartite.add_symmetric(i, j, 1.0);
+  }
+  cases.emplace_back("complete bipartite", CsrMatrix::from_coo(bipartite));
+  cases.emplace_back("grid", grid_laplacian_2d(17, 9));
+  cases.emplace_back("mesh9", gen_mesh2d(31, 23, 9));
+  const CsrMatrix mesh = gen_mesh2d(40, 40, 9);
+  cases.emplace_back("shuffled mesh",
+                     permute_symmetric(mesh, random_permutation(1600, 5)));
+  cases.emplace_back("empty", CsrMatrix(0, 0, {0}, {}, {}));
+  for (const auto& [name, a] : cases) {
+    EXPECT_EQ(rcm_ordering(a), reference_rcm(a)) << name;
+  }
+}
+
+TEST(WindowedRcm, MatchesPerWindowReference) {
+  // Each window's order is the reference RCM of the matrix its rows and
+  // columns induce.
+  const CsrMatrix mesh = gen_mesh2d(30, 30, 9);
+  const CsrMatrix cases[] = {
+      permute_symmetric(mesh, random_permutation(mesh.num_rows(), 3)),
+      random_square(700, 3.0, 4), sparse_forest(900, 300, 6)};
+  for (const CsrMatrix& a : cases) {
+    for (index_t window : {64, 250, 10000}) {
+      Permutation expected;
+      for (index_t w0 = 0; w0 < a.num_rows(); w0 += window) {
+        const index_t w1 = std::min(a.num_rows(), w0 + window);
+        CooMatrix block(w1 - w0, w1 - w0);
+        for (index_t i = w0; i < w1; ++i) {
+          for (index_t j : a.row_cols(i)) {
+            if (j >= w0 && j < w1) block.add(i - w0, j - w0, 1.0);
+          }
+        }
+        for (index_t v : reference_rcm(CsrMatrix::from_coo(block))) {
+          expected.push_back(w0 + v);
+        }
+      }
+      EXPECT_EQ(windowed_rcm_ordering(a, window), expected)
+          << "window " << window;
+    }
+  }
 }
 
 TEST(Amd, ProducesValidPermutationOnGrid) {

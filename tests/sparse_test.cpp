@@ -1,6 +1,12 @@
 // Tests for the sparse containers and structural operations.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "corpus/generators.hpp"
 #include "sparse/csr_ops.hpp"
 #include "sparse/permutation.hpp"
 #include "test_util.hpp"
@@ -9,6 +15,55 @@ namespace ordo {
 namespace {
 
 using testing::random_square;
+
+// The transpose-based definition is_pattern_symmetric had before the cursor
+// walk (DESIGN §18): square, and A's pattern equals Aᵀ's.
+bool transpose_pattern_symmetric(const CsrMatrix& a) {
+  if (!a.is_square()) return false;
+  const CsrMatrix at = transpose(a);
+  return std::ranges::equal(a.row_ptr(), at.row_ptr()) &&
+         std::ranges::equal(a.col_idx(), at.col_idx());
+}
+
+// gen_mesh2d as it was assembled through COO before it emitted CSR rows.
+CsrMatrix coo_mesh2d(index_t nx, index_t ny, int stencil) {
+  const index_t n = nx * ny;
+  CooMatrix coo(n, n);
+  auto id = [nx](index_t x, index_t y) { return y * nx + x; };
+  for (index_t y = 0; y < ny; ++y) {
+    for (index_t x = 0; x < nx; ++x) {
+      coo.add(id(x, y), id(x, y), static_cast<value_t>(stencil - 1));
+      if (x + 1 < nx) coo.add_symmetric(id(x, y), id(x + 1, y), -1.0);
+      if (y + 1 < ny) coo.add_symmetric(id(x, y), id(x, y + 1), -1.0);
+      if (stencil == 9) {
+        if (x + 1 < nx && y + 1 < ny) {
+          coo.add_symmetric(id(x, y), id(x + 1, y + 1), -0.5);
+        }
+        if (x > 0 && y + 1 < ny) {
+          coo.add_symmetric(id(x, y), id(x - 1, y + 1), -0.5);
+        }
+      }
+    }
+  }
+  return CsrMatrix::from_coo(coo);
+}
+
+// B(i, j) = A(row_perm[i], col_perm[j]), assembled through COO.
+CsrMatrix coo_permute(const CsrMatrix& a, const Permutation& row_perm,
+                      const Permutation& col_perm) {
+  const Permutation row_inv = invert_permutation(row_perm);
+  const Permutation col_inv = invert_permutation(col_perm);
+  CooMatrix coo(a.num_rows(), a.num_cols());
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    const auto cols = a.row_cols(i);
+    const auto vals = a.row_values(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      coo.add(row_inv[static_cast<std::size_t>(i)],
+              col_inv[static_cast<std::size_t>(cols[k])], vals[k]);
+    }
+  }
+  return CsrMatrix::from_coo(coo);
+}
 
 TEST(Coo, RejectsOutOfRangeIndices) {
   CooMatrix coo(3, 3);
@@ -76,6 +131,112 @@ TEST(Transpose, RectangularShape) {
   EXPECT_EQ(t.row_cols(4)[0], 0);
 }
 
+TEST(IsPatternSymmetric, MatchesTransposeDefinition) {
+  std::vector<std::pair<std::string, CsrMatrix>> cases;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const CsrMatrix a = random_square(150, 3.0, seed);
+    cases.emplace_back("random " + std::to_string(seed), a);
+    cases.emplace_back("symmetrized " + std::to_string(seed), symmetrize(a));
+  }
+  cases.emplace_back("empty", CsrMatrix(0, 0, {0}, {}, {}));
+  cases.emplace_back("rectangular", CsrMatrix(2, 3, {0, 1, 2}, {1, 0},
+                                              {1.0, 1.0}));
+  // Empty rows, with a symmetric pattern and without.
+  cases.emplace_back("empty rows", CsrMatrix(4, 4, {0, 1, 1, 2, 2}, {2, 0},
+                                             {1.0, 1.0}));
+  cases.emplace_back("empty rows, one-sided",
+                     CsrMatrix(4, 4, {0, 1, 1, 1, 1}, {2}, {1.0}));
+  // Every row count matches the transpose's, but a cycle is one-sided.
+  const CsrMatrix cycle(3, 3, {0, 1, 2, 3}, {1, 2, 0}, {1.0, 1.0, 1.0});
+  cases.emplace_back("cycle", cycle);
+  // A grid with one extra entry whose mirror is missing, placed first,
+  // in the middle, and last in its row.
+  const CsrMatrix grid = testing::grid_laplacian_2d(6, 6);
+  for (const auto& [i, j] : {std::pair<index_t, index_t>{0, 35},
+                             {14, 3},
+                             {20, 34},
+                             {35, 0}}) {
+    CooMatrix coo(36, 36);
+    for (index_t r = 0; r < 36; ++r) {
+      for (index_t c : grid.row_cols(r)) coo.add(r, c, 1.0);
+    }
+    coo.add(i, j, 1.0);
+    cases.emplace_back("grid plus (" + std::to_string(i) + ", " +
+                           std::to_string(j) + ")",
+                       CsrMatrix::from_coo(coo));
+  }
+  cases.emplace_back("grid", grid);
+  cases.emplace_back("mesh", gen_mesh2d(9, 7, 9));
+  for (const auto& [name, a] : cases) {
+    EXPECT_EQ(is_pattern_symmetric(a), transpose_pattern_symmetric(a))
+        << name;
+  }
+  EXPECT_TRUE(is_pattern_symmetric(grid));
+  EXPECT_FALSE(is_pattern_symmetric(cycle));
+}
+
+TEST(GenMesh2d, MatchesCooAssembly) {
+  for (int stencil : {5, 9}) {
+    for (const auto& [nx, ny] :
+         {std::pair<index_t, index_t>{1, 1}, {1, 9}, {9, 1}, {2, 2}, {5, 3},
+          {3, 5}, {41, 37}}) {
+      EXPECT_EQ(gen_mesh2d(nx, ny, stencil), coo_mesh2d(nx, ny, stencil))
+          << nx << "x" << ny << " " << stencil << "-point";
+    }
+  }
+}
+
+TEST(Permute, MatchesCooAssembly) {
+  // Rows longer than the in-place insertion-sort cutoff go through a
+  // separate sort: one dense row, one dense column, and a rectangular case.
+  CooMatrix coo(300, 300);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<value_t> value(-1.0, 1.0);
+  const CsrMatrix random = random_square(300, 4.0, 12);
+  for (index_t i = 0; i < 300; ++i) {
+    for (index_t j : random.row_cols(i)) coo.add(i, j, value(rng));
+  }
+  for (index_t j = 0; j < 300; j += 2) coo.add(17, j, value(rng));
+  for (index_t i = 1; i < 300; i += 3) coo.add(i, 250, value(rng));
+  const CsrMatrix a = CsrMatrix::from_coo(coo);
+  ASSERT_GT(a.row_nonzeros(17), 100);
+  const Permutation rows = random_permutation(300, 1);
+  const Permutation cols = random_permutation(300, 2);
+  EXPECT_EQ(permute(a, rows, cols), coo_permute(a, rows, cols));
+  EXPECT_EQ(permute_symmetric(a, rows), coo_permute(a, rows, rows));
+  EXPECT_EQ(permute(a, identity_permutation(300), cols),
+            coo_permute(a, identity_permutation(300), cols));
+
+  CooMatrix wide(40, 90);
+  for (index_t i = 0; i < 40; ++i) {
+    for (index_t j = i % 3; j < 90; j += 1 + i % 4) wide.add(i, j, value(rng));
+  }
+  const CsrMatrix b = CsrMatrix::from_coo(wide);
+  const Permutation wide_rows = random_permutation(40, 3);
+  const Permutation wide_cols = random_permutation(90, 4);
+  EXPECT_EQ(permute(b, wide_rows, wide_cols),
+            coo_permute(b, wide_rows, wide_cols));
+}
+
+TEST(Permute, RejectsInvalidPermutations) {
+  const CsrMatrix a = random_square(5, 2.0, 1);
+  const Permutation good = {4, 2, 0, 1, 3};
+  const Permutation duplicate = {4, 2, 0, 2, 3};
+  const Permutation out_of_range = {4, 2, 0, 1, 5};
+  const Permutation negative = {4, 2, 0, -1, 3};
+  const Permutation short_perm = {1, 0, 2, 3};
+  for (const Permutation& bad : {duplicate, out_of_range, negative}) {
+    EXPECT_THROW(permute(a, bad, good), invalid_argument_error);
+    EXPECT_THROW(permute(a, good, bad), invalid_argument_error);
+    EXPECT_THROW(permute_symmetric(a, bad), invalid_argument_error);
+    EXPECT_THROW(permute_rows(a, bad), invalid_argument_error);
+    EXPECT_THROW(invert_permutation(bad), invalid_argument_error);
+  }
+  EXPECT_THROW(permute(a, short_perm, good), invalid_argument_error);
+  EXPECT_THROW(permute(a, good, short_perm), invalid_argument_error);
+  EXPECT_THROW(permute_symmetric(a, short_perm), invalid_argument_error);
+}
+
 TEST(Symmetrize, SumsMirroredValues) {
   CooMatrix coo(2, 2);
   coo.add(0, 1, 3.0);
@@ -95,6 +256,13 @@ TEST(Permutations, InvertAndCompose) {
   const Permutation inv = invert_permutation(p);
   EXPECT_EQ(compose_permutations(p, inv), identity_permutation(40));
   EXPECT_EQ(compose_permutations(inv, p), identity_permutation(40));
+}
+
+TEST(Permutations, IdentityTest) {
+  EXPECT_TRUE(is_identity_permutation({}));
+  EXPECT_TRUE(is_identity_permutation(identity_permutation(7)));
+  EXPECT_FALSE(is_identity_permutation({0, 2, 1}));
+  EXPECT_FALSE(is_identity_permutation({1, 0}));
 }
 
 TEST(Permutations, ValidationCatchesDefects) {

@@ -1,8 +1,10 @@
 // Shared helpers for ordo tests: small deterministic matrix builders.
 #pragma once
 
+#include <algorithm>
 #include <random>
 
+#include "graph/graph.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/csr_ops.hpp"
 
@@ -43,6 +45,45 @@ inline CsrMatrix random_square(index_t n, double avg_degree,
 inline CsrMatrix random_symmetric(index_t n, double avg_degree,
                                   std::uint64_t seed) {
   return symmetrize(random_square(n, avg_degree, seed));
+}
+
+/// Result of `degree_ordered_bfs`.
+struct BfsResult {
+  std::vector<index_t> order;   // visited vertices, in visit order
+  std::vector<index_t> levels;  // level per vertex, -1 when unreachable
+  index_t eccentricity = 0;     // index of the last (deepest) level
+};
+
+/// The Cuthill–McKee BFS as ordo once computed it, kept as a reference:
+/// visits each level's vertices in ascending (degree, id) order, sorting
+/// every level as it is reached.
+inline BfsResult degree_ordered_bfs(const Graph& g, index_t start) {
+  BfsResult result;
+  result.levels.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  std::vector<index_t> frontier{start};
+  result.levels[static_cast<std::size_t>(start)] = 0;
+  index_t level = 0;
+  std::vector<index_t> next;
+  while (!frontier.empty()) {
+    std::sort(frontier.begin(), frontier.end(), [&](index_t a, index_t b) {
+      const index_t da = g.degree(a), db = g.degree(b);
+      return da != db ? da < db : a < b;
+    });
+    next.clear();
+    for (index_t v : frontier) {
+      result.order.push_back(v);
+      for (index_t u : g.neighbors(v)) {
+        if (result.levels[static_cast<std::size_t>(u)] < 0) {
+          result.levels[static_cast<std::size_t>(u)] = level + 1;
+          next.push_back(u);
+        }
+      }
+    }
+    result.eccentricity = level;
+    frontier.swap(next);
+    ++level;
+  }
+  return result;
 }
 
 }  // namespace ordo::testing
