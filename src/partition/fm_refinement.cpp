@@ -49,7 +49,8 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
     for (index_t u : g.neighbors(v)) {
       if (part[static_cast<std::size_t>(u)] !=
           part[static_cast<std::size_t>(v)]) {
-        queue.insert(v, fm_move_gain(g, part, v));
+        queue.insert(v, fm_move_gain(g, part, v),
+                     part[static_cast<std::size_t>(v)], g.vertex_weight(v));
         break;
       }
     }
@@ -62,12 +63,6 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
     weight0 += side == 0 ? -g.vertex_weight(v) : g.vertex_weight(v);
     side = 1 - side;
   };
-  auto feasible = [&](index_t v) {
-    const std::int64_t w = g.vertex_weight(v);
-    const std::int64_t after =
-        part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
-    return after >= balance.min_weight0 && after <= balance.max_weight0;
-  };
 
   std::vector<index_t>& moves = scratch.moves;
   moves.clear();
@@ -78,7 +73,8 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
   const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
 
   while (moves.size() - best_prefix <= stall_limit) {
-    const index_t v = queue.next(feasible);
+    const index_t v =
+        queue.next(weight0, balance.min_weight0, balance.max_weight0);
     if (v < 0) break;
     flip(v);
     cumulative += queue.gain(v);
@@ -96,7 +92,8 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
       const index_t u = neighbors[k];
       if (queue.locked(u)) continue;
       if (!queue.tracked(u)) {
-        queue.insert(u, fm_move_gain(g, part, u));
+        queue.insert(u, fm_move_gain(g, part, u),
+                     part[static_cast<std::size_t>(u)], g.vertex_weight(u));
         continue;
       }
       const index_t w = g.edge_weight(base + static_cast<offset_t>(k));
@@ -114,6 +111,7 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
   tally.cut_improvement += best_cumulative;
   tally.moves += static_cast<std::int64_t>(moves.size());
   tally.moves_kept += static_cast<std::int64_t>(best_prefix);
+  tally.deferrals += queue.deferrals();
   return best_cumulative;
 }
 
@@ -138,6 +136,7 @@ std::int64_t fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
   ORDO_COUNTER_ADD("partition.fm.cut_improvement", tally.cut_improvement);
   ORDO_COUNTER_ADD("partition.fm.moves", tally.moves);
   ORDO_COUNTER_ADD("partition.fm.moves_kept", tally.moves_kept);
+  ORDO_COUNTER_ADD("partition.fm.deferrals", tally.deferrals);
   return tally.cut_improvement;
 }
 

@@ -1,18 +1,24 @@
 // Addressable gain queue shared by the graph and hypergraph FM refiners (and
 // the greedy graph-growing frontier of initial_partition.cpp).
 //
-// A binary max-heap of vertices keyed by (gain, vertex id), with each
-// vertex's heap slot recorded so that a gain update re-sifts its one entry in
-// place: the heap never holds a stale entry, and ties break toward the higher
-// vertex id. The queue also owns the per-vertex FM state of one pass. A vertex
-// is untracked (no gain yet), queued (in the heap), deferred (its move would
-// break balance) or locked (moved this pass). DESIGN §17 shows why this pops
-// vertices in exactly the order of a lazily invalidated
-// std::priority_queue<std::pair<gain, id>> that re-pushes every deferred
-// entry after each move.
+// Two binary max-heaps, one per side of the bisection, of vertices keyed by
+// (gain, vertex id), with each vertex's heap slot recorded so that a gain
+// update re-sifts its one entry in place: a heap never holds a stale entry,
+// and ties break toward the higher vertex id. The queue also owns the
+// per-vertex FM state of one pass. A vertex is untracked (no gain yet),
+// queued (in its side's heap), deferred (its move would break balance; held
+// in its side's min-heap by weight) or locked (moved this pass). A move's
+// feasibility depends only on the mover's side and weight, so a side whose
+// room is below its lightest vertex is skipped without popping, and deferred
+// vertices rejoin only once the room reaches their weight. DESIGN §19 shows
+// that `next` still locks the highest (gain, id) active vertex whose move is
+// feasible.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sparse/types.hpp"
@@ -24,23 +30,41 @@ class FmGainQueue {
   /// Forgets every vertex and sizes the queue for `n` vertices, keeping the
   /// allocations of earlier passes.
   void reset(index_t n) {
-    heap_.clear();
-    deferred_.clear();
+    for (Side& side : sides_) {
+      side.heap.clear();
+      side.deferred.clear();
+      side.lightest = std::numeric_limits<std::int64_t>::max();
+    }
     slot_.assign(static_cast<std::size_t>(n), kUntracked);
     gain_.resize(static_cast<std::size_t>(n));
+    side_.resize(static_cast<std::size_t>(n));
+    weight_.resize(static_cast<std::size_t>(n));
+    deferrals_ = 0;
   }
 
   /// True once v has a gain: queued, deferred or locked.
   bool tracked(index_t v) const { return slot(v) != kUntracked; }
   bool locked(index_t v) const { return slot(v) == kLocked; }
+  bool deferred(index_t v) const { return slot(v) == kDeferred; }
   std::int64_t gain(index_t v) const {
     return gain_[static_cast<std::size_t>(v)];
   }
+  /// Vertices set aside as infeasible since the last reset, counting each
+  /// time a vertex is set aside again.
+  std::int64_t deferrals() const { return deferrals_; }
 
-  /// Starts tracking an untracked vertex and queues it.
-  void insert(index_t v, std::int64_t gain) {
-    gain_[static_cast<std::size_t>(v)] = gain;
-    push(v);
+  /// Starts tracking an untracked vertex of part `side` (0 or 1) and vertex
+  /// weight `weight`, and queues it. Side and weight stay fixed until the
+  /// vertex is locked.
+  void insert(index_t v, std::int64_t gain, index_t side,
+              std::int64_t weight) {
+    const auto at = static_cast<std::size_t>(v);
+    gain_[at] = gain;
+    side_[at] = static_cast<unsigned char>(side);
+    weight_[at] = weight;
+    Side& s = sides_[static_cast<std::size_t>(side)];
+    s.lightest = std::min(s.lightest, weight);
+    push(s, v);
   }
 
   /// Adds `delta` to the gain of a queued or deferred vertex.
@@ -48,40 +72,32 @@ class FmGainQueue {
     gain_[static_cast<std::size_t>(v)] += delta;
     const index_t at = slot(v);
     if (at < 0) return;  // deferred: the gain is read when v rejoins
-    heap_[static_cast<std::size_t>(at)].gain = gain(v);
+    std::vector<Entry>& heap = side_of(v).heap;
+    heap[static_cast<std::size_t>(at)].gain = gain(v);
     if (delta > 0) {
-      sift_up(static_cast<std::size_t>(at));
+      sift_up(heap, static_cast<std::size_t>(at));
     } else {
-      sift_down(static_cast<std::size_t>(at));
+      sift_down(heap, static_cast<std::size_t>(at));
     }
   }
 
-  /// Locks and returns the queued vertex with the highest (gain, id) whose
-  /// move `feasible(v)` allows, or -1 when no queued vertex is feasible.
-  /// Higher-keyed infeasible vertices are deferred on the way. Deferred
-  /// vertices that `feasible` allows again rejoin the heap first; since only
-  /// a committed move changes feasibility, call this once per move.
-  template <class Feasible>
-  index_t next(Feasible&& feasible) {
-    std::size_t still = 0;
-    for (const index_t v : deferred_) {
-      if (feasible(v)) {
-        push(v);
-      } else {
-        deferred_[still++] = v;
-      }
-    }
-    deferred_.resize(still);
-    while (!heap_.empty()) {
-      const index_t v = pop_top();
-      if (feasible(v)) {
-        set_slot(v, kLocked);
-        return v;
-      }
-      set_slot(v, kDeferred);
-      deferred_.push_back(v);
-    }
-    return -1;
+  /// Locks and returns the active vertex with the highest (gain, id) whose
+  /// move keeps part 0's weight, now `weight0`, inside
+  /// [min_weight0, max_weight0]; -1 when no active vertex qualifies. Only a
+  /// committed move changes feasibility, so call this once per move.
+  index_t next(std::int64_t weight0, std::int64_t min_weight0,
+               std::int64_t max_weight0) {
+    // A side-0 mover takes its weight out of part 0; a side-1 mover adds it.
+    return pick({Range{weight0 - max_weight0, weight0 - min_weight0},
+                 Range{min_weight0 - weight0, max_weight0 - weight0}});
+  }
+
+  /// Locks and returns the queued vertex with the highest (gain, id), or -1
+  /// when none is left: `next` without a balance window.
+  index_t pop() {
+    constexpr Range kAny{std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max()};
+    return pick({kAny, kAny});
   }
 
  private:
@@ -93,65 +109,125 @@ class FmGainQueue {
     std::int64_t gain;
     index_t vertex;
   };
+  struct Weighed {
+    std::int64_t weight;
+    index_t vertex;
+  };
+  struct Side {
+    std::vector<Entry> heap;        // max-heap by (gain, id)
+    std::vector<Weighed> deferred;  // min-heap by weight
+    // The lightest weight queued since the last reset.
+    std::int64_t lightest = std::numeric_limits<std::int64_t>::max();
+  };
+  // The vertex weights whose move is feasible from one side.
+  struct Range {
+    std::int64_t low, high;
+  };
 
   static bool above(const Entry& a, const Entry& b) {
     return a.gain != b.gain ? a.gain > b.gain : a.vertex > b.vertex;
+  }
+  static bool heavier(const Weighed& a, const Weighed& b) {
+    return a.weight > b.weight;
   }
 
   index_t slot(index_t v) const { return slot_[static_cast<std::size_t>(v)]; }
   void set_slot(index_t v, index_t at) {
     slot_[static_cast<std::size_t>(v)] = at;
   }
+  Side& side_of(index_t v) {
+    return sides_[side_[static_cast<std::size_t>(v)]];
+  }
+  std::int64_t weight(index_t v) const {
+    return weight_[static_cast<std::size_t>(v)];
+  }
 
-  void place(std::size_t at, const Entry& entry) {
-    heap_[at] = entry;
+  index_t pick(const std::array<Range, 2>& rooms) {
+    Side* best = nullptr;
+    for (std::size_t s = 0; s < 2; ++s) {
+      Side& side = sides_[s];
+      const Range room = rooms[s];
+      // Every vertex of this side weighs at least `lightest`.
+      if (room.high < side.lightest) continue;
+      std::vector<Weighed>& deferred = side.deferred;
+      while (!deferred.empty() && deferred.front().weight <= room.high) {
+        const index_t v = deferred.front().vertex;
+        std::pop_heap(deferred.begin(), deferred.end(), heavier);
+        deferred.pop_back();
+        push(side, v);
+      }
+      std::vector<Entry>& heap = side.heap;
+      while (!heap.empty()) {
+        const std::int64_t w = weight(heap.front().vertex);
+        if (w >= room.low && w <= room.high) break;
+        const index_t v = pop_top(heap);
+        set_slot(v, kDeferred);
+        deferred.push_back(Weighed{w, v});
+        std::push_heap(deferred.begin(), deferred.end(), heavier);
+        ++deferrals_;
+      }
+      if (!heap.empty() &&
+          (best == nullptr || above(heap.front(), best->heap.front()))) {
+        best = &side;
+      }
+    }
+    if (best == nullptr) return -1;
+    const index_t v = pop_top(best->heap);
+    set_slot(v, kLocked);
+    return v;
+  }
+
+  void place(std::vector<Entry>& heap, std::size_t at, const Entry& entry) {
+    heap[at] = entry;
     set_slot(entry.vertex, static_cast<index_t>(at));
   }
 
-  void push(index_t v) {
-    heap_.push_back(Entry{gain(v), v});
-    sift_up(heap_.size() - 1);
+  void push(Side& side, index_t v) {
+    side.heap.push_back(Entry{gain(v), v});
+    sift_up(side.heap, side.heap.size() - 1);
   }
 
   // Removes the root; the caller records where the vertex went.
-  index_t pop_top() {
-    const index_t top = heap_.front().vertex;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      sift_down(0);
+  index_t pop_top(std::vector<Entry>& heap) {
+    const index_t top = heap.front().vertex;
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+      heap.front() = last;
+      sift_down(heap, 0);
     }
     return top;
   }
 
-  void sift_up(std::size_t at) {
-    const Entry entry = heap_[at];
+  void sift_up(std::vector<Entry>& heap, std::size_t at) {
+    const Entry entry = heap[at];
     while (at > 0) {
       const std::size_t parent = (at - 1) / 2;
-      if (!above(entry, heap_[parent])) break;
-      place(at, heap_[parent]);
+      if (!above(entry, heap[parent])) break;
+      place(heap, at, heap[parent]);
       at = parent;
     }
-    place(at, entry);
+    place(heap, at, entry);
   }
 
-  void sift_down(std::size_t at) {
-    const Entry entry = heap_[at];
-    const std::size_t size = heap_.size();
+  void sift_down(std::vector<Entry>& heap, std::size_t at) {
+    const Entry entry = heap[at];
+    const std::size_t size = heap.size();
     for (std::size_t child = 2 * at + 1; child < size; child = 2 * at + 1) {
-      if (child + 1 < size && above(heap_[child + 1], heap_[child])) ++child;
-      if (!above(heap_[child], entry)) break;
-      place(at, heap_[child]);
+      if (child + 1 < size && above(heap[child + 1], heap[child])) ++child;
+      if (!above(heap[child], entry)) break;
+      place(heap, at, heap[child]);
       at = child;
     }
-    place(at, entry);
+    place(heap, at, entry);
   }
 
-  std::vector<Entry> heap_;
+  std::array<Side, 2> sides_;
   std::vector<index_t> slot_;  // heap position, or kUntracked/kDeferred/kLocked
   std::vector<std::int64_t> gain_;
-  std::vector<index_t> deferred_;
+  std::vector<unsigned char> side_;
+  std::vector<std::int64_t> weight_;
+  std::int64_t deferrals_ = 0;
 };
 
 /// Per-call totals of an FM refiner, added to its counters once per call.
@@ -160,6 +236,7 @@ struct FmTally {
   std::int64_t cut_improvement = 0;
   std::int64_t moves = 0;       // moves made, before rollback
   std::int64_t moves_kept = 0;  // moves in the best prefix, kept
+  std::int64_t deferrals = 0;   // moves found infeasible and set aside
 };
 
 }  // namespace ordo

@@ -213,11 +213,15 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
 
   FmGainQueue& queue = scratch.queue;
   queue.reset(n);
+  auto insert = [&](index_t v) {
+    queue.insert(v, move_gain(v), part[static_cast<std::size_t>(v)],
+                 h.vertex_weight(v));
+  };
   for (index_t e = 0; e < h.num_nets(); ++e) {
     const auto& counts = pins_in[static_cast<std::size_t>(e)];
     if (counts[0] > 0 && counts[1] > 0) {
       for (index_t pin : h.net_pins(e)) {
-        if (!queue.tracked(pin)) queue.insert(pin, move_gain(pin));
+        if (!queue.tracked(pin)) insert(pin);
       }
     }
   }
@@ -230,12 +234,6 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
     weight0 += side == 0 ? -h.vertex_weight(v) : h.vertex_weight(v);
     side = 1 - side;
   };
-  auto feasible = [&](index_t v) {
-    const std::int64_t w = h.vertex_weight(v);
-    const std::int64_t after =
-        part[static_cast<std::size_t>(v)] == 0 ? weight0 - w : weight0 + w;
-    return after >= balance.min_weight0 && after <= balance.max_weight0;
-  };
 
   std::vector<index_t>& moves = scratch.moves;
   moves.clear();
@@ -245,7 +243,8 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
   // FM for rationale).
   const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
   while (moves.size() - best_prefix <= stall_limit) {
-    const index_t v = queue.next(feasible);
+    const index_t v =
+        queue.next(weight0, balance.min_weight0, balance.max_weight0);
     if (v < 0) break;
     const index_t from = part[static_cast<std::size_t>(v)];
     flip(v);
@@ -292,7 +291,7 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
       counts[static_cast<std::size_t>(1 - from)]++;
     }
     for (index_t u : newly_boundary) {
-      if (!queue.tracked(u)) queue.insert(u, move_gain(u));
+      if (!queue.tracked(u)) insert(u);
     }
   }
 
@@ -311,6 +310,7 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
   tally.cut_improvement += best_cumulative;
   tally.moves += static_cast<std::int64_t>(moves.size());
   tally.moves_kept += static_cast<std::int64_t>(best_prefix);
+  tally.deferrals += queue.deferrals();
   return best_cumulative;
 }
 
@@ -338,6 +338,7 @@ void hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
   ORDO_COUNTER_ADD("partition.hp.fm.cut_improvement", tally.cut_improvement);
   ORDO_COUNTER_ADD("partition.hp.fm.moves", tally.moves);
   ORDO_COUNTER_ADD("partition.hp.fm.moves_kept", tally.moves_kept);
+  ORDO_COUNTER_ADD("partition.hp.fm.deferrals", tally.deferrals);
 }
 
 struct HgSubgraph {

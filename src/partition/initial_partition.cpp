@@ -20,6 +20,7 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
   // The frontier, keyed by gain; ties go to the vertex that joined it first.
   // The queue breaks ties toward the higher id, so a frontier vertex's queue
   // id is n - 1 - (its arrival rank), and `arrived[id]` maps it back.
+  // `pop` ignores balance, so every vertex joins side 0 with weight 1.
   FmGainQueue frontier;
   frontier.reset(n);
   std::vector<index_t> queue_id(static_cast<std::size_t>(n), -1);
@@ -28,6 +29,7 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
 
   std::int64_t weight0 = 0;
   index_t next = start;
+  index_t first_free = 0;  // no vertex below it is unassigned
   while (next >= 0 && weight0 < target_weight) {
     const index_t v = next;
     part[static_cast<std::size_t>(v)] = 0;
@@ -43,24 +45,24 @@ std::vector<index_t> grow_from(const Graph& g, index_t start,
       if (id < 0) {
         id = n - 1 - arrivals++;
         arrived[static_cast<std::size_t>(id)] = u;
-        frontier.insert(id, 2 * w);
+        frontier.insert(id, 2 * w, 0, 1);
       } else {
         frontier.add(id, 2 * w);
       }
     }
 
     // Absorb the best frontier vertex next.
-    const index_t best = frontier.next([](index_t) { return true; });
+    const index_t best = frontier.pop();
     next = best >= 0 ? arrived[static_cast<std::size_t>(best)] : -1;
 
-    // Disconnected remainder: restart growth from any unassigned vertex.
+    // Disconnected remainder: restart growth from the lowest unassigned
+    // vertex. Vertices only ever join part 0, so it never moves backwards.
     if (next < 0 && weight0 < target_weight) {
-      for (index_t u = 0; u < n; ++u) {
-        if (part[static_cast<std::size_t>(u)] == 1) {
-          next = u;
-          break;
-        }
+      while (first_free < n &&
+             part[static_cast<std::size_t>(first_free)] == 0) {
+        ++first_free;
       }
+      if (first_free < n) next = first_free;
     }
   }
   return part;

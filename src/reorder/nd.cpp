@@ -15,16 +15,17 @@ namespace ordo {
 namespace {
 
 // Orders the subgraph of `g` induced by `vertices` (parent-graph ids),
-// appending parent ids to `out` in elimination order.
+// appending parent ids to `out` in elimination order. `to_sub` maps every
+// vertex of `g` to -1 on entry and on return; each node sets, then clears,
+// only its own vertices' entries.
 void dissect(const Graph& g, const std::vector<index_t>& vertices,
              const ReorderOptions& options, std::uint64_t seed,
-             std::vector<index_t>& out) {
+             std::vector<index_t>& to_sub, std::vector<index_t>& out) {
   const index_t n = static_cast<index_t>(vertices.size());
   if (n == 0) return;
   poll_cancelled(options.cancel, "nd_ordering");
 
   // Build the induced subgraph.
-  std::vector<index_t> to_sub(static_cast<std::size_t>(g.num_vertices()), -1);
   for (index_t i = 0; i < n; ++i) {
     to_sub[static_cast<std::size_t>(vertices[static_cast<std::size_t>(i)])] = i;
   }
@@ -38,6 +39,7 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
     }
     adj_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(adj.size());
   }
+  for (const index_t v : vertices) to_sub[static_cast<std::size_t>(v)] = -1;
   const Graph sub(n, std::move(adj_ptr), std::move(adj));
 
   // Leaf: order with AMD via a pattern-only CSR of the subgraph.
@@ -84,8 +86,8 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
     return;
   }
 
-  dissect(g, left, options, seed * 6364136223846793005ULL + 1, out);
-  dissect(g, right, options, seed * 6364136223846793005ULL + 2, out);
+  dissect(g, left, options, seed * 6364136223846793005ULL + 1, to_sub, out);
+  dissect(g, right, options, seed * 6364136223846793005ULL + 2, to_sub, out);
   out.insert(out.end(), middle.begin(), middle.end());
 }
 
@@ -98,7 +100,8 @@ Permutation nd_ordering(const CsrMatrix& a, const ReorderOptions& options) {
   std::iota(all.begin(), all.end(), index_t{0});
   Permutation order;
   order.reserve(all.size());
-  dissect(g, all, options, options.seed, order);
+  std::vector<index_t> to_sub(all.size(), -1);
+  dissect(g, all, options, options.seed, to_sub, order);
   return order;
 }
 

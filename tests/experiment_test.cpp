@@ -92,10 +92,12 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
   // The GP/HP orderings exercise the partitioners, which report their own
   // counters.
   EXPECT_GT(obs::counter("partition.gp.bisections").value(), 0);
-  // Both FM refiners count their passes, and how many of their moves
-  // survive the rollback to the best prefix.
+  // Both FM refiners count their passes, how many of their moves survive
+  // the rollback to the best prefix, and how often a move was set aside
+  // because it would break balance.
   for (const std::string prefix : {"partition.fm.", "partition.hp.fm."}) {
     EXPECT_GT(obs::counter(prefix + "passes").value(), 0) << prefix;
+    EXPECT_GT(obs::counter(prefix + "deferrals").value(), 0) << prefix;
     EXPECT_GT(obs::counter(prefix + "cut_improvement").value(), 0) << prefix;
     const std::int64_t kept = obs::counter(prefix + "moves_kept").value();
     EXPECT_GT(kept, 0) << prefix;

@@ -3,6 +3,8 @@
 // quality on structured graphs, and separator properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 #include <queue>
 #include <random>
@@ -16,6 +18,7 @@
 #include "partition/hypergraph.hpp"
 #include "partition/hypergraph_partitioner.hpp"
 #include "partition/initial_partition.hpp"
+#include "reorder/reordering.hpp"
 #include "test_util.hpp"
 
 namespace ordo {
@@ -142,38 +145,54 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
   FmGainQueue queue;  // reused across trials, as across FM passes
   std::int64_t moves = 0;
   std::int64_t exhausted_with_deferred = 0;
-  for (int trial = 0; trial < 300; ++trial) {
+  std::int64_t deferred_updates = 0;
+  std::int64_t moves_from_outside = 0;
+  for (int trial = 0; trial < 600; ++trial) {
     const auto n = static_cast<index_t>(1 + rng() % 64);
     std::vector<index_t> side(static_cast<std::size_t>(n));
     std::vector<index_t> weight(static_cast<std::size_t>(n));
     std::int64_t weight0 = 0;
     for (index_t v = 0; v < n; ++v) {
       side[v] = static_cast<index_t>(rng() % 2);
-      weight[v] = static_cast<index_t>(1 + rng() % 3);
+      weight[v] = static_cast<index_t>(1 + rng() % 8);
       if (side[v] == 0) weight0 += weight[v];
     }
     // A narrow balance window: many moves are deferred, then readmitted.
-    const std::int64_t low = weight0 - 2;
-    const std::int64_t high = weight0 + 2;
+    // Every third trial starts part 0 below or above its window, so a
+    // move must be heavy enough to reach it: the lower weight bound binds.
+    // Every tenth trial has no window at all.
+    std::int64_t low = weight0 - static_cast<std::int64_t>(rng() % 9);
+    std::int64_t high = weight0 + static_cast<std::int64_t>(rng() % 9);
+    if (trial % 3 == 1) {
+      low = weight0 + 1 + static_cast<std::int64_t>(rng() % 6);
+      high = low + static_cast<std::int64_t>(rng() % 6);
+    } else if (trial % 3 == 2) {
+      high = weight0 - 1 - static_cast<std::int64_t>(rng() % 6);
+      low = high - static_cast<std::int64_t>(rng() % 6);
+    }
+    const bool unbounded = trial % 10 == 0;
     auto feasible = [&](index_t v) {
       const std::int64_t after =
           side[v] == 0 ? weight0 - weight[v] : weight0 + weight[v];
-      return after >= low && after <= high;
+      return unbounded || (after >= low && after <= high);
     };
     queue.reset(n);
     LazyGainHeap lazy(n);
     for (index_t v = 0; v < n; ++v) {
       if (rng() % 2 == 0) continue;
       const std::int64_t gain = draw();
-      queue.insert(v, gain);
+      queue.insert(v, gain, side[v], weight[v]);
       lazy.insert(v, gain);
     }
     for (;;) {
-      const index_t v = queue.next(feasible);
+      const bool outside = weight0 < low || weight0 > high;
+      const index_t v =
+          unbounded ? queue.pop() : queue.next(weight0, low, high);
       ASSERT_EQ(v, lazy.next(feasible)) << "trial " << trial;
       if (v < 0) break;
       ASSERT_EQ(queue.gain(v), lazy.gain(v));
       ++moves;
+      if (outside && !unbounded) ++moves_from_outside;
       weight0 += side[v] == 0 ? -weight[v] : weight[v];
       side[v] = 1 - side[v];
       // The moved vertex's neighbours: untracked ones start with a gain,
@@ -184,10 +203,11 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
         if (queue.locked(u)) continue;
         const std::int64_t gain = draw();
         if (queue.tracked(u)) {
+          if (queue.deferred(u)) ++deferred_updates;
           queue.add(u, gain);
           lazy.add(u, gain);
         } else {
-          queue.insert(u, gain);
+          queue.insert(u, gain, side[u], weight[u]);
           lazy.insert(u, gain);
         }
       }
@@ -200,9 +220,108 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
       }
     }
   }
-  EXPECT_GT(moves, 1000);
-  // Many passes end with vertices still deferred, so deferral is exercised.
-  EXPECT_GT(exhausted_with_deferred, 50);
+  EXPECT_GT(moves, 2000);
+  // Many passes end with vertices still deferred, so deferral is exercised;
+  // deferred vertices change gain before they rejoin; and part 0 often
+  // starts outside its window.
+  EXPECT_GT(exhausted_with_deferred, 100);
+  EXPECT_GT(deferred_updates, 200);
+  EXPECT_GT(moves_from_outside, 100);
+}
+
+// Greedy graph growing as it was before the restart cursor: the frontier is
+// rescanned for its best (gain, earliest arrival) vertex, and a disconnected
+// remainder restarts from the lowest unassigned vertex, scanning from 0.
+std::vector<index_t> reference_grow_from(const Graph& g, index_t start,
+                                         std::int64_t target_weight) {
+  const index_t n = g.num_vertices();
+  std::vector<index_t> part(static_cast<std::size_t>(n), 1);
+  std::vector<index_t> frontier;  // in arrival order
+  std::vector<std::int64_t> gain(static_cast<std::size_t>(n), 0);
+  std::vector<bool> queued(static_cast<std::size_t>(n), false);
+  std::int64_t weight0 = 0;
+  index_t next = start;
+  while (next >= 0 && weight0 < target_weight) {
+    const index_t v = next;
+    part[v] = 0;
+    weight0 += g.vertex_weight(v);
+    const auto neighbors = g.neighbors(v);
+    const offset_t base = g.adj_ptr()[v];
+    for (std::size_t k = 0; k < neighbors.size(); ++k) {
+      const index_t u = neighbors[k];
+      if (part[u] == 0) continue;
+      gain[u] += 2 * g.edge_weight(base + static_cast<offset_t>(k));
+      if (!queued[u]) {
+        queued[u] = true;
+        frontier.push_back(u);
+      }
+    }
+    std::size_t best = frontier.size();
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const index_t u = frontier[i];
+      if (part[u] == 1 &&
+          (best == frontier.size() || gain[u] > gain[frontier[best]])) {
+        best = i;
+      }
+    }
+    next = best < frontier.size() ? frontier[best] : -1;
+    if (next < 0 && weight0 < target_weight) {
+      for (index_t u = 0; u < n; ++u) {
+        if (part[u] == 1) {
+          next = u;
+          break;
+        }
+      }
+    }
+  }
+  return part;
+}
+
+TEST(GreedyGrowing, RestartCursorMatchesScanFromZero) {
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Most vertices isolated: a few small random clusters among them.
+    const auto n = static_cast<index_t>(200 + rng() % 800);
+    std::vector<std::vector<index_t>> adjacency(static_cast<std::size_t>(n));
+    for (auto e = rng() % static_cast<unsigned>(n / 4); e > 0; --e) {
+      const auto a = static_cast<index_t>(rng() % static_cast<unsigned>(n));
+      const auto b = static_cast<index_t>(
+          (a + 1 + rng() % 6) % static_cast<unsigned>(n));
+      adjacency[a].push_back(b);
+      adjacency[b].push_back(a);
+    }
+    std::vector<offset_t> adj_ptr(1, 0);
+    std::vector<index_t> adj;
+    for (auto& list : adjacency) {
+      std::sort(list.begin(), list.end());
+      list.erase(std::unique(list.begin(), list.end()), list.end());
+      adj.insert(adj.end(), list.begin(), list.end());
+      adj_ptr.push_back(static_cast<offset_t>(adj.size()));
+    }
+    const Graph g(n, std::move(adj_ptr), std::move(adj));
+    const double fraction = 0.2 + 0.6 * static_cast<double>(rng() % 100) / 100;
+    const std::uint64_t seed = rng();
+
+    // greedy_graph_growing_bisection's trials, with the reference growing.
+    const std::int64_t target = static_cast<std::int64_t>(
+        static_cast<double>(g.total_vertex_weight()) * fraction + 0.5);
+    std::mt19937_64 trial_rng(seed);
+    PeripheralSearch search(g);
+    std::vector<index_t> expected;
+    std::int64_t best_cut = std::numeric_limits<std::int64_t>::max();
+    for (int t = 0; t < 4; ++t) {
+      std::uniform_int_distribution<index_t> dist(0, n - 1);
+      std::vector<index_t> part =
+          reference_grow_from(g, search.run(dist(trial_rng)), target);
+      const std::int64_t cut = compute_edge_cut(g, part);
+      if (cut < best_cut) {
+        best_cut = cut;
+        expected = std::move(part);
+      }
+    }
+    EXPECT_EQ(greedy_graph_growing_bisection(g, fraction, seed), expected)
+        << "trial " << trial;
+  }
 }
 
 TEST(FmRefine, NeverWorsensCutAndRespectsBalance) {
@@ -340,6 +459,28 @@ TEST(SharedKway, SharesBisectionsAcrossStudyCounts) {
     partition_graph(g, options);
   }
   EXPECT_EQ(bisections.value() - before_separate, 354);
+}
+#endif
+
+#if defined(ORDO_OBS_ENABLED)
+TEST(FmGainQueue, DefersLittleOnRmatHubs) {
+  // GP at 4 parts on spmv_cache's R-MAT graph. Re-popping every
+  // balance-blocked vertex after each move made 2.67 M deferrals at
+  // partitioner seed 1 and 12.2 M at seed 3; the bounds are twice what the
+  // two-sided queue makes.
+  const CsrMatrix a = gen_rmat(14, 8, 0.57, 0.19, 0.19, 2023);
+  const std::pair<std::uint64_t, std::int64_t> cases[] = {{1, 27000},
+                                                          {3, 620000}};
+  obs::Counter& deferrals = obs::counter("partition.fm.deferrals");
+  for (const auto& [seed, bound] : cases) {
+    ReorderOptions options;
+    options.gp_parts = 4;
+    options.seed = seed;
+    const std::int64_t before = deferrals.value();
+    compute_ordering(a, OrderingKind::kGp, options);
+    const std::int64_t made = deferrals.value() - before;
+    EXPECT_LE(made, bound) << "partitioner seed " << seed;
+  }
 }
 #endif
 
