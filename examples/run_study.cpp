@@ -96,7 +96,8 @@ void print_usage(std::FILE* out, const char* argv0) {
                "ordo_results, or ORDO_RESULTS_DIR)\n"
                "  --seed K           corpus master seed (default 2023)\n"
                "  --jobs N           parallel per-matrix tasks; 1 = "
-               "sequential, 0 = all cores (default 1, or ORDO_JOBS)\n"
+               "sequential, 0 = one per CPU in the affinity mask\n"
+               "                     (default 1, or ORDO_JOBS)\n"
                "  --shards N         fork N worker processes, each sweeping "
                "the corpus indices\n"
                "                     congruent to its shard modulo N and "

@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 namespace ordo {
 namespace {
@@ -66,8 +65,7 @@ HostHwSample measure_host_hw(const CsrMatrix& matrix, const SpmvKernel& kernel,
                              const std::string& scope_name) {
   HostHwSample sample;
   if (!obs::hw::enabled()) return sample;
-  const int threads = static_cast<int>(std::max(
-      1u, std::thread::hardware_concurrency()));  // ordo-lint: allow(thread)
+  const int threads = obs::affinity_cpu_count();
   const auto plan = engine::prepare_plan(matrix, kernel, threads);
   std::vector<value_t> x(static_cast<std::size_t>(matrix.num_cols()),
                          value_t{1});

@@ -89,7 +89,8 @@ struct StudyOptions {
 
   // --- pipeline scheduling (see src/pipeline/study_pipeline.hpp) ---
   /// Worker threads for the per-matrix sweep. 1 = the sequential path
-  /// (tasks run inline on the calling thread); 0 = hardware concurrency.
+  /// (tasks run inline on the calling thread); 0 = one per CPU in the
+  /// affinity mask (obs::affinity_cpu_count).
   /// Results are byte-identical for every value.
   int jobs = 1;
   /// Soft per-task deadline in seconds; 0 disables it. A task past its

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
 
@@ -78,10 +79,8 @@ MembwOptions membw_options_from_env() {
 MembwResult measure_membw(const MembwOptions& options) {
   ORDO_SCOPE("hw/membw");
   MembwResult result;
-  result.threads = options.threads > 0
-                       ? options.threads
-                       : static_cast<int>(std::max(
-                             1u, std::thread::hardware_concurrency()));
+  result.threads =
+      options.threads > 0 ? options.threads : affinity_cpu_count();
   result.array_bytes = std::max<std::size_t>(options.array_bytes, 1 << 16);
   const std::size_t n = result.array_bytes / sizeof(double);
   const double array_bytes = static_cast<double>(n * sizeof(double));

@@ -3,8 +3,8 @@
 // *measured* peak for the host, not a spec-sheet number.
 //
 // Four kernels over large double arrays (copy, scale, add, triad — the
-// classic STREAM set), each timed over several repetitions with every
-// logical CPU driving its own contiguous slice; the best rate across
+// classic STREAM set), each timed over several repetitions with every CPU
+// in the affinity mask driving its own contiguous slice; the best rate across
 // kernels is the peak. Arrays are sized well past LLC capacity so the
 // traffic is DRAM traffic.
 #pragma once
@@ -22,7 +22,7 @@ struct MembwOptions {
   /// Timed repetitions per kernel; the best (minimum-time) rep is reported,
   /// matching STREAM's methodology.
   int reps = 5;
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = one per CPU in the affinity mask.
   int threads = 0;
 };
 

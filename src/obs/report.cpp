@@ -14,6 +14,7 @@
 #include "sparse/types.hpp"
 
 #if defined(__linux__)
+#include <sched.h>
 #include <sys/utsname.h>
 #endif
 
@@ -112,6 +113,18 @@ HostInfo host_info() {
 #endif
   info.hw_backend = hw::backend_name();
   return info;
+}
+
+int affinity_cpu_count() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return static_cast<int>(std::max(
+      1u, std::thread::hardware_concurrency()));  // ordo-lint: allow(thread)
 }
 
 double median_of(std::vector<double> samples) {

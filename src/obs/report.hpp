@@ -50,6 +50,14 @@ struct HostInfo {
 };
 HostInfo host_info();
 
+/// CPUs this process may run on: the count in its affinity mask, so
+/// `taskset` and cgroup cpusets shrink it (hardware_concurrency() counts
+/// every online CPU regardless). At least 1. The one definition of "cores"
+/// for `--jobs 0`, the fork budget (pipeline/fork_join.hpp) and the
+/// thread counts of the host probes; HostInfo::logical_cpus stays the
+/// machine's fingerprint.
+int affinity_cpu_count();
+
 /// Medians/IQR of a sample vector (exposed for the report's own tests).
 double median_of(std::vector<double> samples);
 double iqr_of(std::vector<double> samples);

@@ -13,6 +13,7 @@
 #include "partition/coarsening.hpp"
 #include "partition/fm_refinement.hpp"
 #include "partition/initial_partition.hpp"
+#include "pipeline/fork_join.hpp"
 
 namespace ordo {
 namespace {
@@ -108,25 +109,27 @@ void recursive_bisect(const Graph& g, const PartitionOptions& options,
 
   for (const auto& [fraction, group] : groups) {
     poll_cancelled(options.cancel, "partition_graph");
-    PartitionOptions bisect_options = options;
-    bisect_options.seed = seed;
-    const PartitionResult bisection = bisect_graph(
-        g,
-        static_cast<double>(fraction.first) /
-            static_cast<double>(fraction.second),
-        bisect_options);
-
-    const Subgraph left = induced_subgraph(g, bisection.part, 0);
-    const Subgraph right = induced_subgraph(g, bisection.part, 1);
-
-    // Translate the sub-to-parent maps one level further up.
-    std::vector<index_t> left_map(left.to_parent.size());
-    for (std::size_t i = 0; i < left.to_parent.size(); ++i) {
-      left_map[i] = to_parent[static_cast<std::size_t>(left.to_parent[i])];
+    // The bisection dies here, before the subtrees run: a forked subtree
+    // adds its working set to the memory its ancestors still hold.
+    Subgraph left;
+    Subgraph right;
+    {
+      PartitionOptions bisect_options = options;
+      bisect_options.seed = seed;
+      const PartitionResult bisection = bisect_graph(
+          g,
+          static_cast<double>(fraction.first) /
+              static_cast<double>(fraction.second),
+          bisect_options);
+      left = induced_subgraph(g, bisection.part, 0);
+      right = induced_subgraph(g, bisection.part, 1);
     }
-    std::vector<index_t> right_map(right.to_parent.size());
-    for (std::size_t i = 0; i < right.to_parent.size(); ++i) {
-      right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
+    // Translate the sub-to-parent maps one level further up.
+    for (index_t& v : left.to_parent) {
+      v = to_parent[static_cast<std::size_t>(v)];
+    }
+    for (index_t& v : right.to_parent) {
+      v = to_parent[static_cast<std::size_t>(v)];
     }
 
     std::vector<PartRequest> left_requests;
@@ -137,10 +140,19 @@ void recursive_bisect(const Graph& g, const PartitionOptions& options,
       right_requests.push_back({request.output, request.num_parts - left_parts,
                                 request.first_part + left_parts});
     }
-    recursive_bisect(left.graph, options, left_requests, left_map, out,
-                     seed * 6364136223846793005ULL + 1);
-    recursive_bisect(right.graph, options, right_requests, right_map, out,
-                     seed * 6364136223846793005ULL + 2);
+    // The subtrees write disjoint vertices of `out`, so either may run on
+    // an idle core.
+    pipeline::fork_join(
+        static_cast<std::size_t>(left.graph.num_vertices()),
+        [&] {
+          recursive_bisect(left.graph, options, left_requests, left.to_parent,
+                           out, seed * 6364136223846793005ULL + 1);
+        },
+        [&] {
+          recursive_bisect(right.graph, options, right_requests,
+                           right.to_parent, out,
+                           seed * 6364136223846793005ULL + 2);
+        });
   }
 }
 

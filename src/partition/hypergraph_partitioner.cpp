@@ -12,6 +12,7 @@
 #include "obs/obs.hpp"
 #include "partition/fm_refinement.hpp"
 #include "partition/gain_queue.hpp"
+#include "pipeline/fork_join.hpp"
 
 namespace ordo {
 namespace {
@@ -399,26 +400,39 @@ void recursive_bisect_hg(const Hypergraph& h, const PartitionOptions& options,
   const double target_fraction =
       static_cast<double>(left_parts) / static_cast<double>(num_parts);
 
-  PartitionOptions bisect_options = options;
-  bisect_options.seed = seed;
-  const PartitionResult bisection =
-      bisect_hypergraph(h, target_fraction, bisect_options);
-
-  const HgSubgraph left = induced_sub_hypergraph(h, bisection.part, 0);
-  const HgSubgraph right = induced_sub_hypergraph(h, bisection.part, 1);
-  std::vector<index_t> left_map(left.to_parent.size());
-  for (std::size_t i = 0; i < left.to_parent.size(); ++i) {
-    left_map[i] = to_parent[static_cast<std::size_t>(left.to_parent[i])];
+  // The bisection dies here, before the subtrees run: a forked subtree adds
+  // its working set to the memory its ancestors still hold.
+  HgSubgraph left;
+  HgSubgraph right;
+  {
+    PartitionOptions bisect_options = options;
+    bisect_options.seed = seed;
+    const PartitionResult bisection =
+        bisect_hypergraph(h, target_fraction, bisect_options);
+    left = induced_sub_hypergraph(h, bisection.part, 0);
+    right = induced_sub_hypergraph(h, bisection.part, 1);
   }
-  std::vector<index_t> right_map(right.to_parent.size());
-  for (std::size_t i = 0; i < right.to_parent.size(); ++i) {
-    right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
+  // Translate the sub-to-parent maps one level further up.
+  for (index_t& v : left.to_parent) {
+    v = to_parent[static_cast<std::size_t>(v)];
   }
-  recursive_bisect_hg(left.hypergraph, options, left_parts, first_part,
-                      left_map, out_part, seed * 6364136223846793005ULL + 1);
-  recursive_bisect_hg(right.hypergraph, options, right_parts,
-                      first_part + left_parts, right_map, out_part,
-                      seed * 6364136223846793005ULL + 2);
+  for (index_t& v : right.to_parent) {
+    v = to_parent[static_cast<std::size_t>(v)];
+  }
+  // The subtrees write disjoint vertices of `out_part`, so either may run
+  // on an idle core.
+  pipeline::fork_join(
+      static_cast<std::size_t>(left.hypergraph.num_vertices()),
+      [&] {
+        recursive_bisect_hg(left.hypergraph, options, left_parts, first_part,
+                            left.to_parent, out_part,
+                            seed * 6364136223846793005ULL + 1);
+      },
+      [&] {
+        recursive_bisect_hg(right.hypergraph, options, right_parts,
+                            first_part + left_parts, right.to_parent, out_part,
+                            seed * 6364136223846793005ULL + 2);
+      });
 }
 
 }  // namespace

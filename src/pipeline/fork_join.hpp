@@ -1,0 +1,56 @@
+// Fork/join for the partitioners' recursions, on cores nothing else uses.
+//
+// A process-wide budget counts the threads running ordo work: the process's
+// own thread (always), each TaskPool worker while it runs a task, and each
+// fork helper from its start until it is joined. A core is idle when that
+// count is below the CPUs in the affinity mask (obs::affinity_cpu_count).
+// fork_join runs its left branch on a new helper thread only when a core is
+// idle and the branch is at least kMinForkVertices; otherwise both branches
+// run inline, in order, as serial code would. So a `--jobs 4` sweep on 4
+// CPUs forks only at its tail, when workers run out of tasks, and
+// `taskset -c 0` never forks.
+//
+// Callers keep their results independent of where a branch ran: each branch
+// reads only its own inputs and writes a disjoint part of the output (see
+// DESIGN §20), so the result bytes are the same at any budget.
+//
+// Observability: `partition.forks` (counter, branches run on a helper);
+// each helper opens a `partition/fork` span, so the spans of a forked
+// subtree nest under a named root on the helper's trace row.
+#pragma once
+
+#include <cstddef>
+#include <functional>
+
+namespace ordo::pipeline {
+
+/// Smallest branch (in vertices) worth a helper thread; see DESIGN §20 for
+/// the measurement behind it.
+inline constexpr std::size_t kMinForkVertices = 128;
+
+/// Claims up to `want` idle cores from the process-wide budget and returns
+/// how many it claimed (0 when none is idle). Pair with release_cores.
+int acquire_idle_cores(int want);
+
+/// Returns `count` cores claimed with acquire_idle_cores.
+void release_cores(int count);
+
+/// Counts the calling thread as running ordo work for the guard's lifetime,
+/// whether or not a core was idle. TaskPool workers hold one per task.
+class BusyThread {
+ public:
+  BusyThread();
+  ~BusyThread();
+  BusyThread(const BusyThread&) = delete;
+  BusyThread& operator=(const BusyThread&) = delete;
+};
+
+/// Runs `left` and `right` and returns once both have finished. `left` runs
+/// on a helper thread when `left_vertices` >= kMinForkVertices and a core is
+/// idle; else `left` then `right` run inline. An exception from either
+/// branch is rethrown here after both finished (left's first, as the serial
+/// order would), never std::terminate.
+void fork_join(std::size_t left_vertices, const std::function<void()>& left,
+               const std::function<void()>& right);
+
+}  // namespace ordo::pipeline

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "check/invariants.hpp"
 #include "obs/json.hpp"
@@ -326,7 +325,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
 
   int jobs = options.jobs;
   if (jobs == 0) {
-    jobs = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    jobs = obs::affinity_cpu_count();
   }
   jobs = std::max(1, jobs);
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "pipeline/fork_join.hpp"
 
 namespace ordo::pipeline {
 
@@ -97,7 +98,10 @@ void TaskPool::worker_loop(std::size_t self) {
       obs::gauge("pipeline.pool.occupancy")
           .set(g_running.fetch_add(1, std::memory_order_relaxed) + 1);
 #endif
-      task();
+      {
+        const BusyThread busy;  // the fork budget counts running tasks
+        task();
+      }
 #if defined(ORDO_OBS_ENABLED)
       obs::gauge("pipeline.pool.occupancy")
           .set(g_running.fetch_sub(1, std::memory_order_relaxed) - 1);

@@ -12,6 +12,9 @@
 // error isolation; a task that does throw anyway terminates the process
 // (matching the repo-wide fail-fast idiom for internal invariants).
 //
+// A worker counts as busy in the fork budget (pipeline/fork_join.hpp) while
+// it runs a task, so partitioner forks only take cores the pool leaves idle.
+//
 // Observability: `pipeline.pool.occupancy` (gauge, running tasks),
 // `pipeline.pool.steals` (counter) — see src/obs.
 #pragma once

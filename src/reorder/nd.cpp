@@ -5,22 +5,27 @@
 // parts are ordered first (recursively) and the separator's vertices are
 // numbered last. Small leaf subgraphs are ordered with AMD, following the
 // practice of METIS-style ND implementations.
+#include <algorithm>
 #include <numeric>
 
 #include "graph/graph.hpp"
 #include "partition/graph_partitioner.hpp"
+#include "pipeline/fork_join.hpp"
 #include "reorder/reordering.hpp"
 
 namespace ordo {
 namespace {
 
 // Orders the subgraph of `g` induced by `vertices` (parent-graph ids),
-// appending parent ids to `out` in elimination order. `to_sub` maps every
-// vertex of `g` to -1 on entry and on return; each node sets, then clears,
-// only its own vertices' entries.
+// writing parent ids in elimination order to out[0, vertices.size()).
+// `to_sub` maps every vertex of `g` to -1 on entry and on return; each node
+// sets, then clears, only its own vertices' entries. Two subtrees may run at
+// once: each writes its own segment of `out` and its own vertices' `to_sub`
+// entries, and reads `to_sub` only at its vertices' neighbours, which the
+// separators keep out of any concurrently running subtree.
 void dissect(const Graph& g, const std::vector<index_t>& vertices,
              const ReorderOptions& options, std::uint64_t seed,
-             std::vector<index_t>& to_sub, std::vector<index_t>& out) {
+             std::vector<index_t>& to_sub, index_t* out) {
   const index_t n = static_cast<index_t>(vertices.size());
   if (n == 0) return;
   poll_cancelled(options.cancel, "nd_ordering");
@@ -40,7 +45,7 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
     adj_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(adj.size());
   }
   for (const index_t v : vertices) to_sub[static_cast<std::size_t>(v)] = -1;
-  const Graph sub(n, std::move(adj_ptr), std::move(adj));
+  Graph sub(n, std::move(adj_ptr), std::move(adj));
 
   // Leaf: order with AMD via a pattern-only CSR of the subgraph.
   if (n <= options.nd_leaf_size) {
@@ -53,42 +58,55 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
     const CsrMatrix leaf(n, n, std::move(row_ptr), std::move(cols),
                          std::move(vals));
     for (index_t i : amd_ordering(leaf)) {
-      out.push_back(vertices[static_cast<std::size_t>(i)]);
+      *out++ = vertices[static_cast<std::size_t>(i)];
     }
     return;
   }
 
-  PartitionOptions popt;
-  popt.num_parts = 2;
-  popt.seed = seed;
-  popt.cancel = options.cancel;
-  const PartitionResult bisection = bisect_graph(sub, 0.5, popt);
-  const std::vector<bool> separator =
-      vertex_separator_from_bisection(sub, bisection.part);
-
+  // Split, then free the subgraph and its bisection before the subtrees
+  // run: a forked subtree adds its working set to what its ancestors hold.
   std::vector<index_t> left, right, middle;
-  for (index_t i = 0; i < n; ++i) {
-    const index_t v = vertices[static_cast<std::size_t>(i)];
-    if (separator[static_cast<std::size_t>(i)]) {
-      middle.push_back(v);
-    } else if (bisection.part[static_cast<std::size_t>(i)] == 0) {
-      left.push_back(v);
-    } else {
-      right.push_back(v);
+  {
+    PartitionOptions popt;
+    popt.num_parts = 2;
+    popt.seed = seed;
+    popt.cancel = options.cancel;
+    const PartitionResult bisection = bisect_graph(sub, 0.5, popt);
+    const std::vector<bool> separator =
+        vertex_separator_from_bisection(sub, bisection.part);
+    for (index_t i = 0; i < n; ++i) {
+      const index_t v = vertices[static_cast<std::size_t>(i)];
+      if (separator[static_cast<std::size_t>(i)]) {
+        middle.push_back(v);
+      } else if (bisection.part[static_cast<std::size_t>(i)] == 0) {
+        left.push_back(v);
+      } else {
+        right.push_back(v);
+      }
     }
   }
+  sub = Graph();
 
   // Degenerate split (e.g. the separator swallowed a whole side): stop
   // recursing and fall back to AMD-free sequential numbering to guarantee
   // termination.
   if (left.empty() && right.empty()) {
-    out.insert(out.end(), middle.begin(), middle.end());
+    std::copy(middle.begin(), middle.end(), out);
     return;
   }
 
-  dissect(g, left, options, seed * 6364136223846793005ULL + 1, to_sub, out);
-  dissect(g, right, options, seed * 6364136223846793005ULL + 2, to_sub, out);
-  out.insert(out.end(), middle.begin(), middle.end());
+  index_t* const right_out = out + left.size();
+  pipeline::fork_join(
+      left.size(),
+      [&] {
+        dissect(g, left, options, seed * 6364136223846793005ULL + 1, to_sub,
+                out);
+      },
+      [&] {
+        dissect(g, right, options, seed * 6364136223846793005ULL + 2, to_sub,
+                right_out);
+      });
+  std::copy(middle.begin(), middle.end(), right_out + right.size());
 }
 
 }  // namespace
@@ -98,10 +116,9 @@ Permutation nd_ordering(const CsrMatrix& a, const ReorderOptions& options) {
   const Graph g = Graph::from_matrix(a);
   std::vector<index_t> all(static_cast<std::size_t>(g.num_vertices()));
   std::iota(all.begin(), all.end(), index_t{0});
-  Permutation order;
-  order.reserve(all.size());
+  Permutation order(all.size());
   std::vector<index_t> to_sub(all.size(), -1);
-  dissect(g, all, options, options.seed, to_sub, order);
+  dissect(g, all, options, options.seed, to_sub, order.data());
   return order;
 }
 

@@ -1,18 +1,23 @@
 // Tests for the study pipeline scheduler (src/pipeline): parallel-vs-
 // sequential determinism, per-task failure isolation, checkpoint/resume,
-// soft-deadline cancellation, and the journal/pool building blocks.
+// soft-deadline cancellation, and the journal/pool/fork-join building blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/cancel.hpp"
+#include "pipeline/fork_join.hpp"
 #include "pipeline/journal.hpp"
 #include "pipeline/study_pipeline.hpp"
 #include "pipeline/task_pool.hpp"
@@ -229,7 +234,9 @@ TEST(StudyPipeline, ResumesFromTruncatedJournal) {
 TEST(StudyPipeline, SoftDeadlineCancelsPathologicalTask) {
   // One large matrix (well past the ~2ms watchdog scan period) and a
   // deadline it cannot meet: the task must come back as a timed-out
-  // failure, not hang and not abort the sweep.
+  // failure, not hang and not abort the sweep. One pool worker leaves the
+  // other cores idle, so the partitioners fork and the cancellation may
+  // surface on a helper thread; it must still cross back as this failure.
   CorpusOptions big;
   big.count = 1;
   big.scale = 1.0;
@@ -268,6 +275,113 @@ TEST(StudyPipeline, PopulatesSchedulerMetrics) {
             static_cast<std::int64_t>(corpus.size()));
 }
 #endif
+
+TEST(ForkJoin, BudgetIsAffinityCpusMinusBusyThreads) {
+  const int cpus = obs::affinity_cpu_count();
+  ASSERT_GE(cpus, 1);
+  // The test's own thread is the one busy thread.
+  const int idle = pipeline::acquire_idle_cores(cpus);
+  EXPECT_EQ(idle, cpus - 1);
+  EXPECT_EQ(pipeline::acquire_idle_cores(1), 0);
+  pipeline::release_cores(idle);
+  {
+    const pipeline::BusyThread worker;
+    const int left = pipeline::acquire_idle_cores(cpus);
+    EXPECT_EQ(left, std::max(0, cpus - 2));
+    pipeline::release_cores(left);
+  }
+  // A pool worker counts only while it runs a task.
+  {
+    pipeline::TaskPool pool(1);
+    std::atomic<int> during_task{-1};
+    pool.submit([&during_task, cpus] {
+      const int claimed = pipeline::acquire_idle_cores(cpus);
+      during_task.store(claimed, std::memory_order_relaxed);
+      pipeline::release_cores(claimed);
+    });
+    pool.wait_idle();
+    EXPECT_EQ(during_task.load(std::memory_order_relaxed),
+              std::max(0, cpus - 2));
+  }
+  const int again = pipeline::acquire_idle_cores(cpus);
+  EXPECT_EQ(again, cpus - 1);
+  pipeline::release_cores(again);
+}
+
+TEST(ForkJoin, ForksOnlyBigBranchesOntoIdleCores) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id left_thread;
+  std::thread::id right_thread;
+  const auto run = [&](std::size_t left_vertices) {
+    pipeline::fork_join(
+        left_vertices, [&] { left_thread = std::this_thread::get_id(); },
+        [&] { right_thread = std::this_thread::get_id(); });
+  };
+  run(pipeline::kMinForkVertices - 1);
+  EXPECT_EQ(left_thread, caller);
+  EXPECT_EQ(right_thread, caller);
+
+  const int held = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+  run(pipeline::kMinForkVertices);
+  EXPECT_EQ(left_thread, caller);
+  pipeline::release_cores(held);
+
+  if (obs::affinity_cpu_count() > 1) {
+    run(pipeline::kMinForkVertices);
+    EXPECT_NE(left_thread, caller);
+    EXPECT_EQ(right_thread, caller);
+  }
+}
+
+TEST(ForkJoin, ExceptionsCrossTheJoin) {
+  using std::chrono::milliseconds;
+  const std::size_t big = pipeline::kMinForkVertices;
+  const bool forks = obs::affinity_cpu_count() > 1;
+
+  // A cancellation raised on the helper rethrows here, after the inline
+  // branch finished.
+  const std::atomic<bool> cancelled{true};
+  std::atomic<bool> right_done{false};
+  EXPECT_THROW(pipeline::fork_join(
+                   big, [&] { poll_cancelled(&cancelled, "left branch"); },
+                   [&] {
+                     std::this_thread::sleep_for(milliseconds(5));
+                     right_done.store(true, std::memory_order_relaxed);
+                   }),
+               operation_cancelled_error);
+  if (forks) {
+    EXPECT_TRUE(right_done.load(std::memory_order_relaxed));
+  }
+
+  // The inline branch throws while the helper still runs: the join waits
+  // for the helper before rethrowing.
+  std::atomic<bool> left_done{false};
+  EXPECT_THROW(pipeline::fork_join(
+                   big,
+                   [&] {
+                     std::this_thread::sleep_for(milliseconds(5));
+                     left_done.store(true, std::memory_order_relaxed);
+                   },
+                   [] { throw std::runtime_error("right"); }),
+               std::runtime_error);
+  EXPECT_TRUE(left_done.load(std::memory_order_relaxed));
+
+  // Both throw: the left branch's error wins, as in the serial order.
+  try {
+    pipeline::fork_join(
+        big, [] { throw std::runtime_error("left"); },
+        [] { throw std::runtime_error("right"); });
+    ADD_FAILURE() << "fork_join swallowed both errors";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "left");
+  }
+
+  // Every helper gave its core back.
+  const int cpus = obs::affinity_cpu_count();
+  const int idle = pipeline::acquire_idle_cores(cpus);
+  EXPECT_EQ(idle, cpus - 1);
+  pipeline::release_cores(idle);
+}
 
 TEST(Journal, RoundTripsRecordsBitExactly) {
   const auto corpus = generate_corpus(tiny_corpus());

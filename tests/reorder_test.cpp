@@ -12,6 +12,8 @@
 #include "corpus/generators.hpp"
 #include "features/features.hpp"
 #include "graph/graph.hpp"
+#include "obs/obs.hpp"
+#include "pipeline/fork_join.hpp"
 #include "reorder/reordering.hpp"
 #include "sparse/csr_ops.hpp"
 #include "test_util.hpp"
@@ -88,6 +90,40 @@ TEST(OrderingBytes, MatchRecordedDigests) {
     EXPECT_EQ(digest({hp_ordering(a, options)}), expected.hp);
     EXPECT_EQ(digest({nd_ordering(a, options)}), expected.nd);
     EXPECT_EQ(digest({rcm_ordering(a)}), expected.rcm);
+  }
+}
+
+// The partitioners run subtrees on idle cores (pipeline/fork_join.hpp).
+// Each node depends only on its subgraph, target fraction and path seed,
+// and subtrees write disjoint outputs, so no byte may depend on the budget:
+// orderings computed with every idle core claimed (no forks) must equal
+// those computed with the cores free.
+TEST(OrderingBytes, SameWithAndWithoutIdleCores) {
+  const std::vector<index_t> counts = {32, 72, 64, 16, 48, 128};
+  const auto orderings = [&counts](const CsrMatrix& a) {
+    ReorderOptions options;
+    options.seed = 7;
+    std::vector<Permutation> perms = gp_orderings(a, counts, options);
+    perms.push_back(hp_ordering(a, options));
+    perms.push_back(nd_ordering(a, options));
+    return perms;
+  };
+  for (const CsrMatrix& a : {gen_mesh2d(96, 96, 5),
+                             gen_rmat(13, 8, 0.57, 0.19, 0.19, 3)}) {
+    const int held = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+    const std::int64_t forks_before = obs::counter("partition.forks").value();
+    const std::vector<Permutation> serial = orderings(a);
+    EXPECT_EQ(obs::counter("partition.forks").value(), forks_before);
+    pipeline::release_cores(held);
+
+    const std::vector<Permutation> forked = orderings(a);
+    EXPECT_EQ(digest(forked), digest(serial));
+    EXPECT_EQ(forked, serial);
+#if defined(ORDO_OBS_ENABLED)
+    if (held > 0) {
+      EXPECT_GT(obs::counter("partition.forks").value(), forks_before);
+    }
+#endif
   }
 }
 

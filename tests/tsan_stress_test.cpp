@@ -4,8 +4,9 @@
 // coverage of every concurrent structure in the repo: the work-stealing
 // TaskPool (steal-heavy loads, cross-thread submission, repeated drain
 // cycles), DeadlineWatchdog arm/disarm churn with cancellations landing
-// mid-task, JournalWriter appends from many workers, the obs metrics
-// registry, and trace-span recording overlapped with snapshot collection.
+// mid-task, partitioner subtrees forked onto idle cores from pool workers,
+// JournalWriter appends from many workers, the obs metrics registry, and
+// trace-span recording overlapped with snapshot collection.
 // They run (and must pass) in ordinary builds too — they are plain
 // functional tests with assertions — but their interleavings only become
 // proofs under TSan, which the `tsan` CI job provides. The `Tsan` name
@@ -22,11 +23,14 @@
 #include <vector>
 
 #include "corpus/corpus.hpp"
+#include "corpus/generators.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/cancel.hpp"
+#include "pipeline/fork_join.hpp"
 #include "pipeline/journal.hpp"
 #include "pipeline/task_pool.hpp"
+#include "reorder/reordering.hpp"
 #include "select/select.hpp"
 
 namespace ordo {
@@ -128,6 +132,77 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
   // The short-deadline half must actually have been cancelled by the
   // watchdog (the 20ms give-up is 100x the 50us deadline).
   EXPECT_GE(cancelled.load(), kTasks / 2);
+}
+
+TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {
+  // Two workers leave the other cores idle, so GP, HP and ND running on
+  // both workers fork subtrees at once, while quick tasks finish around
+  // them and free cores mid-ordering. Three tasks (one per ordering) run on
+  // a larger mesh under a 2 ms deadline, so the watchdog cancels them
+  // partway; the cancellation must cross the fork/join back to the task,
+  // and every other ordering must match the serial one byte for byte.
+  constexpr int kForkWorkers = 2;
+  const CsrMatrix mesh = gen_mesh2d(64, 64, 5);
+  const CsrMatrix big = gen_mesh2d(160, 160, 5);
+  const CsrMatrix small = gen_mesh2d(12, 12, 5);
+  ReorderOptions options;
+  options.seed = 3;
+  const OrderingKind kinds[] = {OrderingKind::kGp, OrderingKind::kHp,
+                                OrderingKind::kNd};
+
+  std::vector<Permutation> serial;
+  {
+    const int held =
+        pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+    for (OrderingKind kind : kinds) {
+      serial.push_back(compute_ordering(mesh, kind, options).row_perm);
+    }
+    pipeline::release_cores(held);
+  }
+
+  [[maybe_unused]] const std::int64_t forks_before =
+      obs::counter("partition.forks").value();
+  std::atomic<int> mismatches{0};
+  std::atomic<int> cancelled{0};
+  pipeline::DeadlineWatchdog watchdog;
+  {
+    pipeline::TaskPool pool(kForkWorkers);
+    for (int i = 0; i < 18; ++i) {
+      pool.submit([&, i] {
+        const OrderingKind kind = kinds[i % 3];
+        if (i % 6 == 1) {
+          (void)compute_ordering(small, kind, options);
+        } else if (i % 6 == 5) {
+          pipeline::CancelToken token;
+          ReorderOptions cancellable = options;
+          cancellable.cancel = token.flag();
+          watchdog.arm(&token, std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(2));
+          try {
+            (void)compute_ordering(big, kinds[i / 6], cancellable);
+          } catch (const operation_cancelled_error&) {
+            cancelled.fetch_add(1, std::memory_order_relaxed);
+          }
+          watchdog.disarm(&token);
+        } else if (compute_ordering(mesh, kind, options).row_perm !=
+                   serial[static_cast<std::size_t>(i % 3)]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cancelled.load(), 3);
+#if defined(ORDO_OBS_ENABLED)
+  if (obs::affinity_cpu_count() > kForkWorkers + 1) {
+    EXPECT_GT(obs::counter("partition.forks").value(), forks_before);
+  }
+#endif
+  // Every helper gave its core back.
+  const int idle = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+  EXPECT_EQ(idle, obs::affinity_cpu_count() - 1);
+  pipeline::release_cores(idle);
 }
 
 TEST(TsanStressTest, JournalWriterConcurrentAppends) {
