@@ -7,7 +7,6 @@
 namespace ordo::engine {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
@@ -21,21 +20,11 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
 }  // namespace
 
 std::uint64_t matrix_fingerprint(const CsrMatrix& a) {
-  // The O(rows) row_ptr walk is memoized on the storage view: plans never
-  // assume (or touch) heap arrays, and for an mmap-backed matrix the walk
-  // pages the whole row_ptr region in — once, not on every cache lookup.
-  // Shared storage (CsrMatrix copies) shares the memo.
-  const std::uint64_t structure =
-      a.storage().memoized_structure_hash([](const CsrStorage& s) {
-        std::uint64_t h = kFnvOffset;
-        for (const offset_t entry : s.row_ptr()) {
-          h = fnv1a_u64(h, static_cast<std::uint64_t>(entry));
-        }
-        return h == 0 ? std::uint64_t{1} : h;  // 0 is the memo's sentinel
-      });
-  // Dimensions live on the matrix, not the storage; mix them in on top
-  // (O(1)) so equal structures with different logical shapes stay distinct.
-  std::uint64_t h = structure;
+  // The O(rows) row_ptr walk is memoized on the matrix's shared arrays, so
+  // repeat lookups (and lookups through copies) are O(1). The dimensions
+  // are mixed in on top so equal row structures with different logical
+  // shapes stay distinct.
+  std::uint64_t h = a.row_structure_hash();
   h = fnv1a_u64(h, static_cast<std::uint64_t>(a.num_rows()));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(a.num_cols()));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(a.num_nonzeros()));

@@ -36,8 +36,6 @@ std::vector<index_t> counting_sort(const std::vector<index_t>& items,
   return sorted;
 }
 
-}  // namespace
-
 Permutation cuthill_mckee_ordering(const Graph& g) {
   const index_t n = g.num_vertices();
   // rank[v]: v's component offset plus its BFS level there; components are
@@ -60,6 +58,8 @@ Permutation cuthill_mckee_ordering(const Graph& g) {
     return rank[static_cast<std::size_t>(v)];
   });
 }
+
+}  // namespace
 
 Permutation cuthill_mckee_ordering(const CsrMatrix& a) {
   require(a.is_square(), "cuthill_mckee_ordering: matrix must be square");

@@ -16,8 +16,6 @@
 
 namespace ordo {
 
-class Graph;
-
 /// The reordering algorithms of the study, plus extra baselines used for
 /// ablation benches.
 enum class OrderingKind {
@@ -113,30 +111,6 @@ Permutation rcm_ordering(const CsrMatrix& a);
 
 /// Cuthill–McKee without the final reversal (exposed for tests/ablation).
 Permutation cuthill_mckee_ordering(const CsrMatrix& a);
-
-/// Cuthill–McKee order of a graph's vertices; windowed RCM runs it on each
-/// window's graph.
-Permutation cuthill_mckee_ordering(const Graph& g);
-
-/// Band-limited windowed RCM — the out-of-core variant: RCM is computed
-/// independently on each contiguous block of `window_rows` rows (edges
-/// leaving the block are clipped), so the pass touches O(window) rows of
-/// the source matrix at a time and the union of the block-local
-/// permutations is a valid global permutation. Degenerates to exact RCM
-/// semantics per block; quality approaches global RCM as window_rows grows
-/// past the matrix bandwidth. Polls `cancel` once per window.
-Permutation windowed_rcm_ordering(const CsrMatrix& a, index_t window_rows,
-                                  const std::atomic<bool>* cancel = nullptr);
-
-/// Applies an ordering by streaming rows through the paged spill writer
-/// into `<spill_dir>/<name>.ordocsr` (mmap backend) — O(rows) heap on both
-/// sides, so an out-of-core matrix can be reordered without ever holding
-/// either copy in RAM. The general-permutation core of the windowed-RCM
-/// out-of-core path.
-CsrMatrix apply_ordering_out_of_core(const CsrMatrix& a,
-                                     const Ordering& ordering,
-                                     const std::string& spill_dir,
-                                     const std::string& name);
 
 /// Approximate minimum degree (Amestoy–Davis–Duff) on A + Aᵀ.
 Permutation amd_ordering(const CsrMatrix& a);

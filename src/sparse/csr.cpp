@@ -59,26 +59,23 @@ CsrMatrix assemble(index_t num_rows, index_t num_cols,
 }  // namespace
 
 CsrMatrix::CsrMatrix()
-    : storage_(std::make_shared<VectorStorage>()),
-      row_ptr_(storage_->row_ptr()),
-      col_idx_(storage_->col_idx()),
-      values_(storage_->values()) {}
+    : arrays_(std::make_shared<const Arrays>()),
+      row_ptr_(arrays_->row_ptr),
+      col_idx_(arrays_->col_idx),
+      values_(arrays_->values) {}
 
 CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
                      std::vector<offset_t> row_ptr,
                      std::vector<index_t> col_idx, std::vector<value_t> values)
-    : CsrMatrix(num_rows, num_cols,
-                std::make_shared<VectorStorage>(
-                    std::move(row_ptr), std::move(col_idx),
-                    std::move(values))) {}
-
-CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
-                     std::shared_ptr<CsrStorage> storage)
-    : num_rows_(num_rows), num_cols_(num_cols), storage_(std::move(storage)) {
-  require(storage_ != nullptr, "CsrMatrix: null storage");
-  row_ptr_ = storage_->row_ptr();
-  col_idx_ = storage_->col_idx();
-  values_ = storage_->values();
+    : num_rows_(num_rows), num_cols_(num_cols) {
+  auto arrays = std::make_shared<Arrays>();
+  arrays->row_ptr = std::move(row_ptr);
+  arrays->col_idx = std::move(col_idx);
+  arrays->values = std::move(values);
+  arrays_ = std::move(arrays);
+  row_ptr_ = arrays_->row_ptr;
+  col_idx_ = arrays_->col_idx;
+  values_ = arrays_->values;
   validate();
 }
 
@@ -91,7 +88,6 @@ void CsrMatrix::validate() const {
 }
 
 bool operator==(const CsrMatrix& a, const CsrMatrix& b) {
-  // Contents, not backends: an mmap-backed matrix equals its in-RAM twin.
   // Exact double equality is the contract here — the study's byte-identity
   // guarantees rest on bit-equal values.
   return a.num_rows_ == b.num_rows_ && a.num_cols_ == b.num_cols_ &&
@@ -123,11 +119,28 @@ CsrMatrix CsrMatrix::from_coo_symmetric_expand(const CooMatrix& coo) {
 }
 
 std::int64_t CsrMatrix::storage_bytes() const {
-  // Logical CSR footprint (what the performance model prices), independent
-  // of which backend holds the arrays.
   return static_cast<std::int64_t>(row_ptr_.size() * sizeof(offset_t)) +
          static_cast<std::int64_t>(col_idx_.size() * sizeof(index_t)) +
          static_cast<std::int64_t>(values_.size() * sizeof(value_t));
+}
+
+std::uint64_t CsrMatrix::row_structure_hash() const {
+  // Relaxed: see Arrays::row_hash — the hash is pure over immutable data, so
+  // the only race is two threads storing the same value.
+  std::uint64_t hash = arrays_->row_hash.load(std::memory_order_relaxed);
+  if (hash != 0) return hash;
+  constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+  hash = 1469598103934665603ULL;  // FNV-1a offset basis
+  for (const offset_t entry : row_ptr_) {
+    const auto bits = static_cast<std::uint64_t>(entry);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffULL;
+      hash *= kFnvPrime;
+    }
+  }
+  if (hash == 0) hash = 1;  // 0 marks "not yet computed"
+  arrays_->row_hash.store(hash, std::memory_order_relaxed);
+  return hash;
 }
 
 }  // namespace ordo

@@ -3,12 +3,13 @@
 // indices are stored in ascending order with no duplicates.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "sparse/coo.hpp"
-#include "sparse/storage.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo {
@@ -16,30 +17,19 @@ namespace ordo {
 /// CSR sparse matrix with 64-bit row pointers, 32-bit column indices and
 /// double-precision values (Section 4.1 of the paper).
 ///
-/// The arrays live behind a CsrStorage backend (sparse/storage.hpp): the
-/// in-RAM vector backend for ordinary matrices, the memory-mapped spill
-/// backend for matrices larger than RAM. The spans handed out below are
-/// resolved once at construction, so call sites are backend-agnostic and
-/// pay no virtual dispatch per access. Copies share the backing storage
-/// (copying a beyond-RAM matrix must never deep-copy it); the structure is
-/// immutable after construction and no in-tree consumer writes through the
-/// mutable values span of a copy, so sharing is observationally identical
-/// to the historical deep copy.
+/// The three arrays are immutable after construction and shared: a copy of
+/// a CsrMatrix is O(1) and points at the same arrays, so keeping a second
+/// handle on a large matrix never doubles its footprint. Nothing hands out
+/// a mutable view, so a copy can never write through to its original.
 class CsrMatrix {
  public:
   CsrMatrix();
 
-  /// Takes ownership of prebuilt CSR arrays (in-RAM backend). Validates the
-  /// invariants: row_ptr has num_rows+1 monotone entries starting at 0;
-  /// column indices are in range and strictly ascending within each row.
+  /// Takes ownership of prebuilt CSR arrays. Validates the invariants:
+  /// row_ptr has num_rows+1 monotone entries starting at 0; column indices
+  /// are in range and strictly ascending within each row.
   CsrMatrix(index_t num_rows, index_t num_cols, std::vector<offset_t> row_ptr,
             std::vector<index_t> col_idx, std::vector<value_t> values);
-
-  /// Wraps an existing storage backend (the out-of-core path: the streamed
-  /// generators and the windowed-RCM apply hand over PagedCsrWriter
-  /// products here). Validates the same invariants.
-  CsrMatrix(index_t num_rows, index_t num_cols,
-            std::shared_ptr<CsrStorage> storage);
 
   /// Builds a CSR matrix from triplets. Duplicate entries are summed.
   static CsrMatrix from_coo(const CooMatrix& coo);
@@ -58,7 +48,6 @@ class CsrMatrix {
   std::span<const offset_t> row_ptr() const { return row_ptr_; }
   std::span<const index_t> col_idx() const { return col_idx_; }
   std::span<const value_t> values() const { return values_; }
-  std::span<value_t> values() { return storage_->values_mut(); }
 
   /// Number of nonzeros in row i.
   offset_t row_nonzeros(index_t i) const { return row_ptr_[i + 1] - row_ptr_[i]; }
@@ -82,22 +71,32 @@ class CsrMatrix {
   /// indices + values). Used by the performance model for memory traffic.
   std::int64_t storage_bytes() const;
 
-  /// The backing store and its backend tag ("ram" or "mmap").
-  const CsrStorage& storage() const { return *storage_; }
-  const char* storage_backend() const { return storage_->backend(); }
+  /// FNV-1a hash of the row_ptr array (never 0), computed once per set of
+  /// arrays and shared by every copy. The engine keys its plan cache on it,
+  /// so repeat plan lookups cost O(1) instead of an O(rows) walk.
+  std::uint64_t row_structure_hash() const;
 
-  /// Structural and numerical equality (dimension + array contents),
-  /// regardless of which backend holds each side.
+  /// Structural and numerical equality (dimension + array contents).
   friend bool operator==(const CsrMatrix& a, const CsrMatrix& b);
 
  private:
+  struct Arrays {
+    std::vector<offset_t> row_ptr{0};
+    std::vector<index_t> col_idx;
+    std::vector<value_t> values;
+    // 0 until row_structure_hash() first runs. Relaxed atomics suffice:
+    // the hash is a pure function of immutable data, so racing threads
+    // compute the same value and either store wins.
+    mutable std::atomic<std::uint64_t> row_hash{0};
+  };
+
   void validate() const;
 
   index_t num_rows_ = 0;
   index_t num_cols_ = 0;
-  std::shared_ptr<CsrStorage> storage_;
-  // Span cache over storage_'s arrays, resolved once at construction (the
-  // backends' spans are stable for the storage lifetime).
+  std::shared_ptr<const Arrays> arrays_;
+  // Span cache over arrays_, resolved once at construction: accessors are
+  // one load, not a walk through the shared pointer.
   std::span<const offset_t> row_ptr_;
   std::span<const index_t> col_idx_;
   std::span<const value_t> values_;

@@ -55,11 +55,6 @@ void spmv_merge(const CsrMatrix& a, std::span<const value_t> x,
   spmv_2d(a, x, y, as_nnz);
 }
 
-void spmv_merge(const CsrMatrix& a, std::span<const value_t> x,
-                std::span<value_t> y, int num_threads) {
-  spmv_merge(a, x, y, partition_merge_path(a, num_threads));
-}
-
 void spmv_symmetric_lower_serial(const CsrMatrix& lower,
                                  std::span<const value_t> x,
                                  std::span<value_t> y) {

@@ -35,10 +35,6 @@ MergePathPartition partition_merge_path(const CsrMatrix& a, int num_threads);
 void spmv_merge(const CsrMatrix& a, std::span<const value_t> x,
                 std::span<value_t> y, const MergePathPartition& partition);
 
-/// Convenience overload building the partition internally.
-void spmv_merge(const CsrMatrix& a, std::span<const value_t> x,
-                std::span<value_t> y, int num_threads);
-
 /// y = A·x where only the lower triangle (incl. diagonal) of the symmetric A
 /// is stored: each stored off-diagonal entry contributes to two outputs.
 void spmv_symmetric_lower_serial(const CsrMatrix& lower,

@@ -275,9 +275,4 @@ void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
   }
 }
 
-void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
-             std::span<value_t> y, int num_threads) {
-  spmv_2d(a, x, y, partition_nonzeros_even(a, num_threads));
-}
-
 }  // namespace ordo

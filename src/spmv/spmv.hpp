@@ -59,8 +59,4 @@ void spmv_1d(const CsrMatrix& a, std::span<const value_t> x,
 void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
              std::span<value_t> y, const NnzPartition& partition);
 
-/// Convenience overload that builds the partition internally.
-void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
-             std::span<value_t> y, int num_threads);
-
 }  // namespace ordo

@@ -437,6 +437,14 @@ TEST(EnginePlanCache, FingerprintCoversRowStructureOnly) {
   const CsrMatrix m2 = CsrMatrix::from_coo(coo2);
   EXPECT_EQ(engine::matrix_fingerprint(m1), engine::matrix_fingerprint(m2));
 
+  // The row-structure hash is memoized on the shared arrays: a copy reads
+  // the memo its original filled, and an equal structure built separately
+  // computes the same value afresh.
+  const CsrMatrix copy = m1;
+  EXPECT_EQ(engine::matrix_fingerprint(copy), engine::matrix_fingerprint(m1));
+  EXPECT_EQ(engine::matrix_fingerprint(CsrMatrix::from_coo(coo1)),
+            engine::matrix_fingerprint(m1));
+
   engine::PlanCache cache(4);
   EXPECT_EQ(cache.get(m1, "csr_1d", 2), cache.get(m2, "csr_1d", 2));
 

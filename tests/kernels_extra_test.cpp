@@ -83,7 +83,7 @@ TEST_P(MergeKernelTest, MatchesSerialReference) {
     std::vector<value_t> y_ref(static_cast<std::size_t>(a.num_rows()));
     std::vector<value_t> y(y_ref.size());
     spmv_serial(a, x, y_ref);
-    spmv_merge(a, x, y, threads);
+    spmv_merge(a, x, y, partition_merge_path(a, threads));
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_NEAR(y[i], y_ref[i], 1e-12) << "i=" << i << " seed=" << seed;
     }
@@ -101,7 +101,7 @@ TEST_P(MergeKernelTest, HandlesEmptyRowBlocks) {
   const auto x = random_vector(n, 3);
   std::vector<value_t> y_ref(static_cast<std::size_t>(n)), y(y_ref.size());
   spmv_serial(a, x, y_ref);
-  spmv_merge(a, x, y, GetParam());
+  spmv_merge(a, x, y, partition_merge_path(a, GetParam()));
   for (std::size_t i = 0; i < y.size(); ++i) {
     ASSERT_NEAR(y[i], y_ref[i], 1e-12) << i;
   }

@@ -18,18 +18,21 @@ using testing::grid_laplacian_2d;
 
 // Grid Laplacian with the diagonal bumped to make it strictly SPD.
 CsrMatrix spd_grid(index_t nx, index_t ny) {
-  CsrMatrix a = grid_laplacian_2d(nx, ny);
-  for (index_t i = 0; i < a.num_rows(); ++i) {
-    auto values = a.values();
+  const CsrMatrix grid = grid_laplacian_2d(nx, ny);
+  std::vector<value_t> values(grid.values().begin(), grid.values().end());
+  for (index_t i = 0; i < grid.num_rows(); ++i) {
     // Diagonal is the entry whose column equals the row.
-    const auto cols = a.row_cols(i);
+    const auto cols = grid.row_cols(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {
       if (cols[k] == i) {
-        values[static_cast<std::size_t>(a.row_ptr()[i]) + k] += 1.0;
+        values[static_cast<std::size_t>(grid.row_ptr()[i]) + k] += 1.0;
       }
     }
   }
-  return a;
+  return CsrMatrix(grid.num_rows(), grid.num_cols(),
+                   {grid.row_ptr().begin(), grid.row_ptr().end()},
+                   {grid.col_idx().begin(), grid.col_idx().end()},
+                   std::move(values));
 }
 
 std::vector<value_t> dense_of(const CsrMatrix& a) {

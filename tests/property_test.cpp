@@ -43,7 +43,7 @@ TEST_P(SeededProperty, SpmvCommutesWithSymmetricPermutation) {
   for (std::size_t i = 0; i < y.size(); ++i) {
     py_expected[i] = y[static_cast<std::size_t>(perm[i])];
   }
-  spmv_2d(b, px, py, 7);
+  spmv_2d(b, px, py, partition_nonzeros_even(b, 7));
   for (std::size_t i = 0; i < py.size(); ++i) {
     EXPECT_NEAR(py[i], py_expected[i], 1e-11);
   }

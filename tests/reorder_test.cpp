@@ -284,34 +284,6 @@ TEST(Rcm, MatchesLevelSortedReference) {
   }
 }
 
-TEST(WindowedRcm, MatchesPerWindowReference) {
-  // Each window's order is the reference RCM of the matrix its rows and
-  // columns induce.
-  const CsrMatrix mesh = gen_mesh2d(30, 30, 9);
-  const CsrMatrix cases[] = {
-      permute_symmetric(mesh, random_permutation(mesh.num_rows(), 3)),
-      random_square(700, 3.0, 4), sparse_forest(900, 300, 6)};
-  for (const CsrMatrix& a : cases) {
-    for (index_t window : {64, 250, 10000}) {
-      Permutation expected;
-      for (index_t w0 = 0; w0 < a.num_rows(); w0 += window) {
-        const index_t w1 = std::min(a.num_rows(), w0 + window);
-        CooMatrix block(w1 - w0, w1 - w0);
-        for (index_t i = w0; i < w1; ++i) {
-          for (index_t j : a.row_cols(i)) {
-            if (j >= w0 && j < w1) block.add(i - w0, j - w0, 1.0);
-          }
-        }
-        for (index_t v : reference_rcm(CsrMatrix::from_coo(block))) {
-          expected.push_back(w0 + v);
-        }
-      }
-      EXPECT_EQ(windowed_rcm_ordering(a, window), expected)
-          << "window " << window;
-    }
-  }
-}
-
 TEST(Amd, ProducesValidPermutationOnGrid) {
   const CsrMatrix a = grid_laplacian_2d(15, 15);
   EXPECT_TRUE(is_valid_permutation(amd_ordering(a)));

@@ -1,14 +1,11 @@
-// Tests for the multi-process sharded study (src/pipeline/shard.hpp) and
-// the beyond-RAM acceptance path: byte-identity of merged results across
-// shard counts, fault isolation and resume after a worker dies mid-run,
-// the heartbeat collision guard, and an out-of-core generate → windowed
-// RCM → measure pipeline running under an RSS budget the in-RAM CSR would
-// bust. Everything here forks (and deliberately kills) processes, so the
-// suite lives in its own binary (ctest label `pipeline`).
+// Tests for the multi-process sharded study (src/pipeline/shard.hpp):
+// byte-identity of merged results across shard counts, fault isolation and
+// resume after a worker dies mid-run, the heartbeat collision guard, and
+// telemetry outputs that stitch across workers. Everything here forks (and
+// deliberately kills) processes, so the suite lives in its own binary
+// (ctest label `pipeline`).
 #include <gtest/gtest.h>
 
-#include <sys/resource.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "corpus/stream.hpp"
 #include "obs/agg/latency_histogram.hpp"
 #include "obs/agg/trace_merge.hpp"
 #include "obs/json.hpp"
@@ -30,9 +26,6 @@
 #include "pipeline/journal.hpp"
 #include "pipeline/shard.hpp"
 #include "pipeline/study_pipeline.hpp"
-#include "reorder/reordering.hpp"
-#include "sparse/storage.hpp"
-#include "spmv/spmv.hpp"
 
 namespace ordo {
 namespace {
@@ -366,73 +359,6 @@ TEST(Shard, PerShardFileNamesAreStable) {
   EXPECT_EQ(pipeline::shard_heartbeat_path("/ckpt", 2),
             "/run/ordo.json.shard2");
   ASSERT_EQ(::unsetenv("ORDO_STATUS_FILE"), 0);
-}
-
-// --- the beyond-RAM acceptance test ---------------------------------------
-//
-// A banded matrix whose CSR footprint is ~2.4x an RLIMIT_DATA budget is
-// generated, reordered with windowed RCM, and measured — entirely through
-// the mmap backend, in a forked child so the budget cannot leak into other
-// tests. The child first proves the budget binds (an in-RAM CSR allocation
-// of the estimated size must fail), then runs the out-of-core pipeline,
-// which must succeed: spill files are streamed through O(rows) buffers and
-// mapped read-only, which Linux does not charge against RLIMIT_DATA.
-TEST(Shard, OutOfCoreStudySurvivesRssBudgetTheRamPathBusts) {
-  const std::string dir = fresh_dir("ordo_shard_rss_budget");
-
-  StreamedBandedParams params;
-  params.n = 40000;
-  params.half_bandwidth = 120;
-  params.density = 1.0;
-  const std::int64_t csr_bytes = estimated_banded_csr_bytes(params);
-  const rlim_t budget = 48u << 20;
-  ASSERT_GT(csr_bytes, static_cast<std::int64_t>(2 * budget));
-
-  const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) {
-    // Child: every failure is a distinct exit code; no gtest machinery.
-    struct rlimit limit = {budget, budget};
-    if (::setrlimit(RLIMIT_DATA, &limit) != 0) ::_exit(10);
-    // The budget must actually bind: the in-RAM CSR cannot be allocated.
-    if (void* heap = std::malloc(static_cast<std::size_t>(csr_bytes))) {
-      std::free(heap);
-      ::_exit(11);
-    }
-    try {
-      const CsrMatrix a = generate_banded_streamed(params, dir, "budget");
-      if (std::string(a.storage_backend()) != "mmap") ::_exit(12);
-      const Permutation perm = windowed_rcm_ordering(a, 4096);
-      if (!is_valid_permutation(perm)) ::_exit(13);
-      Ordering ordering;
-      ordering.row_perm = perm;
-      ordering.col_perm = perm;
-      ordering.symmetric = true;
-      const CsrMatrix reordered =
-          apply_ordering_out_of_core(a, ordering, dir, "budget_rcm");
-      if (std::string(reordered.storage_backend()) != "mmap") ::_exit(14);
-      if (reordered.num_nonzeros() != a.num_nonzeros()) ::_exit(15);
-      // Measure through the mapping: one serial SpMV touches every byte of
-      // the reordered spill file.
-      std::vector<value_t> x(static_cast<std::size_t>(params.n), 1.0);
-      std::vector<value_t> y(x.size(), 0.0);
-      spmv_serial(reordered, x, y);
-      double checksum = 0.0;
-      for (const value_t v : y) checksum += v;
-      if (!(checksum != 0.0) || checksum != checksum) ::_exit(16);
-    } catch (const std::exception&) {
-      ::_exit(17);
-    }
-    ::_exit(0);
-  }
-
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0)
-      << "out-of-core pipeline failed under the RSS budget (see exit-code "
-         "map in the test body)";
-  fs::remove_all(dir);
 }
 
 }  // namespace

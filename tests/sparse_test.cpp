@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -113,6 +115,18 @@ TEST(Csr, StorageBytesFormula) {
       a.num_nonzeros() *
           static_cast<std::int64_t>(sizeof(index_t) + sizeof(value_t));
   EXPECT_EQ(a.storage_bytes(), expected);
+}
+
+TEST(Csr, CopiesShareImmutableArrays) {
+  // No mutable view exists, so a copy cannot write through to its original.
+  CsrMatrix a = random_square(10, 3.0, 1);
+  static_assert(
+      std::is_same_v<decltype(a.values()), std::span<const value_t>>);
+  // Copies are O(1): they point at the original's arrays.
+  const CsrMatrix b = a;
+  EXPECT_EQ(b.col_idx().data(), a.col_idx().data());
+  EXPECT_EQ(b.values().data(), a.values().data());
+  EXPECT_EQ(b, a);
 }
 
 TEST(Transpose, InvolutionAndKnownPattern) {

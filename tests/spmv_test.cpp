@@ -97,7 +97,7 @@ TEST_P(SpmvKernelsTest, MatchSerialOnRandomMatrices) {
     std::vector<value_t> y_1d(y_ref.size()), y_2d(y_ref.size());
     spmv_serial(a, x, y_ref);
     spmv_1d(a, x, y_1d, threads);
-    spmv_2d(a, x, y_2d, threads);
+    spmv_2d(a, x, y_2d, partition_nonzeros_even(a, threads));
     expect_vectors_near(y_1d, y_ref);
     expect_vectors_near(y_2d, y_ref);
   }
@@ -111,7 +111,7 @@ TEST_P(SpmvKernelsTest, MatchSerialOnGrid) {
   std::vector<value_t> y_1d(y_ref.size()), y_2d(y_ref.size());
   spmv_serial(a, x, y_ref);
   spmv_1d(a, x, y_1d, threads);
-  spmv_2d(a, x, y_2d, threads);
+  spmv_2d(a, x, y_2d, partition_nonzeros_even(a, threads));
   expect_vectors_near(y_1d, y_ref);
   expect_vectors_near(y_2d, y_ref);
 }
@@ -129,7 +129,7 @@ TEST_P(SpmvKernelsTest, HandlesEmptyRowsAtBoundaries) {
   const auto x = random_vector(n, 5);
   std::vector<value_t> y_ref(static_cast<std::size_t>(n)), y_2d(y_ref.size());
   spmv_serial(a, x, y_ref);
-  spmv_2d(a, x, y_2d, GetParam());
+  spmv_2d(a, x, y_2d, partition_nonzeros_even(a, GetParam()));
   expect_vectors_near(y_2d, y_ref);
 }
 
@@ -145,7 +145,7 @@ TEST_P(SpmvKernelsTest, HandlesSingleDenseRowSpanningManyThreads) {
   const auto x = random_vector(n, 77);
   std::vector<value_t> y_ref(static_cast<std::size_t>(n)), y_2d(y_ref.size());
   spmv_serial(a, x, y_ref);
-  spmv_2d(a, x, y_2d, GetParam());
+  spmv_2d(a, x, y_2d, partition_nonzeros_even(a, GetParam()));
   expect_vectors_near(y_2d, y_ref);
 }
 
@@ -155,7 +155,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, SpmvKernelsTest,
 TEST(Spmv2d, EmptyMatrix) {
   const CsrMatrix a(0, 0, {0}, {}, {});
   std::vector<value_t> y;
-  spmv_2d(a, std::vector<value_t>{}, y, 4);
+  spmv_2d(a, std::vector<value_t>{}, y, partition_nonzeros_even(a, 4));
   SUCCEED();
 }
 
@@ -166,7 +166,7 @@ TEST(Spmv2d, AllRowsEmptyExceptLast) {
   const CsrMatrix a = CsrMatrix::from_coo(coo);
   std::vector<value_t> x(static_cast<std::size_t>(n), 2.0);
   std::vector<value_t> y(static_cast<std::size_t>(n), -1.0);
-  spmv_2d(a, x, y, 4);
+  spmv_2d(a, x, y, partition_nonzeros_even(a, 4));
   for (index_t i = 0; i < n - 1; ++i) {
     EXPECT_EQ(y[static_cast<std::size_t>(i)], 0.0) << i;
   }

@@ -23,11 +23,9 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
                  (::socket/::bind/::listen/::accept/::connect or the
                  <sys/socket.h> family): the loopback-only status listener
                  is the single sanctioned network surface in the library.
-  mmap           src/ only, src/sparse/ exempt. No raw memory mapping
-                 (::mmap/::munmap/::ftruncate or <sys/mman.h>): the
-                 out-of-core storage backend (sparse/storage.hpp) is the
-                 single sanctioned mapping surface — everything else
-                 consumes CsrStorage spans and stays backend-agnostic.
+  mmap           src/ only. No raw memory mapping (::mmap/::munmap/
+                 ::ftruncate or <sys/mman.h>): every matrix lives in RAM
+                 as CsrMatrix arrays, so the library maps no memory.
   memory_order   src/ only. Every std::atomic operation that opens and
                  closes on one line (.load/.store/.exchange/.fetch_*/
                  .compare_exchange_*) must pass an explicit
@@ -183,12 +181,6 @@ def socket_exempt(relpath):
         os.path.join("src", "obs", "status") + os.sep)
 
 
-def mmap_exempt(relpath):
-    # The storage backend owns the raw mappings (sparse/storage.hpp
-    # documents the ORDOCSR layout); every other layer consumes spans.
-    return relpath.startswith(os.path.join("src", "sparse") + os.sep)
-
-
 def chrono_exempt(relpath):
     # obs owns the clocks (Stopwatch, trace time base) and the pipeline's
     # deadline scheduling legitimately speaks std::chrono; everything else
@@ -314,10 +306,9 @@ def lint_file(path):
                       "raw socket call outside src/obs/status/ — the "
                       "loopback status listener is the only sanctioned "
                       "network surface")
-            if not mmap_exempt(relpath):
-                check(lineno, "mmap", MMAP_RE.search(code),
-                      "raw memory mapping outside src/sparse/ — go through "
-                      "the CsrStorage backend seam (sparse/storage.hpp)")
+            check(lineno, "mmap", MMAP_RE.search(code),
+                  "raw memory mapping — matrices live in RAM as "
+                  "CsrMatrix arrays")
             if not io_exempt(relpath):
                 check(lineno, "io", IO_RE.search(code),
                       "console I/O in library code — report through "
