@@ -3,6 +3,8 @@
 // power-law graph. BM_RcmManyComponents guards RCM's cost against growing
 // with the number of connected components, and BM_GpRmatHubs guards GP's FM
 // refinement against re-popping every balance-blocked vertex after each move.
+// BM_ApplyOrdering times applying RCM and Gray to a shuffled mesh of 2M
+// nonzeros, whose row loops run on idle cores (DESIGN §21).
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -86,6 +88,25 @@ void BM_GpRmatHubs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.num_nonzeros());
 }
 
+// A 480x480 9-point mesh (2.07M nonzeros) in random order, so both
+// orderings move every row.
+const CsrMatrix& shuffled_big_mesh() {
+  static const CsrMatrix a = [] {
+    const CsrMatrix mesh = gen_mesh2d(480, 480, 9);
+    return permute_symmetric(mesh, random_permutation(mesh.num_rows(), 3));
+  }();
+  return a;
+}
+
+void BM_ApplyOrdering(benchmark::State& state, OrderingKind kind) {
+  const CsrMatrix& a = shuffled_big_mesh();
+  const Ordering ordering = compute_ordering(a, kind, ReorderOptions{});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(apply_ordering(a, ordering));
+  }
+  state.SetItemsProcessed(state.iterations() * a.num_nonzeros());
+}
+
 BENCHMARK(BM_RcmMesh);
 BENCHMARK(BM_AmdMesh);
 BENCHMARK(BM_NdMesh);
@@ -98,6 +119,8 @@ BENCHMARK(BM_GpPowerLaw);
 BENCHMARK(BM_GrayPowerLaw);
 BENCHMARK(BM_RcmManyComponents);
 BENCHMARK(BM_GpRmatHubs)->Arg(1)->Arg(3);
+BENCHMARK_CAPTURE(BM_ApplyOrdering, RCM, OrderingKind::kRcm);
+BENCHMARK_CAPTURE(BM_ApplyOrdering, Gray, OrderingKind::kGray);
 
 }  // namespace
 

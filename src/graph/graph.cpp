@@ -7,6 +7,7 @@
 
 #include "check/invariants.hpp"
 #include "sparse/csr_ops.hpp"
+#include "sparse/parallel_rows.hpp"
 
 namespace ordo {
 namespace {
@@ -52,16 +53,34 @@ Graph Graph::from_matrix(const CsrMatrix& a) {
   require(a.is_square(), "Graph::from_matrix: matrix must be square");
   const CsrMatrix s = is_pattern_symmetric(a) ? a : symmetrize(a);
   const index_t n = s.num_rows();
-  std::vector<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> adj;
-  adj.reserve(static_cast<std::size_t>(s.num_nonzeros()));
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j : s.row_cols(i)) {
-      if (j != i) adj.push_back(j);
+  const auto row_ptr = s.row_ptr();
+  const auto col_idx = s.col_idx();
+  // Row i keeps its entries but the diagonal one: count, scan, then fill,
+  // each over rows on idle cores (DESIGN §21). The count finds the diagonal
+  // by counting the entries below it, with no branch per entry.
+  const auto has_diagonal = [&](std::size_t i) {
+    const auto begin = static_cast<std::size_t>(row_ptr[i]);
+    const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
+    std::size_t k = begin;
+    for (std::size_t t = begin; t < end; ++t) {
+      k += col_idx[t] < static_cast<index_t>(i) ? 1 : 0;
     }
-    adj_ptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<offset_t>(adj.size());
-  }
+    return k < end && col_idx[k] == static_cast<index_t>(i);
+  };
+  std::vector<offset_t> adj_ptr =
+      parallel_row_offsets(static_cast<std::size_t>(n), [&](std::size_t i) {
+        return row_ptr[i + 1] - row_ptr[i] - (has_diagonal(i) ? 1 : 0);
+      });
+  std::vector<index_t> adj(static_cast<std::size_t>(adj_ptr.back()));
+  parallel_for_row_ranges(row_ptr, [&](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) {
+      auto out = static_cast<std::size_t>(adj_ptr[i]);
+      for (auto k = static_cast<std::size_t>(row_ptr[i]);
+           k < static_cast<std::size_t>(row_ptr[i + 1]); ++k) {
+        if (col_idx[k] != static_cast<index_t>(i)) adj[out++] = col_idx[k];
+      }
+    }
+  });
   Graph g(n, std::move(adj_ptr), std::move(adj));
   // Every symmetric ordering assumes a mirror-complete adjacency; check it
   // once where the graph enters the system.

@@ -1,22 +1,28 @@
-// Fork/join for the partitioners' recursions, on cores nothing else uses.
+// Fork/join on cores nothing else uses: the partitioners' recursions
+// (fork_join) and the row loops that build and permute CSR arrays
+// (parallel_for).
 //
 // A process-wide budget counts the threads running ordo work: the process's
 // own thread (always), each TaskPool worker while it runs a task, and each
-// fork helper from its start until it is joined. A core is idle when that
-// count is below the CPUs in the affinity mask (obs::affinity_cpu_count).
-// fork_join runs its left branch on a new helper thread only when a core is
-// idle and the branch is at least kMinForkVertices; otherwise both branches
-// run inline, in order, as serial code would. So a `--jobs 4` sweep on 4
-// CPUs forks only at its tail, when workers run out of tasks, and
-// `taskset -c 0` never forks.
+// fork or parallel_for helper from its start until it is joined. A core is
+// idle when that count is below the CPUs in the affinity mask
+// (obs::affinity_cpu_count). fork_join runs its left branch on a new helper
+// thread only when a core is idle and the branch is at least
+// kMinForkVertices; otherwise both branches run inline, in order, as serial
+// code would. parallel_for splits a loop into one contiguous chunk per
+// claimed core plus one for the caller, each at least its grain. So a
+// `--jobs 4` sweep on 4 CPUs forks only at its tail, when workers run out of
+// tasks, and `taskset -c 0` never forks.
 //
-// Callers keep their results independent of where a branch ran: each branch
-// reads only its own inputs and writes a disjoint part of the output (see
-// DESIGN §20), so the result bytes are the same at any budget.
+// Callers keep their results independent of where a branch or chunk ran:
+// each reads only its own inputs and writes a disjoint part of the output
+// (see DESIGN §20 and §21), so the result bytes are the same at any budget.
 //
-// Observability: `partition.forks` (counter, branches run on a helper);
-// each helper opens a `partition/fork` span, so the spans of a forked
-// subtree nest under a named root on the helper's trace row.
+// Observability: `partition.forks` (counter, branches run on a helper) and
+// `parallel.helpers` (counter, parallel_for chunks run on a helper); each
+// fork helper opens a `partition/fork` span and each parallel_for helper a
+// `parallel/for` span, so the spans a helper opens nest under a named root
+// on its trace row.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +33,11 @@ namespace ordo::pipeline {
 /// Smallest branch (in vertices) worth a helper thread; see DESIGN §20 for
 /// the measurement behind it.
 inline constexpr std::size_t kMinForkVertices = 128;
+
+/// Grains of parallel_for's row loops: the fewest rows, or nonzeros, worth
+/// a helper thread. See DESIGN §21 for the measurement behind them.
+inline constexpr std::size_t kMinParallelRows = std::size_t{1} << 16;
+inline constexpr std::size_t kMinParallelNonzeros = std::size_t{1} << 18;
 
 /// Claims up to `want` idle cores from the process-wide budget and returns
 /// how many it claimed (0 when none is idle). Pair with release_cores.
@@ -52,5 +63,13 @@ class BusyThread {
 /// order would), never std::terminate.
 void fork_join(std::size_t left_vertices, const std::function<void()>& left,
                const std::function<void()>& right);
+
+/// Runs body(begin, end) over contiguous chunks that cover [0, n) in order
+/// and returns once all have finished. Claims up to n / min_work - 1 idle
+/// cores, runs one chunk on each and the first chunk on the caller; with no
+/// core claimed, body(0, n) runs inline. An exception from any chunk is
+/// rethrown here after all finished (the first chunk's in chunk order).
+void parallel_for(std::size_t n, std::size_t min_work,
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace ordo::pipeline

@@ -14,6 +14,7 @@
 
 #include "engine/registry.hpp"
 #include "obs/agg/fleet.hpp"
+#include "obs/agg/latency_histogram.hpp"
 #include "obs/agg/trace_merge.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
@@ -63,6 +64,10 @@ ShardExit describe_exit(int wait_status) {
     // the parked restart configuration must not leak into the child) and
     // start this worker's own heartbeat.
     obs::status::stop();
+    // Start the latency registry empty: the parent folds this worker's
+    // final histograms back into its own, which already holds every sample
+    // recorded before the fork, so inherited samples would count twice.
+    obs::agg::reset_latency();
     // Re-point the inherited per-process outputs: N workers writing the
     // parent's ORDO_TRACE / ORDO_METRICS paths would clobber each other
     // (and the parent's own dump), so each gets the journal/heartbeat

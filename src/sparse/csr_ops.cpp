@@ -1,9 +1,11 @@
 #include "sparse/csr_ops.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "check/invariants.hpp"
+#include "sparse/parallel_rows.hpp"
 
 namespace ordo {
 
@@ -39,24 +41,42 @@ bool is_pattern_symmetric(const CsrMatrix& a) {
   if (!a.is_square()) return false;
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
+  const auto n = static_cast<std::size_t>(a.num_rows());
   // next[j]: the first entry of row j no entry (i, j) has matched yet. Rows
   // are walked in ascending order and every row is sorted, so the mirror of
   // (i, j) must be exactly that entry. Each of the nnz entries consumes a
   // distinct one, so every entry is also some entry's mirror (DESIGN §18).
+  // Ranges of columns j run on idle cores: each walks every row's entries
+  // in its range, in row order, and moves only its own cursors (DESIGN §21).
   std::vector<offset_t> next(row_ptr.begin(), row_ptr.end() - 1);
-  for (index_t i = 0; i < a.num_rows(); ++i) {
-    for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const auto j =
-          static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]);
-      const offset_t mirror = next[j]++;
-      if (mirror == row_ptr[j + 1] ||
-          col_idx[static_cast<std::size_t>(mirror)] != i) {
-        return false;
+  std::atomic<bool> symmetric{true};
+  parallel_for_row_ranges(row_ptr, [&](std::size_t first, std::size_t last) {
+    const auto low = static_cast<index_t>(first);
+    const auto high = static_cast<index_t>(last);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Relaxed: the flag only cuts the walk short; the join publishes it.
+      if (!symmetric.load(std::memory_order_relaxed)) return;
+      const index_t* begin = col_idx.data() + row_ptr[i];
+      const index_t* end = col_idx.data() + row_ptr[i + 1];
+      if (begin != end && *begin < low) {
+        begin = std::lower_bound(begin, end, low);
+      }
+      if (begin != end && end[-1] >= high) {
+        end = std::lower_bound(begin, end, high);
+      }
+      for (const index_t* col = begin; col != end; ++col) {
+        const auto j = static_cast<std::size_t>(*col);
+        const offset_t mirror = next[j]++;
+        if (mirror == row_ptr[j + 1] ||
+            col_idx[static_cast<std::size_t>(mirror)] !=
+                static_cast<index_t>(i)) {
+          symmetric.store(false, std::memory_order_relaxed);
+          return;
+        }
       }
     }
-  }
-  return true;
+  });
+  return symmetric.load(std::memory_order_relaxed);
 }
 
 CsrMatrix symmetrize(const CsrMatrix& a) {
@@ -116,61 +136,74 @@ constexpr std::size_t kInsertionSortMaxRow = 32;
 constexpr std::size_t kPrefetchRows = 16;
 
 // B(i, j) = A(row_perm[i], col_perm[j]), given a valid row_perm and the
-// inverse of a valid col_perm.
+// inverse of a valid col_perm, or no inverse when col_perm is the identity.
+// Rows are gathered in ranges of even nonzeros on idle cores; each output
+// row's slot is b_ptr[i], known before any row is written (DESIGN §21).
 CsrMatrix permute_with_inverse(const CsrMatrix& a, const Permutation& row_perm,
-                               const Permutation& col_inv) {
+                               const Permutation* col_inv) {
   require(static_cast<index_t>(row_perm.size()) == a.num_rows(),
           "permute: row permutation length must equal row count");
-  require(static_cast<index_t>(col_inv.size()) == a.num_cols(),
+  require(col_inv == nullptr ||
+              static_cast<index_t>(col_inv->size()) == a.num_cols(),
           "permute: column permutation length must equal column count");
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const auto m = static_cast<std::size_t>(a.num_rows());
-  std::vector<offset_t> b_ptr(m + 1, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    b_ptr[i + 1] = b_ptr[i] + a.row_nonzeros(row_perm[i]);
-  }
+  std::vector<offset_t> b_ptr = parallel_row_offsets(m, [&](std::size_t i) {
+    const auto src = static_cast<std::size_t>(row_perm[i]);
+    return row_ptr[src + 1] - row_ptr[src];
+  });
   std::vector<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
   std::vector<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<std::pair<index_t, value_t>> long_row;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (i + kPrefetchRows < m) {
-      const auto ahead = static_cast<std::size_t>(
-          row_ptr[static_cast<std::size_t>(row_perm[i + kPrefetchRows])]);
-      __builtin_prefetch(col_idx.data() + ahead);
-      __builtin_prefetch(values.data() + ahead);
-    }
-    const auto src = static_cast<std::size_t>(row_perm[i]);
-    const auto begin = static_cast<std::size_t>(row_ptr[src]);
-    const auto end = static_cast<std::size_t>(row_ptr[src + 1]);
-    const auto out = static_cast<std::size_t>(b_ptr[i]);
-    if (end - begin <= kInsertionSortMaxRow) {
-      for (std::size_t k = begin; k < end; ++k) {
-        const index_t j = col_inv[static_cast<std::size_t>(col_idx[k])];
-        std::size_t pos = out + (k - begin);
-        for (; pos > out && b_col[pos - 1] > j; --pos) {
-          b_col[pos] = b_col[pos - 1];
-          b_val[pos] = b_val[pos - 1];
-        }
-        b_col[pos] = j;
-        b_val[pos] = values[k];
+  parallel_for_row_ranges(b_ptr, [&](std::size_t first, std::size_t last) {
+    std::vector<std::pair<index_t, value_t>> long_row;
+    for (std::size_t i = first; i < last; ++i) {
+      if (i + kPrefetchRows < m) {
+        const auto ahead = static_cast<std::size_t>(
+            row_ptr[static_cast<std::size_t>(row_perm[i + kPrefetchRows])]);
+        __builtin_prefetch(col_idx.data() + ahead);
+        __builtin_prefetch(values.data() + ahead);
       }
-      continue;
+      const auto src = static_cast<std::size_t>(row_perm[i]);
+      const auto begin = static_cast<std::size_t>(row_ptr[src]);
+      const auto end = static_cast<std::size_t>(row_ptr[src + 1]);
+      const auto out = static_cast<std::size_t>(b_ptr[i]);
+      if (col_inv == nullptr) {
+        std::copy(col_idx.data() + begin, col_idx.data() + end,
+                  b_col.data() + out);
+        std::copy(values.data() + begin, values.data() + end,
+                  b_val.data() + out);
+        continue;
+      }
+      const Permutation& inv = *col_inv;
+      if (end - begin <= kInsertionSortMaxRow) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const index_t j = inv[static_cast<std::size_t>(col_idx[k])];
+          std::size_t pos = out + (k - begin);
+          for (; pos > out && b_col[pos - 1] > j; --pos) {
+            b_col[pos] = b_col[pos - 1];
+            b_val[pos] = b_val[pos - 1];
+          }
+          b_col[pos] = j;
+          b_val[pos] = values[k];
+        }
+        continue;
+      }
+      long_row.clear();
+      for (std::size_t k = begin; k < end; ++k) {
+        long_row.emplace_back(inv[static_cast<std::size_t>(col_idx[k])],
+                              values[k]);
+      }
+      // Column indices in a row are distinct, so the sort is unambiguous.
+      std::sort(long_row.begin(), long_row.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (std::size_t k = 0; k < long_row.size(); ++k) {
+        b_col[out + k] = long_row[k].first;
+        b_val[out + k] = long_row[k].second;
+      }
     }
-    long_row.clear();
-    for (std::size_t k = begin; k < end; ++k) {
-      long_row.emplace_back(col_inv[static_cast<std::size_t>(col_idx[k])],
-                            values[k]);
-    }
-    // Column indices in a row are distinct, so the sort is unambiguous.
-    std::sort(long_row.begin(), long_row.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t k = 0; k < long_row.size(); ++k) {
-      b_col[out + k] = long_row[k].first;
-      b_val[out + k] = long_row[k].second;
-    }
-  }
+  });
   return CsrMatrix(a.num_rows(), a.num_cols(), std::move(b_ptr),
                    std::move(b_col), std::move(b_val));
 }
@@ -180,42 +213,23 @@ CsrMatrix permute_with_inverse(const CsrMatrix& a, const Permutation& row_perm,
 CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& perm) {
   require(a.is_square(), "permute_symmetric: matrix must be square");
   // Inverting validates `perm`, which is also the row permutation.
-  return permute_with_inverse(a, perm, invert_permutation(perm));
+  const Permutation inv = invert_permutation(perm);
+  return permute_with_inverse(a, perm, &inv);
 }
 
 CsrMatrix permute_rows(const CsrMatrix& a, const Permutation& perm) {
   require_valid_permutation(perm, "permute_rows");
   require(static_cast<index_t>(perm.size()) == a.num_rows(),
           "permute_rows: permutation length must equal row count");
-  const index_t m = a.num_rows();
-  std::vector<offset_t> b_ptr(static_cast<std::size_t>(m) + 1, 0);
-  for (index_t i = 0; i < m; ++i) {
-    b_ptr[static_cast<std::size_t>(i) + 1] =
-        b_ptr[static_cast<std::size_t>(i)] +
-        a.row_nonzeros(perm[static_cast<std::size_t>(i)]);
-  }
-  std::vector<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
-  for (index_t i = 0; i < m; ++i) {
-    const index_t src = perm[static_cast<std::size_t>(i)];
-    const auto cols = a.row_cols(src);
-    const auto vals = a.row_values(src);
-    std::copy(cols.begin(), cols.end(),
-              b_col.begin() + static_cast<std::ptrdiff_t>(
-                                  b_ptr[static_cast<std::size_t>(i)]));
-    std::copy(vals.begin(), vals.end(),
-              b_val.begin() + static_cast<std::ptrdiff_t>(
-                                  b_ptr[static_cast<std::size_t>(i)]));
-  }
-  return CsrMatrix(m, a.num_cols(), std::move(b_ptr), std::move(b_col),
-                   std::move(b_val));
+  return permute_with_inverse(a, perm, nullptr);
 }
 
 CsrMatrix permute(const CsrMatrix& a, const Permutation& row_perm,
                   const Permutation& col_perm) {
   require_valid_permutation(row_perm, "permute(row_perm)");
   // Inverting validates `col_perm`.
-  return permute_with_inverse(a, row_perm, invert_permutation(col_perm));
+  const Permutation col_inv = invert_permutation(col_perm);
+  return permute_with_inverse(a, row_perm, &col_inv);
 }
 
 index_t diagonal_nonzeros(const CsrMatrix& a) {

@@ -8,10 +8,12 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -378,6 +380,98 @@ TEST(ForkJoin, ExceptionsCrossTheJoin) {
 
   // Every helper gave its core back.
   const int cpus = obs::affinity_cpu_count();
+  const int idle = pipeline::acquire_idle_cores(cpus);
+  EXPECT_EQ(idle, cpus - 1);
+  pipeline::release_cores(idle);
+}
+
+TEST(ForkJoin, ParallelForCoversTheRangeInOrderedChunks) {
+  const int cpus = obs::affinity_cpu_count();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  std::vector<std::thread::id> threads;
+  const auto run = [&](std::size_t n, std::size_t min_work) {
+    chunks.clear();
+    threads.clear();
+    pipeline::parallel_for(n, min_work,
+                           [&](std::size_t begin, std::size_t end) {
+                             const std::lock_guard<std::mutex> lock(mutex);
+                             chunks.emplace_back(begin, end);
+                             threads.push_back(std::this_thread::get_id());
+                           });
+    std::sort(chunks.begin(), chunks.end());
+  };
+  // Under two grains: one inline call.
+  run(199, 100);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(std::size_t{0}, std::size_t{199}));
+  EXPECT_EQ(threads[0], caller);
+  run(0, 100);
+  EXPECT_TRUE(chunks.empty());
+
+  // With the budget exhausted: one inline call, whatever the size.
+  const int held = pipeline::acquire_idle_cores(cpus);
+  run(100000, 1);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(threads[0], caller);
+  pipeline::release_cores(held);
+
+  // With the cores free: contiguous chunks of at least the grain that tile
+  // the range, one per claimed core plus the caller's.
+  run(1000, 100);
+  EXPECT_EQ(chunks.size(), static_cast<std::size_t>(std::min(cpus, 10)));
+  std::size_t next = 0;
+  for (const auto& [begin, end] : chunks) {
+    EXPECT_EQ(begin, next);
+    EXPECT_GE(end - begin, 100u);
+    next = end;
+  }
+  EXPECT_EQ(next, 1000u);
+  EXPECT_EQ(std::count(threads.begin(), threads.end(), caller), 1);
+
+  // Every helper gave its core back.
+  const int idle = pipeline::acquire_idle_cores(cpus);
+  EXPECT_EQ(idle, cpus - 1);
+  pipeline::release_cores(idle);
+}
+
+TEST(ForkJoin, ParallelForRethrowsAHelperChunksError) {
+  const int cpus = obs::affinity_cpu_count();
+  const std::thread::id caller = std::this_thread::get_id();
+  // The last chunk runs on a helper whenever a core is free; its error
+  // reaches the caller after every chunk finished.
+  std::atomic<int> finished{0};
+  try {
+    pipeline::parallel_for(4000, 1000, [&](std::size_t, std::size_t end) {
+      if (end == 4000) {
+        if (cpus > 1) {
+          EXPECT_NE(std::this_thread::get_id(), caller);
+        }
+        throw std::runtime_error("last chunk");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+    ADD_FAILURE() << "parallel_for swallowed the error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "last chunk");
+  }
+  if (cpus > 1) {
+    EXPECT_GE(finished.load(std::memory_order_relaxed), 1);
+  }
+
+  // Several chunks throw: the first chunk's error wins, in chunk order.
+  const std::atomic<bool> cancelled{true};
+  try {
+    pipeline::parallel_for(4000, 1000, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) poll_cancelled(&cancelled, "first chunk");
+      throw std::runtime_error("later chunk");
+    });
+    ADD_FAILURE() << "parallel_for swallowed the errors";
+  } catch (const operation_cancelled_error&) {
+  }
+
   const int idle = pipeline::acquire_idle_cores(cpus);
   EXPECT_EQ(idle, cpus - 1);
   pipeline::release_cores(idle);

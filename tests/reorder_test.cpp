@@ -7,6 +7,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "corpus/corpus.hpp"
 #include "corpus/generators.hpp"
@@ -124,6 +125,136 @@ TEST(OrderingBytes, SameWithAndWithoutIdleCores) {
       EXPECT_GT(obs::counter("partition.forks").value(), forks_before);
     }
 #endif
+  }
+}
+
+// The apply path runs its row loops on idle cores (pipeline::parallel_for):
+// each output row's slot is known before it is written, so permuting,
+// building a graph and computing Gray must give the same arrays with the
+// budget exhausted (every loop inline) and free. The inputs are over the
+// parallel grains: a shuffled 600x600 9-point mesh, and an R-MAT graph
+// whose hub rows take the long-row sort.
+TEST(OrderingBytes, ApplySameWithAndWithoutIdleCores) {
+  const CsrMatrix mesh = gen_mesh2d(600, 600, 9);
+  const CsrMatrix rmat = gen_rmat(16, 8, 0.57, 0.19, 0.19, 3);
+  index_t longest = 0;
+  for (index_t i = 0; i < rmat.num_rows(); ++i) {
+    longest = std::max(longest, static_cast<index_t>(rmat.row_nonzeros(i)));
+  }
+  ASSERT_GT(longest, 32);  // over the in-place insertion-sort cutoff
+  for (const CsrMatrix& base :
+       {permute_symmetric(mesh, random_permutation(mesh.num_rows(), 5)),
+        rmat}) {
+    const index_t n = base.num_rows();
+    const Permutation p = random_permutation(n, 11);
+    const Permutation q = random_permutation(n, 12);
+    // Both inputs are symmetric; with their columns permuted apart from
+    // their rows, neither is.
+    const CsrMatrix unsymmetric = permute(base, p, q);
+    ASSERT_TRUE(is_pattern_symmetric(base));
+    ASSERT_FALSE(is_pattern_symmetric(unsymmetric));
+    const auto apply = [&] {
+      const Ordering gray =
+          compute_ordering(base, OrderingKind::kGray, ReorderOptions{});
+      const Graph symmetric_graph = Graph::from_matrix(base);
+      const Graph unsymmetric_graph = Graph::from_matrix(unsymmetric);
+      return std::tuple(
+          permute_symmetric(base, p), permute(base, p, q),
+          permute_rows(base, p), gray.row_perm, apply_ordering(base, gray),
+          apply_ordering(base, Ordering{p, p, true}),
+          std::vector<offset_t>(symmetric_graph.adj_ptr().begin(),
+                                symmetric_graph.adj_ptr().end()),
+          std::vector<index_t>(symmetric_graph.adj().begin(),
+                               symmetric_graph.adj().end()),
+          std::vector<offset_t>(unsymmetric_graph.adj_ptr().begin(),
+                                unsymmetric_graph.adj_ptr().end()),
+          std::vector<index_t>(unsymmetric_graph.adj().begin(),
+                               unsymmetric_graph.adj().end()));
+    };
+    const int held = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+    const std::int64_t helpers_before =
+        obs::counter("parallel.helpers").value();
+    const auto serial = apply();
+    EXPECT_EQ(obs::counter("parallel.helpers").value(), helpers_before);
+    pipeline::release_cores(held);
+
+    const auto parallel = apply();
+    EXPECT_TRUE(parallel == serial);
+#if defined(ORDO_OBS_ENABLED)
+    if (held > 0) {
+      EXPECT_GT(obs::counter("parallel.helpers").value(), helpers_before);
+    }
+#endif
+  }
+}
+
+// Gray as it was computed before its keys moved to counting sorts: two
+// stable comparison sorts over (row, nonzeros, rank) records.
+Permutation stable_sort_gray(const CsrMatrix& a,
+                             const ReorderOptions& options) {
+  struct RowKey {
+    index_t row;
+    offset_t nnz;
+    std::uint32_t rank;
+  };
+  const int bits = options.gray_bits;
+  const double section_width =
+      a.num_cols() > 0
+          ? static_cast<double>(a.num_cols()) / static_cast<double>(bits)
+          : 1.0;
+  std::vector<RowKey> dense, sparse;
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    const offset_t nnz = a.row_nonzeros(i);
+    if (nnz > options.gray_dense_threshold) {
+      dense.push_back(RowKey{i, nnz, 0});
+      continue;
+    }
+    std::uint32_t bitmap = 0;
+    for (index_t j : a.row_cols(i)) {
+      bitmap |= 1u << std::min<int>(bits - 1,
+                                    static_cast<int>(static_cast<double>(j) /
+                                                     section_width));
+    }
+    std::uint32_t rank = bitmap;
+    for (std::uint32_t shift = 1; shift < 32; shift <<= 1) {
+      rank ^= rank >> shift;
+    }
+    sparse.push_back(RowKey{i, nnz, rank});
+  }
+  std::stable_sort(dense.begin(), dense.end(),
+                   [](const RowKey& x, const RowKey& y) {
+                     return x.nnz > y.nnz;
+                   });
+  std::stable_sort(sparse.begin(), sparse.end(),
+                   [](const RowKey& x, const RowKey& y) {
+                     return x.rank != y.rank ? x.rank < y.rank
+                                             : x.nnz > y.nnz;
+                   });
+  Permutation perm;
+  for (const RowKey& key : dense) perm.push_back(key.row);
+  for (const RowKey& key : sparse) perm.push_back(key.row);
+  return perm;
+}
+
+TEST(Gray, MatchesStableSortReference) {
+  // One pass of 2^bits buckets up to 16 bits, two 16-bit digits above;
+  // thresholds that leave both blocks populated, and all rows dense or
+  // all sparse.
+  const CsrMatrix rmat = gen_rmat(12, 8, 0.57, 0.19, 0.19, 7);
+  const CsrMatrix random = random_square(3000, 12.0, 5);
+  const CsrMatrix empty_rows(5, 9, {0, 0, 2, 2, 3, 3}, {1, 8, 4},
+                             {1.0, 1.0, 1.0});
+  for (const CsrMatrix* a : {&rmat, &random, &empty_rows}) {
+    for (int bits : {1, 5, 16, 17, 24, 31}) {
+      for (index_t threshold : {0, 3, 12, 20, 1 << 20}) {
+        ReorderOptions options;
+        options.gray_bits = bits;
+        options.gray_dense_threshold = threshold;
+        EXPECT_EQ(gray_row_ordering(*a, options), stable_sort_gray(*a, options))
+            << a->num_rows() << " rows, " << bits << " bits, threshold "
+            << threshold;
+      }
+    }
   }
 }
 

@@ -18,8 +18,9 @@ namespace {
 
 using testing::random_square;
 
-// The transpose-based definition is_pattern_symmetric had before the cursor
-// walk (DESIGN §18): square, and A's pattern equals Aᵀ's.
+// The transpose-based definition of a symmetric pattern, which
+// is_pattern_symmetric had before its cursor walk (DESIGN §18): square, and
+// A's pattern equals Aᵀ's.
 bool transpose_pattern_symmetric(const CsrMatrix& a) {
   if (!a.is_square()) return false;
   const CsrMatrix at = transpose(a);
@@ -181,6 +182,34 @@ TEST(IsPatternSymmetric, MatchesTransposeDefinition) {
   }
   cases.emplace_back("grid", grid);
   cases.emplace_back("mesh", gen_mesh2d(9, 7, 9));
+  // Over the parallel grain, so column ranges run on idle cores: a
+  // one-sided corner entry lies in the first rows and the last columns, or
+  // the last rows and the first columns.
+  const CsrMatrix big = gen_mesh2d(300, 300, 9);
+  const index_t n = big.num_rows();
+  for (const auto& [i, j] :
+       {std::pair<index_t, index_t>{0, n - 1}, {n - 1, 0}}) {
+    CooMatrix coo(n, n);
+    for (index_t r = 0; r < n; ++r) {
+      for (index_t c : big.row_cols(r)) coo.add(r, c, 1.0);
+    }
+    coo.add(i, j, 1.0);
+    cases.emplace_back("big mesh plus (" + std::to_string(i) + ", " +
+                           std::to_string(j) + ")",
+                       CsrMatrix::from_coo(coo));
+  }
+  cases.emplace_back("big mesh", big);
+  // The last row empty, its column holding one entry: the last column
+  // range must reach past the last nonzero's row.
+  {
+    CooMatrix coo(n + 1, n + 1);
+    for (index_t r = 0; r < n; ++r) {
+      for (index_t c : big.row_cols(r)) coo.add(r, c, 1.0);
+    }
+    coo.add(5, n, 1.0);
+    cases.emplace_back("big mesh plus an empty last row",
+                       CsrMatrix::from_coo(coo));
+  }
   for (const auto& [name, a] : cases) {
     EXPECT_EQ(is_pattern_symmetric(a), transpose_pattern_symmetric(a))
         << name;

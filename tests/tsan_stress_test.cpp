@@ -5,6 +5,7 @@
 // TaskPool (steal-heavy loads, cross-thread submission, repeated drain
 // cycles), DeadlineWatchdog arm/disarm churn with cancellations landing
 // mid-task, partitioner subtrees forked onto idle cores from pool workers,
+// row loops of applying orderings split onto idle cores from pool workers,
 // JournalWriter appends from many workers, the obs metrics registry, and
 // trace-span recording overlapped with snapshot collection.
 // They run (and must pass) in ordinary builds too — they are plain
@@ -24,6 +25,7 @@
 
 #include "corpus/corpus.hpp"
 #include "corpus/generators.hpp"
+#include "graph/graph.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/cancel.hpp"
@@ -32,6 +34,7 @@
 #include "pipeline/task_pool.hpp"
 #include "reorder/reordering.hpp"
 #include "select/select.hpp"
+#include "sparse/csr_ops.hpp"
 
 namespace ordo {
 namespace {
@@ -197,6 +200,72 @@ TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {
 #if defined(ORDO_OBS_ENABLED)
   if (obs::affinity_cpu_count() > kForkWorkers + 1) {
     EXPECT_GT(obs::counter("partition.forks").value(), forks_before);
+  }
+#endif
+  // Every helper gave its core back.
+  const int idle = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+  EXPECT_EQ(idle, obs::affinity_cpu_count() - 1);
+  pipeline::release_cores(idle);
+}
+
+TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
+  // Two workers leave the other cores idle, so the row loops of applying
+  // an ordering (the offsets scan, the row gather, Gray's keys and the
+  // graph build) run chunks on helpers from both workers at once, while
+  // quick tasks finish around them and free cores mid-loop. The mesh is
+  // over both parallel grains; every result must match the serial one.
+  constexpr int kApplyWorkers = 2;
+  const CsrMatrix mesh = gen_mesh2d(370, 370, 9);
+  const CsrMatrix small = gen_mesh2d(12, 12, 9);
+  const Permutation perm = random_permutation(mesh.num_rows(), 4);
+  const auto apply = [&perm](const CsrMatrix& a, int which) {
+    switch (which) {
+      case 0:
+        return permute_symmetric(a, perm);
+      case 1:
+        return apply_ordering(
+            a, compute_ordering(a, OrderingKind::kGray, ReorderOptions{}));
+      default: {
+        const Graph g = Graph::from_matrix(a);
+        return CsrMatrix(
+            g.num_vertices(), g.num_vertices(),
+            std::vector<offset_t>(g.adj_ptr().begin(), g.adj_ptr().end()),
+            std::vector<index_t>(g.adj().begin(), g.adj().end()),
+            std::vector<value_t>(g.adj().size(), 1.0));
+      }
+    }
+  };
+  std::vector<CsrMatrix> serial;
+  {
+    const int held =
+        pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+    for (int which = 0; which < 3; ++which) {
+      serial.push_back(apply(mesh, which));
+    }
+    pipeline::release_cores(held);
+  }
+
+  [[maybe_unused]] const std::int64_t helpers_before =
+      obs::counter("parallel.helpers").value();
+  std::atomic<int> mismatches{0};
+  {
+    pipeline::TaskPool pool(kApplyWorkers);
+    for (int i = 0; i < 18; ++i) {
+      pool.submit([&, i] {
+        if (i % 3 == 1) {
+          (void)apply(small, i % 3);
+        } else if (!(apply(mesh, i % 3) ==
+                     serial[static_cast<std::size_t>(i % 3)])) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+#if defined(ORDO_OBS_ENABLED)
+  if (obs::affinity_cpu_count() > kApplyWorkers + 1) {
+    EXPECT_GT(obs::counter("parallel.helpers").value(), helpers_before);
   }
 #endif
   // Every helper gave its core back.
