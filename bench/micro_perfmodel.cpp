@@ -1,13 +1,19 @@
 // google-benchmark microbenchmarks for the performance-model machinery: the
-// LRU stack-distance engine (the sweep's dominant cost) and a full
-// eight-machine model evaluation.
+// LRU stack-distance engine and a full eight-machine model evaluation, as
+// the study prices one matrix.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "bench_report_main.hpp"
 #include "corpus/generators.hpp"
 #include "perfmodel/spmv_model.hpp"
+#include "sparse/csr_ops.hpp"
+#include "sparse/permutation.hpp"
 
 namespace {
 
@@ -42,20 +48,49 @@ void BM_StackDistanceMatrixStream(benchmark::State& state) {
 }
 BENCHMARK(BM_StackDistanceMatrixStream);
 
-void BM_FullModelEvaluation(benchmark::State& state) {
-  const CsrMatrix a = gen_mesh3d(24, 24, 24, 7);
+// One matrix's model phase as the study runs it: the reuse profile, then one
+// pass per (kernel, core count) that prices every Table 2 machine with that
+// core count. Plans are prepared once, outside the timed loop.
+void run_full_model_evaluation(benchmark::State& state, const CsrMatrix& a) {
+  std::map<int, std::vector<const Architecture*>> groups;
+  for (const Architecture& arch : table2_architectures()) {
+    groups[arch.cores].push_back(&arch);
+  }
+  std::vector<std::pair<std::shared_ptr<const engine::Plan>,
+                        const std::vector<const Architecture*>*>>
+      passes;
+  for (const SpmvKernel& kernel : {SpmvKernel::k1D, SpmvKernel::k2D}) {
+    for (const auto& [cores, group] : groups) {
+      passes.emplace_back(engine::prepare_plan(a, kernel, cores), &group);
+    }
+  }
   for (auto _ : state) {
     const SpmvModel model(a);
     double total = 0.0;
-    for (const Architecture& arch : table2_architectures()) {
-      total += model.estimate(SpmvKernel::k1D, arch).seconds;
-      total += model.estimate(SpmvKernel::k2D, arch).seconds;
+    for (const auto& [plan, group] : passes) {
+      for (const SpmvEstimate& estimate : model.estimate(*plan, *group)) {
+        total += estimate.seconds;
+      }
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * a.num_nonzeros());
 }
+
+void BM_FullModelEvaluation(benchmark::State& state) {
+  run_full_model_evaluation(state, gen_mesh3d(24, 24, 24, 7));
+}
 BENCHMARK(BM_FullModelEvaluation);
+
+// A 9-point mesh of 1.1M nonzeros under a random symmetric permutation: the
+// long reuse distances of an unordered matrix, at a size where the profile
+// no longer fits in cache.
+void BM_FullModelEvaluationShuffledMesh(benchmark::State& state) {
+  const CsrMatrix mesh = gen_mesh2d(350, 350, 9);
+  run_full_model_evaluation(
+      state, permute_symmetric(mesh, random_permutation(mesh.num_rows(), 7)));
+}
+BENCHMARK(BM_FullModelEvaluationShuffledMesh)->Unit(benchmark::kMillisecond);
 
 void BM_CountMissesSegmented(benchmark::State& state) {
   const CsrMatrix a = gen_rmat(12, 8, 0.57, 0.19, 0.19, 3);

@@ -283,14 +283,32 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
     }
   }
 
+  // Machines with the same core count run the same plans and differ only in
+  // their cache capacities, so one pass per (kernel, core count, ordering)
+  // prices the whole group. It runs inside the model span of the group's
+  // first machine; the others read its estimates.
+  std::map<int, std::vector<const Architecture*>> machines_by_cores;
+  for (const Architecture& arch : machines) {
+    machines_by_cores[arch.cores].push_back(&arch);
+  }
+  // (kernel, cores) -> per ordering slot, one estimate per group member.
+  std::map<std::pair<SpmvKernel, int>, std::vector<std::vector<SpmvEstimate>>>
+      group_estimates;
+
   MatrixStudyRows rows;
   obs::status::set_phase("model");
   phase_start_us = obs::trace_now_us();
   for (const Architecture& arch : machines) {
     poll_cancelled(cancel, "run_matrix_study");
+    const std::vector<const Architecture*>& group =
+        machines_by_cores.at(arch.cores);
+    const std::size_t member = static_cast<std::size_t>(
+        std::find(group.begin(), group.end(), &arch) - group.begin());
     for (const SpmvKernel& kernel : kernels) {
       obs::Span eval_span("model/" + arch.name + "/" +
                           spmv_kernel_name(kernel));
+      const auto [priced, first_member] =
+          group_estimates.try_emplace({kernel, arch.cores});
       MeasurementRow row;
       row.group = entry.group;
       row.name = entry.name;
@@ -306,12 +324,15 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
         const SpmvModel& model = kind == OrderingKind::kGp
                                      ? gp_models.at(arch.cores)
                                      : models.at(kind);
-        // The plan (shared through the engine's cache with the model's own
-        // lookup below and with every same-core-count machine) supplies the
-        // per-thread work columns; the model prices it.
+        // The plan (shared through the engine's cache with every
+        // same-core-count machine) supplies the per-thread work columns;
+        // the model prices it.
         const auto plan = engine::prepare_plan(matrix, kernel, arch.cores);
+        if (first_member) {
+          priced->second.push_back(model.estimate(*plan, group));
+        }
         OrderingMeasurement m =
-            to_measurement(model.estimate(kernel, arch),
+            to_measurement(priced->second[k][member],
                            engine::thread_work(plan->partition));
         const auto& bp = kind == OrderingKind::kGp
                              ? gp_band_profile.at(arch.cores)

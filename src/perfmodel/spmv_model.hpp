@@ -25,6 +25,9 @@
 // construction — the one the execution layer runs.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "engine/engine.hpp"
 #include "perfmodel/arch.hpp"
 #include "perfmodel/stack_distance.hpp"
@@ -57,7 +60,10 @@ struct SpmvEstimate {
 };
 
 /// Reusable per-matrix model state: the x-access reuse profile is computed
-/// once and shared across all (kernel, architecture) evaluations. The
+/// once and shared across all (kernel, architecture) evaluations. One plan
+/// is priced for a whole group of machines in a single walk over each
+/// thread's nonzeros: only the cache capacities differ between machines, so
+/// the miss counts for all of them come from one pass (DESIGN.md §22). The
 /// matrix must outlive the model.
 class SpmvModel {
  public:
@@ -71,10 +77,18 @@ class SpmvModel {
                         const Architecture& arch) const;
 
   /// Simulates one SpMV iteration against an already-prepared plan (must
-  /// have been prepared for the same matrix). This is the core evaluation;
-  /// the kernel-id overload is a cache lookup plus this.
+  /// have been prepared for the same matrix): the group overload for one
+  /// machine.
   SpmvEstimate estimate(const engine::Plan& plan,
                         const Architecture& arch) const;
+
+  /// Simulates one SpMV iteration of the plan on every machine in
+  /// `machines`, whatever their core counts (the plan fixes the threads);
+  /// estimates[i] belongs to machines[i] and equals, bit for bit, what a
+  /// group of that machine alone gives. This is the core evaluation.
+  std::vector<SpmvEstimate> estimate(
+      const engine::Plan& plan,
+      std::span<const Architecture* const> machines) const;
 
  private:
   const CsrMatrix& a_;

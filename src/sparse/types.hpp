@@ -33,6 +33,12 @@ inline void require(bool cond, const std::string& message) {
   if (!cond) throw invalid_argument_error(message);
 }
 
+/// The same for a literal message: no std::string is built unless the check
+/// fails, so per-element checks cost only the test.
+inline void require(bool cond, const char* message) {
+  if (!cond) throw invalid_argument_error(message);
+}
+
 /// Exception thrown when a long-running computation observes its cooperative
 /// cancellation flag set (the pipeline scheduler's soft task deadlines; see
 /// src/pipeline/cancel.hpp for who sets the flag).

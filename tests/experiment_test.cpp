@@ -2,6 +2,7 @@
 // tiny corpus, result-file round-trips, and the cache layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/experiment.hpp"
@@ -36,6 +37,29 @@ TEST(FullStudy, ProducesRowsForEveryMachineAndKernel) {
   }
 }
 
+TEST(FullStudy, RowsMatchTheModelOfEachMachine) {
+  // The study prices each core-count group in one pass; every machine's
+  // row must still read what the model gives that machine alone.
+  const auto corpus = generate_corpus(tiny_corpus());
+  const CorpusEntry& entry = corpus.front();
+  StudyOptions options;
+  const MatrixStudyRows rows = run_matrix_study(entry, options);
+  const std::vector<OrderingKind> kinds = study_orderings();
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    if (kinds[k] == OrderingKind::kGp) continue;  // one ordering per count
+    const Ordering ordering =
+        compute_ordering(entry.matrix, kinds[k], options.reorder);
+    const CsrMatrix reordered = apply_ordering(entry.matrix, ordering);
+    const SpmvModel model(reordered, options.model);
+    for (const auto& [key, row] : rows) {
+      const Architecture& arch = architecture_by_name(key.first);
+      EXPECT_EQ(row.orderings[k].seconds,
+                model.estimate(key.second, arch).seconds)
+          << key.first << " " << ordering_name(kinds[k]);
+    }
+  }
+}
+
 TEST(FullStudy, TwoDImbalanceIsAlwaysOne) {
   const auto corpus = generate_corpus(tiny_corpus());
   StudyOptions options;
@@ -58,14 +82,37 @@ TEST(FullStudy, TwoDImbalanceIsAlwaysOne) {
 #if defined(ORDO_OBS_ENABLED)
 TEST(FullStudy, PopulatesObservabilityMetrics) {
   obs::reset_metrics();
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
   const auto corpus = generate_corpus(tiny_corpus());
   StudyOptions options;
   const StudyResults results = run_full_study(corpus, options);
+  obs::set_tracing_enabled(false);
   ASSERT_EQ(results.size(), 16u);
 
-  // One model evaluation per (matrix, machine, kernel, ordering).
+  // Exactly one "model/<machine>/<kernel>" span per study row, and no other
+  // "model/" span but the reuse profiles: benchmarks count model
+  // evaluations by these spans.
+  std::int64_t row_spans = 0;
+  for (const obs::SpanEvent& event : obs::collect_trace()) {
+    if (event.name.rfind("model/", 0) != 0 ||
+        event.name == "model/reuse_profile") {
+      continue;
+    }
+    ++row_spans;
+    EXPECT_EQ(std::count(event.name.begin(), event.name.end(), '/'), 2)
+        << event.name;
+  }
+  obs::clear_trace();
+  EXPECT_EQ(row_spans, static_cast<std::int64_t>(corpus.size()) * 8 * 2);
+
+  // One model evaluation per (matrix, machine, kernel, ordering), from one
+  // pass per (matrix, kernel, ordering, distinct core count): the eight
+  // machines have six core counts.
   EXPECT_EQ(obs::counter("model.evaluations").value(),
             static_cast<std::int64_t>(corpus.size()) * 8 * 2 * 7);
+  EXPECT_EQ(obs::counter("model.plan_passes").value(),
+            static_cast<std::int64_t>(corpus.size()) * 2 * 7 * 6);
   EXPECT_EQ(obs::counter("study.matrices").value(),
             static_cast<std::int64_t>(corpus.size()));
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "cholesky/cholesky.hpp"
 #include "features/features.hpp"
@@ -103,6 +107,92 @@ TEST_P(SeededProperty, StackDistanceMissesMonotoneInCapacity) {
   EXPECT_EQ(count_misses(profile, 0, static_cast<offset_t>(stream.size()),
                          10000),
             distinct);
+}
+
+// The reuse profile the slow way: for each access, walk back to the
+// previous access of its line and count the distinct lines in between.
+ReuseProfile plain_reuse_profile(const std::vector<index_t>& lines) {
+  ReuseProfile profile;
+  for (std::size_t t = 0; t < lines.size(); ++t) {
+    std::set<index_t> between;
+    std::int32_t prev = -1;
+    for (std::size_t s = t; s-- > 0;) {
+      if (lines[s] == lines[t]) {
+        prev = static_cast<std::int32_t>(s);
+        break;
+      }
+      between.insert(lines[s]);
+    }
+    profile.previous_access.push_back(prev);
+    profile.stack_distance.push_back(
+        prev < 0 ? ReuseProfile::kCold : static_cast<index_t>(between.size()));
+  }
+  return profile;
+}
+
+// analyze_reuse equals the plain reference access for access, and every
+// segment's miss count equals an LRU simulation of that segment alone.
+void expect_reuse_matches_references(const std::vector<index_t>& lines,
+                                     index_t num_lines) {
+  const ReuseProfile profile = analyze_reuse(lines, num_lines);
+  const ReuseProfile plain = plain_reuse_profile(lines);
+  EXPECT_EQ(profile.stack_distance, plain.stack_distance);
+  EXPECT_EQ(profile.previous_access, plain.previous_access);
+  const offset_t n = static_cast<offset_t>(lines.size());
+  const std::vector<index_t> capacities{1, 2, 3, 8, 64, 100000};
+  for (const auto& [begin, end] :
+       std::vector<std::pair<offset_t, offset_t>>{
+           {0, n}, {0, n / 2}, {n / 3, n}, {n / 4, n / 4 + 1}, {n, n}}) {
+    if (end > n) continue;
+    std::vector<std::int64_t> misses(capacities.size());
+    count_misses(profile, begin, end, capacities, misses);
+    const std::span<const index_t> segment(lines.data() + begin,
+                                           lines.data() + end);
+    for (std::size_t c = 0; c < capacities.size(); ++c) {
+      EXPECT_EQ(misses[c], simulate_lru_misses(segment, capacities[c]))
+          << "segment [" << begin << ", " << end << ") capacity "
+          << capacities[c];
+      EXPECT_EQ(misses[c],
+                count_misses(profile, begin, end, capacities[c]));
+    }
+  }
+}
+
+TEST(ReuseProfile, MatchesReferencesOnEdgeStreams) {
+  // A repeat at t = 0 has no access before it: the first access is cold.
+  expect_reuse_matches_references({5, 5, 5, 2, 5, 5, 2, 2}, 6);
+  // Immediate repeats in runs of every length up to 5.
+  std::vector<index_t> runs;
+  for (index_t i = 0; i < 400; ++i) {
+    runs.insert(runs.end(), static_cast<std::size_t>(i % 5 + 1), i * 7 % 13);
+  }
+  expect_reuse_matches_references(runs, 13);
+  // All distinct lines: every access cold.
+  std::vector<index_t> distinct(700);
+  for (index_t i = 0; i < 700; ++i) distinct[static_cast<std::size_t>(i)] = i;
+  expect_reuse_matches_references(distinct, 700);
+  // One line only: a single run.
+  expect_reuse_matches_references(std::vector<index_t>(300, 0), 1);
+  // One access, and none.
+  expect_reuse_matches_references({0}, 1);
+  expect_reuse_matches_references({}, 1);
+}
+
+TEST_P(SeededProperty, ReuseProfileMatchesReferences) {
+  const std::uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed);
+  // Few lines keep the live slots few, so the long stream repacks them many
+  // times; the wide universe never does.
+  for (const index_t num_lines : {2, 5, 40, 3000}) {
+    std::uniform_int_distribution<index_t> dist(0, num_lines - 1);
+    std::uniform_int_distribution<int> run(1, 4);
+    std::vector<index_t> stream;
+    while (stream.size() < 2500) {
+      stream.insert(stream.end(), static_cast<std::size_t>(run(rng)),
+                    dist(rng));
+    }
+    expect_reuse_matches_references(stream, num_lines);
+  }
 }
 
 TEST_P(SeededProperty, FeaturesInvariantUnderIdentityOrdering) {

@@ -68,6 +68,26 @@ CsrMatrix coo_permute(const CsrMatrix& a, const Permutation& row_perm,
   return CsrMatrix::from_coo(coo);
 }
 
+TEST(Require, LiteralMessageThrowsLikeTheStringOverload) {
+  EXPECT_NO_THROW(require(true, "never thrown"));
+  const char* literal =
+      "require: a message longer than the small-string buffer";
+  std::string from_literal;
+  std::string from_string;
+  try {
+    require(false, literal);
+  } catch (const invalid_argument_error& e) {
+    from_literal = e.what();
+  }
+  try {
+    require(false, std::string(literal));
+  } catch (const invalid_argument_error& e) {
+    from_string = e.what();
+  }
+  EXPECT_EQ(from_literal, literal);
+  EXPECT_EQ(from_string, from_literal);
+}
+
 TEST(Coo, RejectsOutOfRangeIndices) {
   CooMatrix coo(3, 3);
   EXPECT_THROW(coo.add(3, 0, 1.0), invalid_argument_error);
