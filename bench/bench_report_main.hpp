@@ -21,21 +21,29 @@ namespace ordo::bench {
 
 /// ConsoleReporter that also records every per-iteration run (aggregates
 /// like mean/median rows are skipped — the report computes its own median
-/// over the recorded reps) into obs::bench_report().
+/// over the recorded reps) into obs::bench_report(). The repetitions of one
+/// benchmark (--benchmark_repetitions) arrive in one call and become one
+/// case with a rep each, carrying the counters of the last.
 class ReportingConsoleReporter : public ::benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
+    std::vector<obs::BenchCase> cases;
     for (const Run& run : runs) {
       if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      obs::BenchCase bench_case;
-      bench_case.name = run.benchmark_name();
+      if (cases.empty() || cases.back().name != run.benchmark_name()) {
+        cases.emplace_back().name = run.benchmark_name();
+      }
+      obs::BenchCase& bench_case = cases.back();
       const double iterations =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       bench_case.rep_seconds.push_back(run.real_accumulated_time / iterations);
+      bench_case.counters.clear();
       for (const auto& [name, counter] : run.counters) {
         bench_case.counters.emplace_back(name,
                                          static_cast<double>(counter));
       }
+    }
+    for (obs::BenchCase& bench_case : cases) {
       obs::bench_report().add_case(std::move(bench_case));
     }
     ConsoleReporter::ReportRuns(runs);

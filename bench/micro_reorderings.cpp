@@ -5,8 +5,12 @@
 // refinement against re-popping every balance-blocked vertex after each move.
 // BM_ApplyOrdering times applying RCM and Gray to a shuffled mesh of 2M
 // nonzeros, whose row loops run on idle cores (DESIGN §21).
+// BM_RcmWindowedMesh times RCM on a mesh of the same size shuffled within
+// windows, as ordo_bench's spmv_dram input is: its George–Liu sweeps stream
+// per-vertex arrays larger than the L2 (DESIGN §23).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "bench_report_main.hpp"
@@ -98,6 +102,28 @@ const CsrMatrix& shuffled_big_mesh() {
   return a;
 }
 
+// The same mesh shuffled within windows of 2^16 rows, the relabelling of
+// ordo_bench's spmv_dram input.
+const CsrMatrix& windowed_big_mesh() {
+  static const CsrMatrix a = [] {
+    const CsrMatrix mesh = gen_mesh2d(480, 480, 9);
+    const index_t n = mesh.num_rows();
+    constexpr index_t kWindow = 1 << 16;
+    Permutation perm = identity_permutation(n);
+    std::mt19937_64 rng(3);
+    for (index_t begin = 0; begin < n; begin += kWindow) {
+      std::shuffle(perm.begin() + begin,
+                   perm.begin() + std::min(begin + kWindow, n), rng);
+    }
+    return permute_symmetric(mesh, perm);
+  }();
+  return a;
+}
+
+void BM_RcmWindowedMesh(benchmark::State& s) {
+  bench_ordering(s, windowed_big_mesh(), OrderingKind::kRcm);
+}
+
 void BM_ApplyOrdering(benchmark::State& state, OrderingKind kind) {
   const CsrMatrix& a = shuffled_big_mesh();
   const Ordering ordering = compute_ordering(a, kind, ReorderOptions{});
@@ -119,6 +145,7 @@ BENCHMARK(BM_GpPowerLaw);
 BENCHMARK(BM_GrayPowerLaw);
 BENCHMARK(BM_RcmManyComponents);
 BENCHMARK(BM_GpRmatHubs)->Arg(1)->Arg(3);
+BENCHMARK(BM_RcmWindowedMesh);
 BENCHMARK_CAPTURE(BM_ApplyOrdering, RCM, OrderingKind::kRcm);
 BENCHMARK_CAPTURE(BM_ApplyOrdering, Gray, OrderingKind::kGray);
 

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "sparse/csr_ops.hpp"
+#include "sparse/parallel_rows.hpp"
 
 namespace ordo {
 namespace {
@@ -18,39 +19,49 @@ value_t diag_for_degree(double degree) { return degree + 4.0; }
 
 CsrMatrix gen_mesh2d(index_t nx, index_t ny, int stencil) {
   require(stencil == 5 || stencil == 9, "gen_mesh2d: stencil must be 5 or 9");
-  const index_t n = nx * ny;
-  // Rows are emitted directly, in column order: the neighbours in the
+  const std::size_t n =
+      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  // Rows are written directly, in column order: the neighbours in the
   // previous grid row, the point's own grid row, then the next grid row,
   // each left to right. The diagonal holds stencil - 1, axis neighbours -1
-  // and (9-point only) diagonal neighbours -0.5.
-  std::vector<offset_t> row_ptr;
-  std::vector<index_t> col_idx;
-  std::vector<value_t> values;
-  row_ptr.reserve(static_cast<std::size_t>(n) + 1);
-  const std::size_t max_nnz =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(stencil);
-  col_idx.reserve(max_nnz);
-  values.reserve(max_nnz);
-  row_ptr.push_back(0);
-  for (index_t y = 0; y < ny; ++y) {
-    for (index_t x = 0; x < nx; ++x) {
+  // and (9-point only) diagonal neighbours -0.5. A row's length follows
+  // from its point's position, so the offsets are a scan and the rows are
+  // filled on idle cores, each into its own slots (DESIGN §23).
+  const auto extent = [](index_t c, index_t size) -> offset_t {
+    return 1 + (c > 0 ? 1 : 0) + (c + 1 < size ? 1 : 0);
+  };
+  CsrArray<offset_t> row_ptr = parallel_row_offsets(n, [&](std::size_t i) {
+    const offset_t wx = extent(static_cast<index_t>(i % nx), nx);
+    const offset_t wy = extent(static_cast<index_t>(i / nx), ny);
+    return stencil == 9 ? wx * wy : wx + wy - 1;
+  });
+  CsrArray<index_t> col_idx(static_cast<std::size_t>(row_ptr.back()));
+  CsrArray<value_t> values(col_idx.size());
+  parallel_for_row_ranges(row_ptr, [&](std::size_t first, std::size_t last) {
+    const auto lo = static_cast<std::size_t>(row_ptr[first]);
+    const auto hi = static_cast<std::size_t>(row_ptr[last]);
+    touch_pages_in_order(col_idx, lo, hi);
+    touch_pages_in_order(values, lo, hi);
+    for (std::size_t i = first; i < last; ++i) {
+      const auto x = static_cast<index_t>(i % nx);
+      const auto y = static_cast<index_t>(i / nx);
+      auto out = static_cast<std::size_t>(row_ptr[i]);
       for (index_t dy = -1; dy <= 1; ++dy) {
         if (y + dy < 0 || y + dy >= ny) continue;
         for (index_t dx = -1; dx <= 1; ++dx) {
           if (x + dx < 0 || x + dx >= nx) continue;
           const bool corner = dx != 0 && dy != 0;
           if (corner && stencil == 5) continue;
-          col_idx.push_back((y + dy) * nx + x + dx);
-          values.push_back(dx == 0 && dy == 0
-                               ? static_cast<value_t>(stencil - 1)
-                               : (corner ? -0.5 : -1.0));
+          col_idx[out] = (y + dy) * nx + x + dx;
+          values[out] = dx == 0 && dy == 0 ? static_cast<value_t>(stencil - 1)
+                                           : (corner ? -0.5 : -1.0);
+          ++out;
         }
       }
-      row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
     }
-  }
-  return CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  });
+  return CsrMatrix(static_cast<index_t>(n), static_cast<index_t>(n),
+                   std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
 CsrMatrix gen_mesh3d(index_t nx, index_t ny, index_t nz, int stencil) {
@@ -539,14 +550,14 @@ CsrMatrix gen_mycielskian(int k) {
 }
 
 CsrMatrix gen_dense_tall_skinny(index_t rows, index_t cols) {
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(rows) + 1);
+  CsrArray<offset_t> row_ptr(static_cast<std::size_t>(rows) + 1);
   for (index_t i = 0; i <= rows; ++i) {
     row_ptr[static_cast<std::size_t>(i)] =
         static_cast<offset_t>(i) * cols;
   }
-  std::vector<index_t> col_idx(static_cast<std::size_t>(rows) *
-                               static_cast<std::size_t>(cols));
-  std::vector<value_t> values(col_idx.size(), 1.0);
+  CsrArray<index_t> col_idx(static_cast<std::size_t>(rows) *
+                            static_cast<std::size_t>(cols));
+  CsrArray<value_t> values(col_idx.size(), 1.0);
   for (index_t i = 0; i < rows; ++i) {
     for (index_t j = 0; j < cols; ++j) {
       col_idx[static_cast<std::size_t>(i) * cols + j] = j;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <utility>
 
 #include "check/invariants.hpp"
@@ -12,21 +11,24 @@
 namespace ordo {
 namespace {
 
-// How far ahead in its queue a BFS prefetches adjacency lists.
-constexpr std::size_t kPrefetchVertices = 16;
+// How far ahead in its queue a BFS prefetches: the adjacency offsets of
+// the vertex kPrefetchOffsets ahead, then, once those have arrived, the
+// adjacency list of the one kPrefetchAdjacency ahead (DESIGN §23).
+constexpr std::size_t kPrefetchOffsets = 32;
+constexpr std::size_t kPrefetchAdjacency = 12;
 
 }  // namespace
 
-Graph::Graph(index_t num_vertices, std::vector<offset_t> adj_ptr,
-             std::vector<index_t> adj)
+Graph::Graph(index_t num_vertices, CsrArray<offset_t> adj_ptr,
+             CsrArray<index_t> adj)
     : num_vertices_(num_vertices),
       adj_ptr_(std::move(adj_ptr)),
       adj_(std::move(adj)) {
   validate();
 }
 
-Graph::Graph(index_t num_vertices, std::vector<offset_t> adj_ptr,
-             std::vector<index_t> adj, std::vector<index_t> vertex_weights,
+Graph::Graph(index_t num_vertices, CsrArray<offset_t> adj_ptr,
+             CsrArray<index_t> adj, std::vector<index_t> vertex_weights,
              std::vector<index_t> edge_weights)
     : num_vertices_(num_vertices),
       adj_ptr_(std::move(adj_ptr)),
@@ -57,7 +59,8 @@ Graph Graph::from_matrix(const CsrMatrix& a) {
   const auto col_idx = s.col_idx();
   // Row i keeps its entries but the diagonal one: count, scan, then fill,
   // each over rows on idle cores (DESIGN §21). The count finds the diagonal
-  // by counting the entries below it, with no branch per entry.
+  // by counting the entries below it, with no branch per entry. The fill
+  // writes every slot of adj, so adj starts unwritten (DESIGN §23).
   const auto has_diagonal = [&](std::size_t i) {
     const auto begin = static_cast<std::size_t>(row_ptr[i]);
     const auto end = static_cast<std::size_t>(row_ptr[i + 1]);
@@ -67,11 +70,11 @@ Graph Graph::from_matrix(const CsrMatrix& a) {
     }
     return k < end && col_idx[k] == static_cast<index_t>(i);
   };
-  std::vector<offset_t> adj_ptr =
+  CsrArray<offset_t> adj_ptr =
       parallel_row_offsets(static_cast<std::size_t>(n), [&](std::size_t i) {
         return row_ptr[i + 1] - row_ptr[i] - (has_diagonal(i) ? 1 : 0);
       });
-  std::vector<index_t> adj(static_cast<std::size_t>(adj_ptr.back()));
+  CsrArray<index_t> adj(static_cast<std::size_t>(adj_ptr.back()));
   parallel_for_row_ranges(row_ptr, [&](std::size_t first, std::size_t last) {
     for (std::size_t i = first; i < last; ++i) {
       auto out = static_cast<std::size_t>(adj_ptr[i]);
@@ -96,83 +99,71 @@ std::int64_t Graph::total_vertex_weight() const {
                          std::int64_t{0});
 }
 
-std::vector<index_t> bfs_levels(const Graph& g, index_t start) {
-  std::vector<index_t> levels(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::queue<index_t> queue;
-  levels[static_cast<std::size_t>(start)] = 0;
-  queue.push(start);
-  while (!queue.empty()) {
-    const index_t v = queue.front();
-    queue.pop();
-    for (index_t u : g.neighbors(v)) {
-      if (levels[static_cast<std::size_t>(u)] < 0) {
-        levels[static_cast<std::size_t>(u)] =
-            levels[static_cast<std::size_t>(v)] + 1;
-        queue.push(u);
-      }
-    }
-  }
-  return levels;
-}
-
-Components connected_components(const Graph& g) {
-  Components result;
-  result.component.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  std::vector<index_t> stack;
-  for (index_t s = 0; s < g.num_vertices(); ++s) {
-    if (result.component[static_cast<std::size_t>(s)] >= 0) continue;
-    stack.push_back(s);
-    result.component[static_cast<std::size_t>(s)] = result.count;
-    while (!stack.empty()) {
-      const index_t v = stack.back();
-      stack.pop_back();
-      for (index_t u : g.neighbors(v)) {
-        if (result.component[static_cast<std::size_t>(u)] < 0) {
-          result.component[static_cast<std::size_t>(u)] = result.count;
-          stack.push_back(u);
-        }
-      }
-    }
-    result.count++;
-  }
-  return result;
-}
-
-PeripheralSearch::PeripheralSearch(const Graph& g) : g_(g) {
+PeripheralSearch::PeripheralSearch(const Graph& g)
+    : g_(g), visited_((static_cast<std::size_t>(g.num_vertices()) + 63) / 64) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  accepted_.level.assign(n, -1);
-  trial_.level.assign(n, -1);
+  accepted_.queue.resize(n);
+  trial_.queue.resize(n);
 }
 
-index_t PeripheralSearch::search(Bfs& bfs, index_t start) const {
-  // Reset only what this buffer's previous search reached. Levels are BFS
-  // distances, so no level is sorted.
-  for (index_t v : bfs.queue) bfs.level[static_cast<std::size_t>(v)] = -1;
-  bfs.queue.assign(1, start);
-  bfs.level[static_cast<std::size_t>(start)] = 0;
-  index_t deepest = start;
+index_t PeripheralSearch::search(Bfs& bfs, index_t start) {
+  // The queue holds the levels back to back; level_starts records where
+  // each begins, so no per-vertex level is stored. "Visited" is one bit
+  // per vertex: at n / 8 bytes the bitmap stays cache-resident on inputs
+  // whose per-vertex arrays do not (DESIGN §23).
   const auto adj_ptr = g_.adj_ptr();
   const auto adj = g_.adj();
-  for (std::size_t head = 0; head < bfs.queue.size(); ++head) {
-    // The queue already names the vertices visited next; prefetch the
-    // adjacency of the one kPrefetchVertices ahead (DESIGN §18).
-    if (head + kPrefetchVertices < bfs.queue.size()) {
-      const auto ahead =
-          static_cast<std::size_t>(bfs.queue[head + kPrefetchVertices]);
-      __builtin_prefetch(adj.data() + adj_ptr[ahead]);
+  index_t* const queue = bfs.queue.data();
+  std::uint64_t* const visited = visited_.data();
+  const auto visit = [&](index_t u) {
+    std::uint64_t& word = visited[static_cast<std::size_t>(u) >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  };
+  visit(start);
+  queue[0] = start;
+  std::size_t tail = 1;
+  bfs.level_starts.assign(1, 0);
+  std::size_t level_end = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    if (head == level_end) {
+      // Every vertex of the level that starts here is already queued.
+      bfs.level_starts.push_back(static_cast<offset_t>(head));
+      level_end = tail;
     }
-    const index_t v = bfs.queue[head];
-    const index_t depth = bfs.level[static_cast<std::size_t>(v)];
-    // Levels arrive in ascending order, so `depth` is never shallower.
-    if (depth > bfs.level[static_cast<std::size_t>(deepest)] ||
-        std::pair(g_.degree(v), v) < std::pair(g_.degree(deepest), deepest)) {
+    // The queue already names the vertices visited next: fetch the offsets
+    // of one far ahead, and the adjacency of a nearer one, whose offsets
+    // an earlier step fetched.
+    if (head + kPrefetchOffsets < tail) {
+      __builtin_prefetch(adj_ptr.data() + queue[head + kPrefetchOffsets]);
+    }
+    if (head + kPrefetchAdjacency < tail) {
+      __builtin_prefetch(
+          adj.data() + adj_ptr[static_cast<std::size_t>(
+                           queue[head + kPrefetchAdjacency])]);
+    }
+    const auto v = static_cast<std::size_t>(queue[head]);
+    for (offset_t k = adj_ptr[v]; k < adj_ptr[v + 1]; ++k) {
+      const index_t u = adj[static_cast<std::size_t>(k)];
+      if (visit(u)) queue[tail++] = u;
+    }
+  }
+  bfs.level_starts.push_back(static_cast<offset_t>(tail));
+  bfs.size = tail;
+  // Every bit set in a reached vertex's word is this sweep's: zero it whole.
+  for (std::size_t k = 0; k < tail; ++k) {
+    visited[static_cast<std::size_t>(queue[k]) >> 6] = 0;
+  }
+  // The minimum-(degree, id) vertex of the deepest level.
+  const auto deepest_first =
+      static_cast<std::size_t>(bfs.level_starts[bfs.level_starts.size() - 2]);
+  index_t deepest = queue[deepest_first];
+  for (std::size_t k = deepest_first + 1; k < tail; ++k) {
+    const index_t v = queue[k];
+    if (std::pair(g_.degree(v), v) < std::pair(g_.degree(deepest), deepest)) {
       deepest = v;
-    }
-    for (index_t u : g_.neighbors(v)) {
-      if (bfs.level[static_cast<std::size_t>(u)] < 0) {
-        bfs.level[static_cast<std::size_t>(u)] = depth + 1;
-        bfs.queue.push_back(u);
-      }
     }
   }
   return deepest;

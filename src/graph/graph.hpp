@@ -20,12 +20,12 @@ class Graph {
 
   /// Builds an unweighted graph from adjacency arrays. Self-loops must have
   /// been removed and each edge must appear in both endpoint lists.
-  Graph(index_t num_vertices, std::vector<offset_t> adj_ptr,
-        std::vector<index_t> adj);
+  Graph(index_t num_vertices, CsrArray<offset_t> adj_ptr,
+        CsrArray<index_t> adj);
 
   /// Weighted constructor used by the coarsening phase of the partitioner.
-  Graph(index_t num_vertices, std::vector<offset_t> adj_ptr,
-        std::vector<index_t> adj, std::vector<index_t> vertex_weights,
+  Graph(index_t num_vertices, CsrArray<offset_t> adj_ptr,
+        CsrArray<index_t> adj, std::vector<index_t> vertex_weights,
         std::vector<index_t> edge_weights);
 
   /// Builds the undirected graph of a square matrix. If the pattern is not
@@ -70,29 +70,17 @@ class Graph {
   void validate() const;
 
   index_t num_vertices_ = 0;
-  std::vector<offset_t> adj_ptr_{0};
-  std::vector<index_t> adj_;
+  CsrArray<offset_t> adj_ptr_{0};
+  CsrArray<index_t> adj_;
   std::vector<index_t> vertex_weights_;  // empty => all ones
   std::vector<index_t> edge_weights_;    // empty => all ones
 };
 
-/// Breadth-first search from `start`. Returns the level (distance) of every
-/// vertex reachable from `start`; unreachable vertices get level -1.
-std::vector<index_t> bfs_levels(const Graph& g, index_t start);
-
-/// Connected components: returns a component id per vertex and the number of
-/// components.
-struct Components {
-  std::vector<index_t> component;
-  index_t count = 0;
-};
-Components connected_components(const Graph& g);
-
 /// George–Liu pseudo-peripheral vertex search over one graph, with its
-/// scratch (two level arrays and BFS queues) allocated once and reset per
-/// search in O(vertices reached). One run costs O(vertices + edges) of the
-/// seed's component, so a run per component costs O(n + m) in total. The
-/// graph must outlive the search.
+/// scratch (a visited bitmap and two BFS queues) allocated once and reset
+/// per search in O(vertices reached). One run costs O(vertices + edges) of
+/// the seed's component, so a run per component costs O(n + m) in total.
+/// The graph must outlive the search.
 class PeripheralSearch {
  public:
   explicit PeripheralSearch(const Graph& g);
@@ -100,31 +88,39 @@ class PeripheralSearch {
   /// Starting from `seed`, repeatedly moves to the minimum-(degree, id)
   /// vertex of the deepest BFS level while that raises the eccentricity, and
   /// returns the last vertex that raised it. Afterwards `order()` and
-  /// `level()` describe the BFS from the returned vertex.
+  /// `level_starts()` describe the BFS from the returned vertex.
   index_t run(index_t seed);
 
   /// The returned vertex's component, in BFS visit order (levels ascending).
-  std::span<const index_t> order() const { return accepted_.queue; }
-  /// BFS distance of `v` from the returned vertex; `v` must be in `order()`.
-  index_t level(index_t v) const {
-    return accepted_.level[static_cast<std::size_t>(v)];
+  std::span<const index_t> order() const {
+    return std::span<const index_t>(accepted_.queue).first(accepted_.size);
+  }
+  /// Where each BFS level from the returned vertex starts in `order()`, plus
+  /// a final entry `order().size()`: level l is order()[level_starts()[l],
+  /// level_starts()[l + 1]).
+  std::span<const offset_t> level_starts() const {
+    return accepted_.level_starts;
   }
   /// Index of the deepest BFS level from the returned vertex.
   index_t eccentricity() const { return accepted_.eccentricity(); }
 
  private:
   struct Bfs {
-    std::vector<index_t> level;  // -1 outside the last search
-    std::vector<index_t> queue;  // vertices the last search reached
+    std::vector<index_t> queue;          // n slots; the first `size` used
+    std::size_t size = 0;                // vertices the last search reached
+    std::vector<offset_t> level_starts;  // see level_starts() above
     index_t eccentricity() const {
-      return level[static_cast<std::size_t>(queue.back())];
+      return static_cast<index_t>(level_starts.size()) - 2;
     }
   };
   /// BFS from `start` into `bfs`; returns the minimum-(degree, id) vertex of
   /// the deepest level.
-  index_t search(Bfs& bfs, index_t start) const;
+  index_t search(Bfs& bfs, index_t start);
 
   const Graph& g_;
+  // One bit per vertex, set while a search runs and cleared (over the
+  // vertices it reached) before the search returns.
+  std::vector<std::uint64_t> visited_;
   Bfs accepted_;  // BFS from the current start vertex
   Bfs trial_;     // BFS from the candidate being tried
 };

@@ -61,8 +61,8 @@ CoarseLevel contract(const Graph& g, const std::vector<index_t>& match) {
 
   // Accumulate coarse adjacency, merging parallel edges. A scratch map from
   // coarse neighbour id to its position in the current row avoids sorting.
-  std::vector<offset_t> c_ptr(static_cast<std::size_t>(coarse_count) + 1, 0);
-  std::vector<index_t> c_adj;
+  CsrArray<offset_t> c_ptr(static_cast<std::size_t>(coarse_count) + 1, 0);
+  CsrArray<index_t> c_adj;
   std::vector<index_t> c_eweights;
   std::vector<index_t> c_vweights(static_cast<std::size_t>(coarse_count), 0);
   std::vector<offset_t> slot(static_cast<std::size_t>(coarse_count), -1);

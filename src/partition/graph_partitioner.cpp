@@ -48,8 +48,8 @@ Subgraph induced_subgraph(const Graph& g, const std::vector<index_t>& part,
     }
   }
   const index_t n = static_cast<index_t>(sub.to_parent.size());
-  std::vector<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> adj;
+  CsrArray<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> adj;
   std::vector<index_t> eweights;
   std::vector<index_t> vweights(static_cast<std::size_t>(n));
   for (index_t sv = 0; sv < n; ++sv) {

@@ -28,8 +28,8 @@ std::vector<Permutation> gp_orderings(const CsrMatrix& a,
       vweights[static_cast<std::size_t>(v)] =
           std::max<index_t>(1, static_cast<index_t>(a.row_nonzeros(v)));
     }
-    std::vector<offset_t> adj_ptr(g.adj_ptr().begin(), g.adj_ptr().end());
-    std::vector<index_t> adj(g.adj().begin(), g.adj().end());
+    CsrArray<offset_t> adj_ptr(g.adj_ptr().begin(), g.adj_ptr().end());
+    CsrArray<index_t> adj(g.adj().begin(), g.adj().end());
     g = Graph(g.num_vertices(), std::move(adj_ptr), std::move(adj),
               std::move(vweights), {});
   }

@@ -34,8 +34,8 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
   for (index_t i = 0; i < n; ++i) {
     to_sub[static_cast<std::size_t>(vertices[static_cast<std::size_t>(i)])] = i;
   }
-  std::vector<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> adj;
+  CsrArray<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> adj;
   for (index_t i = 0; i < n; ++i) {
     const index_t v = vertices[static_cast<std::size_t>(i)];
     for (index_t u : g.neighbors(v)) {
@@ -49,12 +49,9 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
 
   // Leaf: order with AMD via a pattern-only CSR of the subgraph.
   if (n <= options.nd_leaf_size) {
-    std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1);
-    for (index_t i = 0; i <= n; ++i) {
-      row_ptr[static_cast<std::size_t>(i)] = sub.adj_ptr()[i];
-    }
-    std::vector<index_t> cols(sub.adj().begin(), sub.adj().end());
-    std::vector<value_t> vals(cols.size(), 1.0);
+    CsrArray<offset_t> row_ptr(sub.adj_ptr().begin(), sub.adj_ptr().end());
+    CsrArray<index_t> cols(sub.adj().begin(), sub.adj().end());
+    CsrArray<value_t> vals(cols.size(), 1.0);
     const CsrMatrix leaf(n, n, std::move(row_ptr), std::move(cols),
                          std::move(vals));
     for (index_t i : amd_ordering(leaf)) {

@@ -10,53 +10,67 @@
 //
 // Every level of the traversal is sorted by (degree, id) as a whole, so the
 // CM order is the sort of all vertices by (component, BFS distance from the
-// component's start, degree, id). The distances come from the
-// pseudo-peripheral search's own BFS, and two stable counting sorts produce
-// the order in O(n + m) (DESIGN §18).
+// component's start, degree, id). The pseudo-peripheral search's own BFS
+// queue already lists a component by level, so the order is the queues of
+// the components back to back with each level's segment sorted by (degree,
+// id); the segments are sorted on idle cores (DESIGN §18, §23).
 #include <algorithm>
+#include <cstdint>
 
 #include "graph/graph.hpp"
 #include "reorder/reordering.hpp"
+#include "sparse/parallel_rows.hpp"
 
 namespace ordo {
 namespace {
 
-// Stable counting sort of `items` by `key(item)`, a key in [0, buckets).
-template <class Key>
-std::vector<index_t> counting_sort(const std::vector<index_t>& items,
-                                   index_t buckets, Key key) {
-  std::vector<index_t> start(static_cast<std::size_t>(buckets) + 1, 0);
-  for (index_t v : items) ++start[static_cast<std::size_t>(key(v)) + 1];
-  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-  std::vector<index_t> sorted(items.size());
-  for (index_t v : items) {
-    const index_t slot = start[static_cast<std::size_t>(key(v))]++;
-    sorted[static_cast<std::size_t>(slot)] = v;
-  }
-  return sorted;
-}
-
 Permutation cuthill_mckee_ordering(const Graph& g) {
-  const index_t n = g.num_vertices();
-  // rank[v]: v's component offset plus its BFS level there; components are
-  // numbered from their lowest vertex, and their levels stack up in order.
-  std::vector<index_t> rank(static_cast<std::size_t>(n), -1);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  // The search's queues are allocated before `order` and freed under it,
+  // where later allocations reuse them: allocated after it, they left
+  // spmv_dram's heap 8.6 MB larger at its peak.
   PeripheralSearch search(g);
-  index_t offset = 0;
-  for (index_t s = 0; s < n; ++s) {
-    if (rank[static_cast<std::size_t>(s)] >= 0) continue;
+  Permutation order(n);
+  // level_starts[l]: where the l-th level, counting those of earlier
+  // components, starts in `order`; a final entry n.
+  std::vector<offset_t> level_starts;
+  std::vector<bool> placed(n, false);
+  std::size_t filled = 0;
+  for (index_t s = 0; s < static_cast<index_t>(n); ++s) {
+    if (placed[static_cast<std::size_t>(s)]) continue;
     search.run(s);
-    for (index_t v : search.order()) {
-      rank[static_cast<std::size_t>(v)] = offset + search.level(v);
+    const auto component = search.order();
+    std::copy(component.begin(), component.end(), order.begin() + filled);
+    for (index_t v : component) placed[static_cast<std::size_t>(v)] = true;
+    const auto starts = search.level_starts();
+    for (std::size_t l = 0; l + 1 < starts.size(); ++l) {
+      level_starts.push_back(static_cast<offset_t>(filled) + starts[l]);
     }
-    offset += search.eccentricity() + 1;
+    filled += component.size();
   }
-  // Degrees are below n and ranks below offset <= n.
-  const Permutation by_degree = counting_sort(
-      identity_permutation(n), n, [&](index_t v) { return g.degree(v); });
-  return counting_sort(by_degree, offset, [&](index_t v) {
-    return rank[static_cast<std::size_t>(v)];
-  });
+  level_starts.push_back(static_cast<offset_t>(n));
+  // Sort each level by a packed (degree, id) key; degrees and ids are
+  // below 2^31, so the key order is the pair order. The keys live in one
+  // buffer allocated here, so a helper allocates nothing and never claims a
+  // malloc arena (DESIGN §21).
+  CsrArray<std::uint64_t> keys(n);
+  parallel_for_row_ranges(
+      level_starts, [&](std::size_t first_level, std::size_t last_level) {
+        const auto first = static_cast<std::size_t>(level_starts[first_level]);
+        const auto last = static_cast<std::size_t>(level_starts[last_level]);
+        for (std::size_t k = first; k < last; ++k) {
+          keys[k] = static_cast<std::uint64_t>(g.degree(order[k])) << 32 |
+                    static_cast<std::uint32_t>(order[k]);
+        }
+        for (std::size_t l = first_level; l < last_level; ++l) {
+          std::sort(keys.begin() + level_starts[l],
+                    keys.begin() + level_starts[l + 1]);
+        }
+        for (std::size_t k = first; k < last; ++k) {
+          order[k] = static_cast<index_t>(keys[k] & 0xffffffffU);
+        }
+      });
+  return order;
 }
 
 }  // namespace

@@ -12,14 +12,14 @@ namespace {
 // duplicate summation.
 CsrMatrix assemble(index_t num_rows, index_t num_cols,
                    std::vector<Triplet> entries) {
-  std::vector<offset_t> row_ptr(static_cast<std::size_t>(num_rows) + 1, 0);
+  CsrArray<offset_t> row_ptr(static_cast<std::size_t>(num_rows) + 1, 0);
   for (const Triplet& t : entries) row_ptr[static_cast<std::size_t>(t.row) + 1]++;
   std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
 
-  // Scatter triplets into row buckets.
+  // Scatter triplets into row buckets; the scatter writes every slot.
   std::vector<offset_t> next(row_ptr.begin(), row_ptr.end() - 1);
-  std::vector<index_t> col_idx(entries.size());
-  std::vector<value_t> values(entries.size());
+  CsrArray<index_t> col_idx(entries.size());
+  CsrArray<value_t> values(entries.size());
   for (const Triplet& t : entries) {
     const offset_t k = next[static_cast<std::size_t>(t.row)]++;
     col_idx[static_cast<std::size_t>(k)] = t.col;
@@ -27,7 +27,7 @@ CsrMatrix assemble(index_t num_rows, index_t num_cols,
   }
 
   // Sort each row by column and sum duplicates, compacting in place.
-  std::vector<offset_t> out_ptr(static_cast<std::size_t>(num_rows) + 1, 0);
+  CsrArray<offset_t> out_ptr(static_cast<std::size_t>(num_rows) + 1, 0);
   offset_t out = 0;
   std::vector<std::pair<index_t, value_t>> row;
   for (index_t i = 0; i < num_rows; ++i) {
@@ -65,8 +65,8 @@ CsrMatrix::CsrMatrix()
       values_(arrays_->values) {}
 
 CsrMatrix::CsrMatrix(index_t num_rows, index_t num_cols,
-                     std::vector<offset_t> row_ptr,
-                     std::vector<index_t> col_idx, std::vector<value_t> values)
+                     CsrArray<offset_t> row_ptr, CsrArray<index_t> col_idx,
+                     CsrArray<value_t> values)
     : num_rows_(num_rows), num_cols_(num_cols) {
   auto arrays = std::make_shared<Arrays>();
   arrays->row_ptr = std::move(row_ptr);

@@ -28,8 +28,8 @@ class CsrMatrix {
   /// Takes ownership of prebuilt CSR arrays. Validates the invariants:
   /// row_ptr has num_rows+1 monotone entries starting at 0; column indices
   /// are in range and strictly ascending within each row.
-  CsrMatrix(index_t num_rows, index_t num_cols, std::vector<offset_t> row_ptr,
-            std::vector<index_t> col_idx, std::vector<value_t> values);
+  CsrMatrix(index_t num_rows, index_t num_cols, CsrArray<offset_t> row_ptr,
+            CsrArray<index_t> col_idx, CsrArray<value_t> values);
 
   /// Builds a CSR matrix from triplets. Duplicate entries are summed.
   static CsrMatrix from_coo(const CooMatrix& coo);
@@ -81,9 +81,9 @@ class CsrMatrix {
 
  private:
   struct Arrays {
-    std::vector<offset_t> row_ptr{0};
-    std::vector<index_t> col_idx;
-    std::vector<value_t> values;
+    CsrArray<offset_t> row_ptr{0};
+    CsrArray<index_t> col_idx;
+    CsrArray<value_t> values;
     // 0 until row_structure_hash() first runs. Relaxed atomics suffice:
     // the hash is a pure function of immutable data, so racing threads
     // compute the same value and either store wins.

@@ -16,13 +16,14 @@ CsrMatrix transpose(const CsrMatrix& a) {
   const auto col_idx = a.col_idx();
   const auto values = a.values();
 
-  std::vector<offset_t> t_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<offset_t> t_ptr(static_cast<std::size_t>(n) + 1, 0);
   for (index_t j : col_idx) t_ptr[static_cast<std::size_t>(j) + 1]++;
   std::partial_sum(t_ptr.begin(), t_ptr.end(), t_ptr.begin());
 
+  // The scatter writes every slot of t_col and t_val.
   std::vector<offset_t> next(t_ptr.begin(), t_ptr.end() - 1);
-  std::vector<index_t> t_col(col_idx.size());
-  std::vector<value_t> t_val(values.size());
+  CsrArray<index_t> t_col(col_idx.size());
+  CsrArray<value_t> t_val(values.size());
   for (index_t i = 0; i < m; ++i) {
     for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
          k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
@@ -85,9 +86,9 @@ CsrMatrix symmetrize(const CsrMatrix& a) {
   const index_t n = a.num_rows();
 
   // Merge the sorted rows of A and Aᵀ.
-  std::vector<offset_t> s_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> s_col;
-  std::vector<value_t> s_val;
+  CsrArray<offset_t> s_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> s_col;
+  CsrArray<value_t> s_val;
   s_col.reserve(static_cast<std::size_t>(a.num_nonzeros()) * 2);
   s_val.reserve(static_cast<std::size_t>(a.num_nonzeros()) * 2);
   for (index_t i = 0; i < n; ++i) {
@@ -138,7 +139,9 @@ constexpr std::size_t kPrefetchRows = 16;
 // B(i, j) = A(row_perm[i], col_perm[j]), given a valid row_perm and the
 // inverse of a valid col_perm, or no inverse when col_perm is the identity.
 // Rows are gathered in ranges of even nonzeros on idle cores; each output
-// row's slot is b_ptr[i], known before any row is written (DESIGN §21).
+// row's slot is b_ptr[i], known before any row is written (DESIGN §21). The
+// gather writes every slot of b_col and b_val, so they start unwritten and
+// their pages are first touched on the cores that fill them (DESIGN §23).
 CsrMatrix permute_with_inverse(const CsrMatrix& a, const Permutation& row_perm,
                                const Permutation* col_inv) {
   require(static_cast<index_t>(row_perm.size()) == a.num_rows(),
@@ -150,13 +153,17 @@ CsrMatrix permute_with_inverse(const CsrMatrix& a, const Permutation& row_perm,
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const auto m = static_cast<std::size_t>(a.num_rows());
-  std::vector<offset_t> b_ptr = parallel_row_offsets(m, [&](std::size_t i) {
+  CsrArray<offset_t> b_ptr = parallel_row_offsets(m, [&](std::size_t i) {
     const auto src = static_cast<std::size_t>(row_perm[i]);
     return row_ptr[src + 1] - row_ptr[src];
   });
-  std::vector<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
-  std::vector<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
+  CsrArray<index_t> b_col(static_cast<std::size_t>(a.num_nonzeros()));
+  CsrArray<value_t> b_val(static_cast<std::size_t>(a.num_nonzeros()));
   parallel_for_row_ranges(b_ptr, [&](std::size_t first, std::size_t last) {
+    const auto lo = static_cast<std::size_t>(b_ptr[first]);
+    const auto hi = static_cast<std::size_t>(b_ptr[last]);
+    touch_pages_in_order(b_col, lo, hi);
+    touch_pages_in_order(b_val, lo, hi);
     std::vector<std::pair<index_t, value_t>> long_row;
     for (std::size_t i = first; i < last; ++i) {
       if (i + kPrefetchRows < m) {
@@ -245,9 +252,9 @@ index_t diagonal_nonzeros(const CsrMatrix& a) {
 CsrMatrix with_full_diagonal(const CsrMatrix& a, value_t diag_value) {
   require(a.is_square(), "with_full_diagonal: matrix must be square");
   const index_t n = a.num_rows();
-  std::vector<offset_t> b_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> b_col;
-  std::vector<value_t> b_val;
+  CsrArray<offset_t> b_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> b_col;
+  CsrArray<value_t> b_val;
   b_col.reserve(static_cast<std::size_t>(a.num_nonzeros() + n));
   b_val.reserve(static_cast<std::size_t>(a.num_nonzeros() + n));
   for (index_t i = 0; i < n; ++i) {
@@ -277,9 +284,9 @@ CsrMatrix with_full_diagonal(const CsrMatrix& a, value_t diag_value) {
 CsrMatrix lower_triangle(const CsrMatrix& a) {
   require(a.is_square(), "lower_triangle: matrix must be square");
   const index_t n = a.num_rows();
-  std::vector<offset_t> b_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> b_col;
-  std::vector<value_t> b_val;
+  CsrArray<offset_t> b_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> b_col;
+  CsrArray<value_t> b_val;
   for (index_t i = 0; i < n; ++i) {
     const auto cols = a.row_cols(i);
     const auto vals = a.row_values(i);

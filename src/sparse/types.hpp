@@ -8,8 +8,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace ordo {
 
@@ -21,6 +26,37 @@ using offset_t = std::int64_t;
 
 /// Matrix value type.
 using value_t = double;
+
+/// std::allocator whose value-less construct default-initializes: a
+/// `CsrArray<T>(n)` of a trivial T leaves its n slots unwritten, so a builder
+/// that overwrites every slot pays no zeroing pass, and the pages are first
+/// touched by whichever thread writes them. Every other construct (a fill
+/// value, a copy, push_back) behaves as std::allocator's.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Storage of the CSR arrays of CsrMatrix and Graph. A sized constructor
+/// or resize leaves new slots indeterminate; callers that read a slot before
+/// writing it pass a fill value, e.g. `CsrArray<offset_t>(n + 1, 0)`.
+template <class T>
+using CsrArray = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Exception thrown when a matrix, permutation or argument fails validation.
 class invalid_argument_error : public std::invalid_argument {

@@ -187,7 +187,7 @@ TEST(CheckInvariants, GraphRejectsAsymmetricAdjacency) {
   // Edge 0->1 with no mirror. The unchecked ctor accepts it (symmetry is a
   // from_matrix seam contract, not a storage invariant); validate_graph
   // must reject it.
-  const Graph g(2, std::vector<offset_t>{0, 1, 1}, std::vector<index_t>{1});
+  const Graph g(2, CsrArray<offset_t>{0, 1, 1}, CsrArray<index_t>{1});
   EXPECT_VIOLATION(check::validate_graph(g, "test"), ViolationKind::kGraph);
 }
 
@@ -216,8 +216,8 @@ TEST(CheckInvariants, SymmetricPatternRejectsAsymmetricMatrix) {
 // --- Partition -------------------------------------------------------------
 
 Graph path_graph(index_t n) {
-  std::vector<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> adj;
+  CsrArray<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
+  CsrArray<index_t> adj;
   for (index_t v = 0; v < n; ++v) {
     if (v > 0) adj.push_back(v - 1);
     if (v + 1 < n) adj.push_back(v + 1);

@@ -150,9 +150,9 @@ TEST(Features, ProfileBeyondInt32DoesNotOverflow) {
   // past INT32_MAX with only ~140k nonzeros. A 32-bit accumulator anywhere
   // in the profile path would wrap this value.
   const index_t n = 70000;
-  std::vector<offset_t> row_ptr;
+  CsrArray<offset_t> row_ptr;
   row_ptr.reserve(static_cast<std::size_t>(n) + 1);
-  std::vector<index_t> col_idx;
+  CsrArray<index_t> col_idx;
   col_idx.reserve(2 * static_cast<std::size_t>(n));
   row_ptr.push_back(0);
   col_idx.push_back(0);  // row 0: diagonal only
@@ -162,7 +162,7 @@ TEST(Features, ProfileBeyondInt32DoesNotOverflow) {
     col_idx.push_back(i);
     row_ptr.push_back(static_cast<offset_t>(col_idx.size()));
   }
-  std::vector<value_t> values(col_idx.size(), 1.0);
+  CsrArray<value_t> values(col_idx.size(), 1.0);
   const CsrMatrix a(n, n, std::move(row_ptr), std::move(col_idx),
                     std::move(values));
 

@@ -1,8 +1,9 @@
-// Tests for the graph substrate: construction, BFS, components and the
+// Tests for the graph substrate: construction, BFS and the
 // pseudo-peripheral vertex heuristic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 
 #include "graph/graph.hpp"
 #include "test_util.hpp"
@@ -14,9 +15,30 @@ using testing::BfsResult;
 using testing::degree_ordered_bfs;
 using testing::grid_laplacian_2d;
 
+// Breadth-first search from `start`, kept as a reference: the level
+// (distance) of every vertex reachable from `start`, -1 for the others.
+std::vector<index_t> bfs_levels(const Graph& g, index_t start) {
+  std::vector<index_t> levels(static_cast<std::size_t>(g.num_vertices()), -1);
+  std::queue<index_t> queue;
+  levels[static_cast<std::size_t>(start)] = 0;
+  queue.push(start);
+  while (!queue.empty()) {
+    const index_t v = queue.front();
+    queue.pop();
+    for (index_t u : g.neighbors(v)) {
+      if (levels[static_cast<std::size_t>(u)] < 0) {
+        levels[static_cast<std::size_t>(u)] =
+            levels[static_cast<std::size_t>(v)] + 1;
+        queue.push(u);
+      }
+    }
+  }
+  return levels;
+}
+
 Graph path_graph(index_t n) {
-  std::vector<offset_t> ptr{0};
-  std::vector<index_t> adj;
+  CsrArray<offset_t> ptr{0};
+  CsrArray<index_t> adj;
   for (index_t v = 0; v < n; ++v) {
     if (v > 0) adj.push_back(v - 1);
     if (v + 1 < n) adj.push_back(v + 1);
@@ -61,20 +83,6 @@ TEST(Bfs, UnreachableVerticesStayAtMinusOne) {
   EXPECT_EQ(levels[1], 1);
   EXPECT_EQ(levels[2], -1);
   EXPECT_EQ(levels[3], -1);
-}
-
-TEST(Components, CountsAndLabels) {
-  CooMatrix coo(7, 7);
-  coo.add_symmetric(0, 1, 1.0);
-  coo.add_symmetric(1, 2, 1.0);
-  coo.add_symmetric(3, 4, 1.0);
-  // vertices 5, 6 isolated
-  const Graph g = Graph::from_matrix(CsrMatrix::from_coo(coo));
-  const Components components = connected_components(g);
-  EXPECT_EQ(components.count, 4);
-  EXPECT_EQ(components.component[0], components.component[2]);
-  EXPECT_NE(components.component[0], components.component[3]);
-  EXPECT_NE(components.component[5], components.component[6]);
 }
 
 TEST(PseudoPeripheral, FindsPathEndpoint) {
@@ -161,7 +169,7 @@ TEST(PseudoPeripheral, MatchesDegreeSortedDefinition) {
 
 TEST(PeripheralSearch, ReusedScratchMatchesFreshSearches) {
   // One search object serves every seed, in a scrambled order, and each
-  // run leaves the BFS of the vertex it returned.
+  // run leaves the BFS of the vertex it returned, split at its levels.
   for (const Graph& g : search_test_graphs()) {
     PeripheralSearch search(g);
     for (index_t seed : random_permutation(g.num_vertices(), 7)) {
@@ -171,8 +179,17 @@ TEST(PeripheralSearch, ReusedScratchMatchesFreshSearches) {
       const BfsResult bfs = degree_ordered_bfs(g, start);
       ASSERT_EQ(search.order().size(), bfs.order.size());
       EXPECT_EQ(search.order().front(), start);
-      for (index_t v : search.order()) {
-        ASSERT_EQ(search.level(v), bfs.levels[static_cast<std::size_t>(v)]);
+      const auto starts = search.level_starts();
+      ASSERT_EQ(starts.size(), static_cast<std::size_t>(bfs.eccentricity) + 2);
+      EXPECT_EQ(starts.front(), 0);
+      EXPECT_EQ(starts.back(), static_cast<offset_t>(bfs.order.size()));
+      for (std::size_t level = 0; level + 1 < starts.size(); ++level) {
+        ASSERT_LT(starts[level], starts[level + 1]);
+        for (offset_t k = starts[level]; k < starts[level + 1]; ++k) {
+          const index_t v = search.order()[static_cast<std::size_t>(k)];
+          ASSERT_EQ(bfs.levels[static_cast<std::size_t>(v)],
+                    static_cast<index_t>(level));
+        }
       }
       EXPECT_EQ(search.eccentricity(), bfs.eccentricity);
     }

@@ -19,7 +19,7 @@ using testing::grid_laplacian_2d;
 // Grid Laplacian with the diagonal bumped to make it strictly SPD.
 CsrMatrix spd_grid(index_t nx, index_t ny) {
   const CsrMatrix grid = grid_laplacian_2d(nx, ny);
-  std::vector<value_t> values(grid.values().begin(), grid.values().end());
+  CsrArray<value_t> values(grid.values().begin(), grid.values().end());
   for (index_t i = 0; i < grid.num_rows(); ++i) {
     // Diagonal is the entry whose column equals the row.
     const auto cols = grid.row_cols(i);

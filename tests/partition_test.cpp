@@ -290,8 +290,8 @@ TEST(GreedyGrowing, RestartCursorMatchesScanFromZero) {
       adjacency[a].push_back(b);
       adjacency[b].push_back(a);
     }
-    std::vector<offset_t> adj_ptr(1, 0);
-    std::vector<index_t> adj;
+    CsrArray<offset_t> adj_ptr(1, 0);
+    CsrArray<index_t> adj;
     for (auto& list : adjacency) {
       std::sort(list.begin(), list.end());
       list.erase(std::unique(list.begin(), list.end()), list.end());

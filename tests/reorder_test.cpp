@@ -415,6 +415,108 @@ TEST(Rcm, MatchesLevelSortedReference) {
   }
 }
 
+// Stable counting sort of `items` by `key(item)`, a key in [0, buckets).
+template <class Key>
+Permutation stable_counting_sort(const Permutation& items, index_t buckets,
+                                 Key key) {
+  std::vector<index_t> start(static_cast<std::size_t>(buckets) + 1, 0);
+  for (index_t v : items) ++start[static_cast<std::size_t>(key(v)) + 1];
+  for (std::size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
+  Permutation sorted(items.size());
+  for (index_t v : items) {
+    sorted[static_cast<std::size_t>(start[static_cast<std::size_t>(key(v))]++)] =
+        v;
+  }
+  return sorted;
+}
+
+// RCM as ordo built it before each BFS level was sorted in place (DESIGN
+// §23), kept as the reference: every vertex keyed by its component offset
+// plus its level from the search's start, then two stable counting sorts
+// over all n vertices, by degree and then by that key.
+Permutation counting_sort_rcm(const CsrMatrix& a) {
+  const Graph g = Graph::from_matrix(a);
+  const index_t n = g.num_vertices();
+  std::vector<index_t> rank(static_cast<std::size_t>(n), -1);
+  PeripheralSearch search(g);
+  index_t offset = 0;
+  for (index_t s = 0; s < n; ++s) {
+    if (rank[static_cast<std::size_t>(s)] >= 0) continue;
+    search.run(s);
+    const auto starts = search.level_starts();
+    for (std::size_t level = 0; level + 1 < starts.size(); ++level) {
+      for (offset_t k = starts[level]; k < starts[level + 1]; ++k) {
+        const index_t v = search.order()[static_cast<std::size_t>(k)];
+        rank[static_cast<std::size_t>(v)] =
+            offset + static_cast<index_t>(level);
+      }
+    }
+    offset += search.eccentricity() + 1;
+  }
+  const Permutation by_degree = stable_counting_sort(
+      identity_permutation(n), n, [&](index_t v) { return g.degree(v); });
+  Permutation order = stable_counting_sort(by_degree, offset, [&](index_t v) {
+    return rank[static_cast<std::size_t>(v)];
+  });
+  std::reverse(order.begin(), order.end());
+  return order;
+}
+
+// The level sorts run on idle cores, split at level boundaries; the order
+// must equal the reference's with the fork budget exhausted and free. The
+// windowed mesh (577,600 vertices, shuffled within windows of 2^16 rows as
+// ordo_bench's spmv_dram input is) is over the sort's parallel grain.
+TEST(Rcm, MatchesLevelCountingSortReference) {
+  std::vector<std::pair<std::string, CsrMatrix>> cases;
+  {
+    const CsrMatrix mesh = gen_mesh2d(760, 760, 9);
+    Permutation window = identity_permutation(mesh.num_rows());
+    std::mt19937_64 rng(5);
+    for (index_t begin = 0; begin < mesh.num_rows(); begin += 1 << 16) {
+      std::shuffle(window.begin() + begin,
+                   window.begin() +
+                       std::min<index_t>(begin + (1 << 16), mesh.num_rows()),
+                   rng);
+    }
+    cases.emplace_back("windowed mesh", permute_symmetric(mesh, window));
+  }
+  {
+    // 80k rows, a full diagonal and 20k random pairs: about 60k components.
+    const index_t n = 80000;
+    CooMatrix coo(n, n);
+    for (index_t i = 0; i < n; ++i) coo.add(i, i, 1.0);
+    std::mt19937_64 rng(7);
+    std::uniform_int_distribution<index_t> vertex(0, n - 1);
+    for (int e = 0; e < 20000; ++e) {
+      const index_t i = vertex(rng), j = vertex(rng);
+      if (i != j) coo.add_symmetric(i, j, -1.0);
+    }
+    cases.emplace_back("many components", CsrMatrix::from_coo(coo));
+  }
+  {
+    CooMatrix diagonal(5000, 5000);
+    for (index_t i = 0; i < 5000; ++i) diagonal.add(i, i, 1.0);
+    cases.emplace_back("isolated vertices", CsrMatrix::from_coo(diagonal));
+    CooMatrix path(3000, 3000);
+    for (index_t i = 0; i + 1 < 3000; ++i) path.add_symmetric(i, i + 1, 1.0);
+    cases.emplace_back("path", CsrMatrix::from_coo(path));
+  }
+  cases.emplace_back("rmat", gen_rmat(14, 8, 0.57, 0.19, 0.19, 2023));
+  cases.emplace_back("empty", CsrMatrix(0, 0, {0}, {}, {}));
+  for (const auto& [name, a] : cases) {
+    SCOPED_TRACE(name);
+    const Permutation expected = counting_sort_rcm(a);
+    const int held = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+    const std::int64_t helpers_before =
+        obs::counter("parallel.helpers").value();
+    const Permutation serial = rcm_ordering(a);
+    EXPECT_EQ(obs::counter("parallel.helpers").value(), helpers_before);
+    pipeline::release_cores(held);
+    EXPECT_EQ(serial, expected);
+    EXPECT_EQ(rcm_ordering(a), expected);
+  }
+}
+
 TEST(Amd, ProducesValidPermutationOnGrid) {
   const CsrMatrix a = grid_laplacian_2d(15, 15);
   EXPECT_TRUE(is_valid_permutation(amd_ordering(a)));

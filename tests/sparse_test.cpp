@@ -1,6 +1,8 @@
 // Tests for the sparse containers and structural operations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <random>
 #include <span>
 #include <string>
@@ -9,6 +11,9 @@
 #include <vector>
 
 #include "corpus/generators.hpp"
+#include "graph/graph.hpp"
+#include "obs/obs.hpp"
+#include "pipeline/fork_join.hpp"
 #include "sparse/csr_ops.hpp"
 #include "sparse/permutation.hpp"
 #include "test_util.hpp"
@@ -389,6 +394,200 @@ TEST(LowerTriangle, KeepsDiagonalAndBelow) {
   }
   // Symmetric matrix with full diagonal: lower triangle has (nnz + n) / 2.
   EXPECT_EQ(l.num_nonzeros(), (a.num_nonzeros() + a.num_rows()) / 2);
+}
+
+// CSR arrays built the way the builders built them before their outputs
+// stopped being zeroed (DESIGN §23): value-initialized std::vectors.
+struct ZeroedCsr {
+  std::vector<offset_t> row_ptr{0};
+  std::vector<index_t> col_idx;
+  std::vector<value_t> values;
+};
+
+// gen_mesh2d's row-by-row emission as it was before its rows were filled on
+// idle cores.
+ZeroedCsr zeroed_mesh2d(index_t nx, index_t ny, int stencil) {
+  ZeroedCsr out;
+  for (index_t y = 0; y < ny; ++y) {
+    for (index_t x = 0; x < nx; ++x) {
+      for (index_t dy = -1; dy <= 1; ++dy) {
+        if (y + dy < 0 || y + dy >= ny) continue;
+        for (index_t dx = -1; dx <= 1; ++dx) {
+          if (x + dx < 0 || x + dx >= nx) continue;
+          const bool corner = dx != 0 && dy != 0;
+          if (corner && stencil == 5) continue;
+          out.col_idx.push_back((y + dy) * nx + x + dx);
+          out.values.push_back(dx == 0 && dy == 0
+                                   ? static_cast<value_t>(stencil - 1)
+                                   : (corner ? -0.5 : -1.0));
+        }
+      }
+      out.row_ptr.push_back(static_cast<offset_t>(out.col_idx.size()));
+    }
+  }
+  return out;
+}
+
+// B(i, j) = A(perm[i], perm[j]), one sorted row at a time.
+ZeroedCsr zeroed_permute_symmetric(const CsrMatrix& a, const Permutation& perm) {
+  const Permutation inv = invert_permutation(perm);
+  ZeroedCsr out;
+  std::vector<std::pair<index_t, value_t>> row;
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    const index_t src = perm[static_cast<std::size_t>(i)];
+    row.clear();
+    for (std::size_t k = 0; k < a.row_cols(src).size(); ++k) {
+      row.emplace_back(inv[static_cast<std::size_t>(a.row_cols(src)[k])],
+                       a.row_values(src)[k]);
+    }
+    std::sort(row.begin(), row.end());
+    for (const auto& [col, value] : row) {
+      out.col_idx.push_back(col);
+      out.values.push_back(value);
+    }
+    out.row_ptr.push_back(static_cast<offset_t>(out.col_idx.size()));
+  }
+  return out;
+}
+
+// Aᵀ through one bucket per column, filled in row order.
+ZeroedCsr zeroed_transpose(const CsrMatrix& a) {
+  std::vector<std::vector<std::pair<index_t, value_t>>> columns(
+      static_cast<std::size_t>(a.num_cols()));
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    for (std::size_t k = 0; k < a.row_cols(i).size(); ++k) {
+      columns[static_cast<std::size_t>(a.row_cols(i)[k])].emplace_back(
+          i, a.row_values(i)[k]);
+    }
+  }
+  ZeroedCsr out;
+  for (const auto& column : columns) {
+    for (const auto& [row, value] : column) {
+      out.col_idx.push_back(row);
+      out.values.push_back(value);
+    }
+    out.row_ptr.push_back(static_cast<offset_t>(out.col_idx.size()));
+  }
+  return out;
+}
+
+// The adjacency of a symmetric matrix: each row without its diagonal.
+ZeroedCsr zeroed_adjacency(const CsrMatrix& a) {
+  ZeroedCsr out;
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    for (index_t j : a.row_cols(i)) {
+      if (j != i) out.col_idx.push_back(j);
+    }
+    out.row_ptr.push_back(static_cast<offset_t>(out.col_idx.size()));
+  }
+  return out;
+}
+
+void expect_same_arrays(const CsrMatrix& a, const ZeroedCsr& expected) {
+  EXPECT_TRUE(std::ranges::equal(a.row_ptr(), expected.row_ptr));
+  EXPECT_TRUE(std::ranges::equal(a.col_idx(), expected.col_idx));
+  EXPECT_TRUE(std::ranges::equal(a.values(), expected.values));
+}
+
+// Leaves 0xFF bytes in blocks of the given sizes and frees them, where the
+// allocator is likely to place a builder's next blocks of those sizes: a
+// builder that skipped a slot would hand those bytes back. The sizes stay
+// under glibc's default mmap threshold (128 KiB), below which freed memory
+// is reused as it is instead of coming back zeroed from the kernel.
+void poison_heap(std::initializer_list<std::size_t> sizes) {
+  std::vector<void*> blocks;
+  for (std::size_t bytes : sizes) {
+    void* block = ::operator new(bytes);
+    std::memset(block, 0xFF, bytes);
+    // Publishes the block, so the writes cannot be elided with it.
+    asm volatile("" : : "r"(block) : "memory");
+    blocks.push_back(block);
+  }
+  for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
+    ::operator delete(*it);
+  }
+}
+
+void poison_for(std::size_t rows, std::size_t nonzeros) {
+  poison_heap({(rows + 1) * sizeof(offset_t), nonzeros * sizeof(index_t),
+               nonzeros * sizeof(value_t)});
+}
+
+// The builders that leave their outputs unzeroed (CsrArray) must write
+// every slot: built over freshly poisoned memory, they must still equal the
+// zero-initialized builds.
+TEST(UnzeroedBuilders, WriteEverySlot) {
+  for (int stencil : {5, 9}) {
+    const ZeroedCsr expected = zeroed_mesh2d(40, 37, stencil);
+    poison_for(expected.row_ptr.size(), expected.col_idx.size());
+    expect_same_arrays(gen_mesh2d(40, 37, stencil), expected);
+  }
+  const CsrMatrix mesh = gen_mesh2d(40, 40, 9);
+  const Permutation perm = random_permutation(mesh.num_rows(), 3);
+  const auto rows = static_cast<std::size_t>(mesh.num_rows());
+  const auto nnz = static_cast<std::size_t>(mesh.num_nonzeros());
+  {
+    const ZeroedCsr expected = zeroed_permute_symmetric(mesh, perm);
+    poison_for(rows, nnz);
+    expect_same_arrays(permute_symmetric(mesh, perm), expected);
+  }
+  {
+    // Rows only: the gather copies each source row whole.
+    ZeroedCsr expected;
+    for (index_t i = 0; i < mesh.num_rows(); ++i) {
+      const index_t src = perm[static_cast<std::size_t>(i)];
+      const auto cols = mesh.row_cols(src);
+      const auto vals = mesh.row_values(src);
+      expected.col_idx.insert(expected.col_idx.end(), cols.begin(), cols.end());
+      expected.values.insert(expected.values.end(), vals.begin(), vals.end());
+      expected.row_ptr.push_back(static_cast<offset_t>(expected.col_idx.size()));
+    }
+    poison_for(rows, nnz);
+    expect_same_arrays(permute_rows(mesh, perm), expected);
+  }
+  {
+    // Rows past the in-place insertion-sort cutoff take the pair sort.
+    CooMatrix coo(300, 300);
+    for (index_t j = 0; j < 300; j += 2) coo.add(17, j, 1.0 + j);
+    for (index_t i = 0; i < 300; ++i) coo.add(i, (7 * i) % 300, -1.0 - i);
+    const CsrMatrix dense_row = CsrMatrix::from_coo(coo);
+    const Permutation p = random_permutation(300, 4);
+    const ZeroedCsr expected = zeroed_permute_symmetric(dense_row, p);
+    poison_for(300, static_cast<std::size_t>(dense_row.num_nonzeros()));
+    expect_same_arrays(permute_symmetric(dense_row, p), expected);
+  }
+  {
+    const CsrMatrix a = random_square(2000, 4.0, 5);
+    const ZeroedCsr expected = zeroed_transpose(a);
+    poison_for(2000, static_cast<std::size_t>(a.num_nonzeros()));
+    expect_same_arrays(transpose(a), expected);
+  }
+  {
+    const ZeroedCsr expected = zeroed_adjacency(mesh);
+    poison_for(rows, expected.col_idx.size());
+    const Graph g = Graph::from_matrix(mesh);
+    EXPECT_TRUE(std::ranges::equal(g.adj_ptr(), expected.row_ptr));
+    EXPECT_TRUE(std::ranges::equal(g.adj(), expected.col_idx));
+  }
+}
+
+// gen_mesh2d fills its rows on idle cores once the mesh is over the
+// parallel grains; the bytes must not depend on how many cores ran.
+TEST(GenMesh2d, SameWithAndWithoutIdleCores) {
+  const int held = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+  const std::int64_t helpers_before = obs::counter("parallel.helpers").value();
+  const CsrMatrix serial = gen_mesh2d(700, 650, 9);
+  EXPECT_EQ(obs::counter("parallel.helpers").value(), helpers_before);
+  pipeline::release_cores(held);
+
+  const CsrMatrix parallel = gen_mesh2d(700, 650, 9);
+  EXPECT_EQ(parallel, serial);
+  expect_same_arrays(parallel, zeroed_mesh2d(700, 650, 9));
+#if defined(ORDO_OBS_ENABLED)
+  if (held > 0) {
+    EXPECT_GT(obs::counter("parallel.helpers").value(), helpers_before);
+  }
+#endif
 }
 
 }  // namespace

@@ -229,9 +229,9 @@ TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
         const Graph g = Graph::from_matrix(a);
         return CsrMatrix(
             g.num_vertices(), g.num_vertices(),
-            std::vector<offset_t>(g.adj_ptr().begin(), g.adj_ptr().end()),
-            std::vector<index_t>(g.adj().begin(), g.adj().end()),
-            std::vector<value_t>(g.adj().size(), 1.0));
+            CsrArray<offset_t>(g.adj_ptr().begin(), g.adj_ptr().end()),
+            CsrArray<index_t>(g.adj().begin(), g.adj().end()),
+            CsrArray<value_t>(g.adj().size(), 1.0));
       }
     }
   };
