@@ -8,6 +8,9 @@
 // BM_RcmWindowedMesh times RCM on a mesh of the same size shuffled within
 // windows, as ordo_bench's spmv_dram input is: its George–Liu sweeps stream
 // per-vertex arrays larger than the L2 (DESIGN §23).
+// BM_SmallBisections times graph and hypergraph bisections of 96 vertices
+// or fewer with reused scratch, the bulk of the nodes of a recursive
+// bisection to 128 parts, whose cost is per call (DESIGN §24).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +18,8 @@
 
 #include "bench_report_main.hpp"
 #include "corpus/generators.hpp"
+#include "partition/graph_partitioner.hpp"
+#include "partition/hypergraph_partitioner.hpp"
 #include "reorder/reordering.hpp"
 
 namespace {
@@ -124,6 +129,48 @@ void BM_RcmWindowedMesh(benchmark::State& s) {
   bench_ordering(s, windowed_big_mesh(), OrderingKind::kRcm);
 }
 
+// 64 meshes and R-MAT graphs of 16 to 96 vertices, with the column-net
+// hypergraphs of their matrices.
+struct SmallInputs {
+  std::vector<Graph> graphs;
+  std::vector<Hypergraph> hypergraphs;
+};
+const SmallInputs& small_inputs() {
+  static const SmallInputs inputs = [] {
+    SmallInputs made;
+    for (index_t k = 0; k < 64; ++k) {
+      const CsrMatrix a =
+          k % 2 == 0
+              ? gen_mesh2d(4 + k % 5, 4 + k % 8, 5)
+              : gen_rmat(4 + k % 3, 6, 0.57, 0.19, 0.19,
+                         static_cast<std::uint64_t>(k));
+      made.graphs.push_back(Graph::from_matrix(a));
+      made.hypergraphs.push_back(Hypergraph::column_net(a));
+    }
+    return made;
+  }();
+  return inputs;
+}
+
+void BM_SmallBisections(benchmark::State& state) {
+  const SmallInputs& inputs = small_inputs();
+  GraphBisector graph_bisector;
+  HypergraphBisector hypergraph_bisector;
+  PartitionOptions options;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < inputs.graphs.size(); ++k) {
+      options.seed = k + 1;
+      benchmark::DoNotOptimize(
+          graph_bisector.bisect(inputs.graphs[k], 0.5, options).data());
+      benchmark::DoNotOptimize(
+          hypergraph_bisector.bisect(inputs.hypergraphs[k], 0.5, options)
+              .data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(inputs.graphs.size()));
+}
+
 void BM_ApplyOrdering(benchmark::State& state, OrderingKind kind) {
   const CsrMatrix& a = shuffled_big_mesh();
   const Ordering ordering = compute_ordering(a, kind, ReorderOptions{});
@@ -146,6 +193,7 @@ BENCHMARK(BM_GrayPowerLaw);
 BENCHMARK(BM_RcmManyComponents);
 BENCHMARK(BM_GpRmatHubs)->Arg(1)->Arg(3);
 BENCHMARK(BM_RcmWindowedMesh);
+BENCHMARK(BM_SmallBisections);
 BENCHMARK_CAPTURE(BM_ApplyOrdering, RCM, OrderingKind::kRcm);
 BENCHMARK_CAPTURE(BM_ApplyOrdering, Gray, OrderingKind::kGray);
 

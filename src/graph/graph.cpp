@@ -43,6 +43,17 @@ Graph::Graph(index_t num_vertices, CsrArray<offset_t> adj_ptr,
           "Graph: edge weight count mismatch");
 }
 
+Graph::Graph(index_t num_vertices, GraphArrays arrays)
+    : Graph(num_vertices, std::move(arrays.adj_ptr), std::move(arrays.adj),
+            std::move(arrays.vertex_weights), std::move(arrays.edge_weights)) {
+}
+
+GraphArrays Graph::release() {
+  num_vertices_ = 0;
+  return GraphArrays{std::move(adj_ptr_), std::move(adj_),
+                     std::move(vertex_weights_), std::move(edge_weights_)};
+}
+
 void Graph::validate() const {
   // Structural contract only; the O(m log m) mirror-symmetry check runs at
   // the Graph::from_matrix seam under ORDO_CHECK (construction happens per
@@ -99,8 +110,10 @@ std::int64_t Graph::total_vertex_weight() const {
                          std::int64_t{0});
 }
 
-PeripheralSearch::PeripheralSearch(const Graph& g)
-    : g_(g), visited_((static_cast<std::size_t>(g.num_vertices()) + 63) / 64) {
+void PeripheralSearch::set_graph(const Graph& g) {
+  g_ = &g;
+  // Every search leaves the bitmap zero, so only new words need a value.
+  visited_.resize((static_cast<std::size_t>(g.num_vertices()) + 63) / 64, 0);
   const auto n = static_cast<std::size_t>(g.num_vertices());
   accepted_.queue.resize(n);
   trial_.queue.resize(n);
@@ -111,8 +124,8 @@ index_t PeripheralSearch::search(Bfs& bfs, index_t start) {
   // each begins, so no per-vertex level is stored. "Visited" is one bit
   // per vertex: at n / 8 bytes the bitmap stays cache-resident on inputs
   // whose per-vertex arrays do not (DESIGN §23).
-  const auto adj_ptr = g_.adj_ptr();
-  const auto adj = g_.adj();
+  const auto adj_ptr = g_->adj_ptr();
+  const auto adj = g_->adj();
   index_t* const queue = bfs.queue.data();
   std::uint64_t* const visited = visited_.data();
   const auto visit = [&](index_t u) {
@@ -162,7 +175,7 @@ index_t PeripheralSearch::search(Bfs& bfs, index_t start) {
   index_t deepest = queue[deepest_first];
   for (std::size_t k = deepest_first + 1; k < tail; ++k) {
     const index_t v = queue[k];
-    if (std::pair(g_.degree(v), v) < std::pair(g_.degree(deepest), deepest)) {
+    if (std::pair(g_->degree(v), v) < std::pair(g_->degree(deepest), deepest)) {
       deepest = v;
     }
   }
@@ -170,7 +183,7 @@ index_t PeripheralSearch::search(Bfs& bfs, index_t start) {
 }
 
 index_t PeripheralSearch::run(index_t seed) {
-  require(seed >= 0 && seed < g_.num_vertices(),
+  require(g_ != nullptr && seed >= 0 && seed < g_->num_vertices(),
           "PeripheralSearch::run: seed out of range");
   index_t current = seed;
   index_t candidate = search(accepted_, seed);

@@ -14,9 +14,22 @@
 
 namespace ordo {
 
+/// The arrays a Graph is built from. Builders that make many graphs one
+/// after another take them back with Graph::release and refill them, so
+/// their allocations carry over to the next graph.
+struct GraphArrays {
+  CsrArray<offset_t> adj_ptr;
+  CsrArray<index_t> adj;
+  std::vector<index_t> vertex_weights;  // empty => all ones
+  std::vector<index_t> edge_weights;    // empty => all ones
+};
+
 class Graph {
  public:
   Graph() = default;
+
+  /// The weighted constructor below, from one bundle of arrays.
+  Graph(index_t num_vertices, GraphArrays arrays);
 
   /// Builds an unweighted graph from adjacency arrays. Self-loops must have
   /// been removed and each edge must appear in both endpoint lists.
@@ -66,6 +79,9 @@ class Graph {
   /// Total vertex weight of the graph.
   std::int64_t total_vertex_weight() const;
 
+  /// Moves the arrays out, leaving a graph of no vertices.
+  GraphArrays release();
+
  private:
   void validate() const;
 
@@ -83,7 +99,13 @@ class Graph {
 /// The graph must outlive the search.
 class PeripheralSearch {
  public:
-  explicit PeripheralSearch(const Graph& g);
+  /// A search bound to no graph; call set_graph before run.
+  PeripheralSearch() = default;
+  explicit PeripheralSearch(const Graph& g) { set_graph(g); }
+
+  /// Binds the search to `g`, keeping the scratch of earlier graphs: no
+  /// allocation once the scratch has grown to g's size.
+  void set_graph(const Graph& g);
 
   /// Starting from `seed`, repeatedly moves to the minimum-(degree, id)
   /// vertex of the deepest BFS level while that raises the eccentricity, and
@@ -117,7 +139,7 @@ class PeripheralSearch {
   /// the deepest level.
   index_t search(Bfs& bfs, index_t start);
 
-  const Graph& g_;
+  const Graph* g_ = nullptr;
   // One bit per vertex, set while a search runs and cleared (over the
   // vertices it reached) before the search returns.
   std::vector<std::uint64_t> visited_;

@@ -66,6 +66,9 @@ CoarseLevel contract(const Graph& g, const std::vector<index_t>& match) {
   std::vector<index_t> c_eweights;
   std::vector<index_t> c_vweights(static_cast<std::size_t>(coarse_count), 0);
   std::vector<offset_t> slot(static_cast<std::size_t>(coarse_count), -1);
+  // The coarse adjacency is at most the fine one: one allocation each.
+  c_adj.reserve(static_cast<std::size_t>(g.num_adjacency_entries()));
+  c_eweights.reserve(static_cast<std::size_t>(g.num_adjacency_entries()));
 
   for (index_t v = 0; v < n; ++v) {
     c_vweights[static_cast<std::size_t>(
@@ -75,8 +78,8 @@ CoarseLevel contract(const Graph& g, const std::vector<index_t>& match) {
 
   // Iterate coarse vertices in id order; for each, merge the adjacency of
   // its one or two fine constituents.
-  std::vector<std::pair<index_t, index_t>> owners(
-      static_cast<std::size_t>(coarse_count), {-1, -1});
+  std::vector<std::pair<index_t, index_t>>& owners = level.coarse_to_fine;
+  owners.assign(static_cast<std::size_t>(coarse_count), {-1, -1});
   for (index_t v = 0; v < n; ++v) {
     const index_t c = level.fine_to_coarse[static_cast<std::size_t>(v)];
     if (owners[static_cast<std::size_t>(c)].first < 0) {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,6 +20,9 @@ namespace ordo {
 struct CoarseLevel {
   Graph graph;                    ///< the coarse graph
   std::vector<index_t> fine_to_coarse;  ///< map from fine to coarse vertex ids
+  /// The fine vertices of each coarse vertex, lower id first; the second is
+  /// -1 when the first stayed unmatched.
+  std::vector<std::pair<index_t, index_t>> coarse_to_fine;
 };
 
 /// Computes a heavy-edge matching. Returns match[v] = partner of v, or v

@@ -23,37 +23,73 @@ std::int64_t fm_move_gain(const Graph& g, const std::vector<index_t>& part,
   return external - internal;
 }
 
+bool on_boundary(const Graph& g, const std::vector<index_t>& part,
+                 index_t v) {
+  const index_t side = part[static_cast<std::size_t>(v)];
+  for (index_t u : g.neighbors(v)) {
+    if (part[static_cast<std::size_t>(u)] != side) return true;
+  }
+  return false;
+}
+
+void collect_boundary(const Graph& g, const std::vector<index_t>& part,
+                      std::vector<index_t>& out) {
+  out.clear();
+  for (index_t v = 0; v < g.num_vertices(); ++v) {
+    if (on_boundary(g, part, v)) out.push_back(v);
+  }
+}
+
 namespace {
 
-// State one fm_refine_bisection call reuses across its passes.
-struct FmScratch {
-  FmGainQueue queue;
-  std::vector<index_t> moves;
-  std::int64_t weight0 = 0;  // part 0's weight under the current `part`
-};
+// Brings scratch.boundary up to date after a pass that kept the first
+// `kept` of its moves. A vertex can join or leave the boundary only if it
+// or a neighbour moved, so the new boundary lies within the old one plus
+// the kept moves' closed neighbourhoods.
+void update_boundary(const Graph& g, const std::vector<index_t>& part,
+                     std::size_t kept, FmScratch& scratch) {
+  if (kept == 0) return;
+  std::vector<index_t>& seen = scratch.seen;
+  std::vector<char>& marked = scratch.marked;
+  seen.clear();
+  const auto consider = [&](index_t v) {
+    char& mark = marked[static_cast<std::size_t>(v)];
+    if (mark == 0) {
+      mark = 1;
+      seen.push_back(v);
+    }
+  };
+  for (const index_t v : scratch.boundary) consider(v);
+  for (std::size_t k = 0; k < kept; ++k) {
+    const index_t v = scratch.moves[k];
+    consider(v);
+    for (const index_t u : g.neighbors(v)) consider(u);
+  }
+  scratch.boundary.clear();
+  for (const index_t v : seen) {
+    marked[static_cast<std::size_t>(v)] = 0;
+    if (on_boundary(g, part, v)) scratch.boundary.push_back(v);
+  }
+}
 
 // One FM pass. Returns the improvement achieved (>= 0); `part` is updated to
 // the best prefix of the move sequence.
 //
 // Only *boundary* vertices (those with a neighbour across the cut) are
 // seeded into the gain queue — interior vertices can only become worth moving
-// after a neighbour moves, at which point the update loop inserts them. This
-// keeps a pass proportional to the cut region rather than the whole graph.
+// after a neighbour moves, at which point the update loop inserts them. The
+// queue's pick depends only on the set of vertices it holds (DESIGN §19), so
+// the boundary list's order does not matter, and a pass costs the cut region
+// plus its moves rather than the whole graph.
 std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
                      const BisectionBalance& balance, FmScratch& scratch,
                      FmTally& tally) {
   const index_t n = g.num_vertices();
   FmGainQueue& queue = scratch.queue;
   queue.reset(n);
-  for (index_t v = 0; v < n; ++v) {
-    for (index_t u : g.neighbors(v)) {
-      if (part[static_cast<std::size_t>(u)] !=
-          part[static_cast<std::size_t>(v)]) {
-        queue.insert(v, fm_move_gain(g, part, v),
-                     part[static_cast<std::size_t>(v)], g.vertex_weight(v));
-        break;
-      }
-    }
+  for (const index_t v : scratch.boundary) {
+    queue.insert(v, fm_move_gain(g, part, v), part[static_cast<std::size_t>(v)],
+                 g.vertex_weight(v));
   }
 
   std::int64_t& weight0 = scratch.weight0;
@@ -107,6 +143,7 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
 
   // Roll back every move after the best prefix.
   for (std::size_t k = moves.size(); k > best_prefix; --k) flip(moves[k - 1]);
+  update_boundary(g, part, best_prefix, scratch);
   ++tally.passes;
   tally.cut_improvement += best_cumulative;
   tally.moves += static_cast<std::int64_t>(moves.size());
@@ -117,12 +154,13 @@ std::int64_t fm_pass(const Graph& g, std::vector<index_t>& part,
 
 }  // namespace
 
-std::int64_t fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
-                                 const BisectionBalance& balance,
-                                 int max_passes) {
+FmTally fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
+                            const BisectionBalance& balance, int max_passes,
+                            FmScratch& scratch) {
   require(part.size() == static_cast<std::size_t>(g.num_vertices()),
           "fm_refine_bisection: partition size mismatch");
-  FmScratch scratch;
+  scratch.marked.resize(static_cast<std::size_t>(g.num_vertices()), 0);
+  scratch.weight0 = 0;
   for (index_t v = 0; v < g.num_vertices(); ++v) {
     if (part[static_cast<std::size_t>(v)] == 0) {
       scratch.weight0 += g.vertex_weight(v);
@@ -137,7 +175,18 @@ std::int64_t fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
   ORDO_COUNTER_ADD("partition.fm.moves", tally.moves);
   ORDO_COUNTER_ADD("partition.fm.moves_kept", tally.moves_kept);
   ORDO_COUNTER_ADD("partition.fm.deferrals", tally.deferrals);
-  return tally.cut_improvement;
+  return tally;
+}
+
+std::int64_t fm_refine_bisection(const Graph& g, std::vector<index_t>& part,
+                                 const BisectionBalance& balance,
+                                 int max_passes) {
+  require(part.size() == static_cast<std::size_t>(g.num_vertices()),
+          "fm_refine_bisection: partition size mismatch");
+  FmScratch scratch;
+  collect_boundary(g, part, scratch.boundary);
+  return fm_refine_bisection(g, part, balance, max_passes, scratch)
+      .cut_improvement;
 }
 
 }  // namespace ordo

@@ -4,15 +4,19 @@
 // Two binary max-heaps, one per side of the bisection, of vertices keyed by
 // (gain, vertex id), with each vertex's heap slot recorded so that a gain
 // update re-sifts its one entry in place: a heap never holds a stale entry,
-// and ties break toward the higher vertex id. The queue also owns the
-// per-vertex FM state of one pass. A vertex is untracked (no gain yet),
-// queued (in its side's heap), deferred (its move would break balance; held
-// in its side's min-heap by weight) or locked (moved this pass). A move's
-// feasibility depends only on the mover's side and weight, so a side whose
-// room is below its lightest vertex is skipped without popping, and deferred
-// vertices rejoin only once the room reaches their weight. DESIGN §19 shows
-// that `next` still locks the highest (gain, id) active vertex whose move is
-// feasible.
+// and ties break toward the higher vertex id. A heap entry is one int64,
+// gain << 32 | id, whose integer order is the (gain, id) order, so gains
+// must fit in int32 (checked on every insert and update). The queue also
+// owns the per-vertex FM state of one pass. A vertex is untracked (no gain
+// yet), queued (in its side's heap), deferred (its move would break
+// balance; held in its side's min-heap by weight) or locked (moved this
+// pass). A move's feasibility depends only on the mover's side and weight,
+// so a side whose room is below its lightest vertex is skipped without
+// popping, and deferred vertices rejoin only once the room reaches their
+// weight. DESIGN §19 shows that `next` still locks the highest (gain, id)
+// active vertex whose move is feasible, whatever order the vertices were
+// inserted in. A reset forgets only the vertices tracked since the last
+// one, so a pass costs what it touches, not the graph's size (DESIGN §24).
 #pragma once
 
 #include <algorithm>
@@ -28,18 +32,31 @@ namespace ordo {
 class FmGainQueue {
  public:
   /// Forgets every vertex and sizes the queue for `n` vertices, keeping the
-  /// allocations of earlier passes.
+  /// allocations of earlier passes. Costs the vertices tracked since the
+  /// last reset, plus any growth of `n`.
   void reset(index_t n) {
     for (Side& side : sides_) {
       side.heap.clear();
       side.deferred.clear();
       side.lightest = std::numeric_limits<std::int64_t>::max();
     }
-    slot_.assign(static_cast<std::size_t>(n), kUntracked);
+    for (const index_t v : tracked_) set_slot(v, kUntracked);
+    tracked_.clear();
+    slot_.resize(static_cast<std::size_t>(n), kUntracked);
     gain_.resize(static_cast<std::size_t>(n));
     side_.resize(static_cast<std::size_t>(n));
     weight_.resize(static_cast<std::size_t>(n));
     deferrals_ = 0;
+  }
+
+  /// The heap key of vertex `v` at gain `gain`: integer order on keys is
+  /// (gain, id) order. Throws when the gain does not fit in int32.
+  static std::int64_t key(std::int64_t gain, index_t v) {
+    require(gain >= std::numeric_limits<std::int32_t>::min() &&
+                gain <= std::numeric_limits<std::int32_t>::max(),
+            "FmGainQueue: gain outside int32");
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(gain) << 32 |
+                                     static_cast<std::uint32_t>(v));
   }
 
   /// True once v has a gain: queued, deferred or locked.
@@ -58,22 +75,26 @@ class FmGainQueue {
   /// vertex is locked.
   void insert(index_t v, std::int64_t gain, index_t side,
               std::int64_t weight) {
+    const std::int64_t k = key(gain, v);
     const auto at = static_cast<std::size_t>(v);
     gain_[at] = gain;
     side_[at] = static_cast<unsigned char>(side);
     weight_[at] = weight;
+    tracked_.push_back(v);
     Side& s = sides_[static_cast<std::size_t>(side)];
     s.lightest = std::min(s.lightest, weight);
-    push(s, v);
+    push(s, k);
   }
 
   /// Adds `delta` to the gain of a queued or deferred vertex.
   void add(index_t v, std::int64_t delta) {
-    gain_[static_cast<std::size_t>(v)] += delta;
+    std::int64_t& g = gain_[static_cast<std::size_t>(v)];
+    const std::int64_t k = key(g + delta, v);
+    g += delta;
     const index_t at = slot(v);
-    if (at < 0) return;  // deferred: the gain is read when v rejoins
-    std::vector<Entry>& heap = side_of(v).heap;
-    heap[static_cast<std::size_t>(at)].gain = gain(v);
+    if (at < 0) return;  // deferred: the key is made when v rejoins
+    std::vector<std::int64_t>& heap = side_of(v).heap;
+    heap[static_cast<std::size_t>(at)] = k;
     if (delta > 0) {
       sift_up(heap, static_cast<std::size_t>(at));
     } else {
@@ -105,16 +126,12 @@ class FmGainQueue {
   static constexpr index_t kDeferred = -2;
   static constexpr index_t kLocked = -3;
 
-  struct Entry {
-    std::int64_t gain;
-    index_t vertex;
-  };
   struct Weighed {
     std::int64_t weight;
     index_t vertex;
   };
   struct Side {
-    std::vector<Entry> heap;        // max-heap by (gain, id)
+    std::vector<std::int64_t> heap;  // max-heap of keys
     std::vector<Weighed> deferred;  // min-heap by weight
     // The lightest weight queued since the last reset.
     std::int64_t lightest = std::numeric_limits<std::int64_t>::max();
@@ -124,8 +141,8 @@ class FmGainQueue {
     std::int64_t low, high;
   };
 
-  static bool above(const Entry& a, const Entry& b) {
-    return a.gain != b.gain ? a.gain > b.gain : a.vertex > b.vertex;
+  static index_t vertex_of(std::int64_t key) {
+    return static_cast<index_t>(static_cast<std::uint32_t>(key));
   }
   static bool heavier(const Weighed& a, const Weighed& b) {
     return a.weight > b.weight;
@@ -154,11 +171,11 @@ class FmGainQueue {
         const index_t v = deferred.front().vertex;
         std::pop_heap(deferred.begin(), deferred.end(), heavier);
         deferred.pop_back();
-        push(side, v);
+        push(side, key(gain(v), v));
       }
-      std::vector<Entry>& heap = side.heap;
+      std::vector<std::int64_t>& heap = side.heap;
       while (!heap.empty()) {
-        const std::int64_t w = weight(heap.front().vertex);
+        const std::int64_t w = weight(vertex_of(heap.front()));
         if (w >= room.low && w <= room.high) break;
         const index_t v = pop_top(heap);
         set_slot(v, kDeferred);
@@ -167,7 +184,7 @@ class FmGainQueue {
         ++deferrals_;
       }
       if (!heap.empty() &&
-          (best == nullptr || above(heap.front(), best->heap.front()))) {
+          (best == nullptr || heap.front() > best->heap.front())) {
         best = &side;
       }
     }
@@ -177,20 +194,21 @@ class FmGainQueue {
     return v;
   }
 
-  void place(std::vector<Entry>& heap, std::size_t at, const Entry& entry) {
+  void place(std::vector<std::int64_t>& heap, std::size_t at,
+             std::int64_t entry) {
     heap[at] = entry;
-    set_slot(entry.vertex, static_cast<index_t>(at));
+    set_slot(vertex_of(entry), static_cast<index_t>(at));
   }
 
-  void push(Side& side, index_t v) {
-    side.heap.push_back(Entry{gain(v), v});
+  void push(Side& side, std::int64_t entry) {
+    side.heap.push_back(entry);
     sift_up(side.heap, side.heap.size() - 1);
   }
 
   // Removes the root; the caller records where the vertex went.
-  index_t pop_top(std::vector<Entry>& heap) {
-    const index_t top = heap.front().vertex;
-    const Entry last = heap.back();
+  index_t pop_top(std::vector<std::int64_t>& heap) {
+    const index_t top = vertex_of(heap.front());
+    const std::int64_t last = heap.back();
     heap.pop_back();
     if (!heap.empty()) {
       heap.front() = last;
@@ -199,23 +217,23 @@ class FmGainQueue {
     return top;
   }
 
-  void sift_up(std::vector<Entry>& heap, std::size_t at) {
-    const Entry entry = heap[at];
+  void sift_up(std::vector<std::int64_t>& heap, std::size_t at) {
+    const std::int64_t entry = heap[at];
     while (at > 0) {
       const std::size_t parent = (at - 1) / 2;
-      if (!above(entry, heap[parent])) break;
+      if (entry <= heap[parent]) break;
       place(heap, at, heap[parent]);
       at = parent;
     }
     place(heap, at, entry);
   }
 
-  void sift_down(std::vector<Entry>& heap, std::size_t at) {
-    const Entry entry = heap[at];
+  void sift_down(std::vector<std::int64_t>& heap, std::size_t at) {
+    const std::int64_t entry = heap[at];
     const std::size_t size = heap.size();
     for (std::size_t child = 2 * at + 1; child < size; child = 2 * at + 1) {
-      if (child + 1 < size && above(heap[child + 1], heap[child])) ++child;
-      if (!above(heap[child], entry)) break;
+      if (child + 1 < size && heap[child + 1] > heap[child]) ++child;
+      if (heap[child] <= entry) break;
       place(heap, at, heap[child]);
       at = child;
     }
@@ -227,6 +245,7 @@ class FmGainQueue {
   std::vector<std::int64_t> gain_;
   std::vector<unsigned char> side_;
   std::vector<std::int64_t> weight_;
+  std::vector<index_t> tracked_;  // tracked since the last reset
   std::int64_t deferrals_ = 0;
 };
 

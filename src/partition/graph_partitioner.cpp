@@ -1,9 +1,10 @@
 #include "partition/graph_partitioner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <deque>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <queue>
 #include <utility>
@@ -11,8 +12,6 @@
 #include "check/check.hpp"
 #include "obs/obs.hpp"
 #include "partition/coarsening.hpp"
-#include "partition/fm_refinement.hpp"
-#include "partition/initial_partition.hpp"
 #include "pipeline/fork_join.hpp"
 
 namespace ordo {
@@ -29,47 +28,56 @@ BisectionBalance make_balance(const Graph& g, double target_fraction,
   return balance;
 }
 
-// Extracts the subgraph induced by the vertices with part[v] == which, along
-// with the mapping from subgraph ids back to the parent's ids.
+// A subgraph in the recursion: the graph, and the root id of each vertex.
 struct Subgraph {
   Graph graph;
-  std::vector<index_t> to_parent;
+  std::vector<index_t> to_root;
 };
 
-Subgraph induced_subgraph(const Graph& g, const std::vector<index_t>& part,
-                          index_t which) {
-  Subgraph sub;
-  std::vector<index_t> to_sub(static_cast<std::size_t>(g.num_vertices()), -1);
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    if (part[static_cast<std::size_t>(v)] == which) {
-      to_sub[static_cast<std::size_t>(v)] =
-          static_cast<index_t>(sub.to_parent.size());
-      sub.to_parent.push_back(v);
-    }
+// Builds the subgraphs of `g` induced by part 0 and by part 1 into
+// sides[0] and sides[1], in one pass over g's adjacency, refilling their
+// storage. Vertices keep their relative order; `to_root` maps g's vertices
+// to root ids, and `to_sub` is scratch.
+void split_graph(const Graph& g, const std::vector<index_t>& part,
+                 const std::vector<index_t>& to_root,
+                 std::vector<index_t>& to_sub, std::array<Subgraph, 2>& sides) {
+  const index_t n = g.num_vertices();
+  std::array<GraphArrays, 2> arrays;
+  for (std::size_t s = 0; s < 2; ++s) {
+    arrays[s] = sides[s].graph.release();
+    arrays[s].adj_ptr.assign(1, 0);
+    arrays[s].adj.clear();
+    arrays[s].vertex_weights.clear();
+    arrays[s].edge_weights.clear();
+    sides[s].to_root.clear();
   }
-  const index_t n = static_cast<index_t>(sub.to_parent.size());
-  CsrArray<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  CsrArray<index_t> adj;
-  std::vector<index_t> eweights;
-  std::vector<index_t> vweights(static_cast<std::size_t>(n));
-  for (index_t sv = 0; sv < n; ++sv) {
-    const index_t v = sub.to_parent[static_cast<std::size_t>(sv)];
-    vweights[static_cast<std::size_t>(sv)] = g.vertex_weight(v);
+  to_sub.resize(static_cast<std::size_t>(n));
+  for (index_t v = 0; v < n; ++v) {
+    const auto s = static_cast<std::size_t>(part[static_cast<std::size_t>(v)]);
+    to_sub[static_cast<std::size_t>(v)] =
+        static_cast<index_t>(sides[s].to_root.size());
+    sides[s].to_root.push_back(to_root[static_cast<std::size_t>(v)]);
+    arrays[s].vertex_weights.push_back(g.vertex_weight(v));
+  }
+  for (index_t v = 0; v < n; ++v) {
+    const index_t side = part[static_cast<std::size_t>(v)];
+    GraphArrays& out = arrays[static_cast<std::size_t>(side)];
     const auto neighbors = g.neighbors(v);
     const offset_t base = g.adj_ptr()[v];
     for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      const index_t su = to_sub[static_cast<std::size_t>(neighbors[k])];
-      if (su >= 0) {
-        adj.push_back(su);
-        eweights.push_back(g.edge_weight(base + static_cast<offset_t>(k)));
+      const auto u = static_cast<std::size_t>(neighbors[k]);
+      if (part[u] == side) {
+        out.adj.push_back(to_sub[u]);
+        out.edge_weights.push_back(
+            g.edge_weight(base + static_cast<offset_t>(k)));
       }
     }
-    adj_ptr[static_cast<std::size_t>(sv) + 1] =
-        static_cast<offset_t>(adj.size());
+    out.adj_ptr.push_back(static_cast<offset_t>(out.adj.size()));
   }
-  sub.graph = Graph(n, std::move(adj_ptr), std::move(adj), std::move(vweights),
-                    std::move(eweights));
-  return sub;
+  for (std::size_t s = 0; s < 2; ++s) {
+    sides[s].graph = Graph(static_cast<index_t>(sides[s].to_root.size()),
+                           std::move(arrays[s]));
+  }
 }
 
 // One k-way partition in flight through the recursion: the result it
@@ -80,78 +88,133 @@ struct PartRequest {
   index_t first_part = 0;
 };
 
+// A request and the reduced fraction left_parts / num_parts of its next
+// bisection.
+struct KeyedRequest {
+  std::pair<index_t, index_t> fraction;
+  PartRequest request;
+};
+
+// What a node at one recursion depth keeps while its subtrees run.
+struct DepthScratch {
+  std::vector<KeyedRequest> keyed;
+  std::array<Subgraph, 2> sides;
+  std::array<std::vector<PartRequest>, 2> requests;
+};
+
+// One recursion thread's scratch. `depths` is a deque so that a node's
+// entry stays put while deeper nodes add theirs.
+struct RecursionScratch {
+  GraphBisector bisector;
+  std::vector<index_t> to_sub;
+  std::deque<DepthScratch> depths;
+
+  DepthScratch& at(std::size_t depth) {
+    while (depths.size() <= depth) depths.emplace_back();
+    return depths[depth];
+  }
+};
+
+// The result bisect_graph returns for `part`, checked against its
+// contracts.
+PartitionResult bisection_result(const Graph& g, std::vector<index_t> part,
+                                 [[maybe_unused]] double tolerance) {
+  PartitionResult result;
+  result.part = std::move(part);
+  result.num_parts = 2;
+  result.cut = compute_edge_cut(g, result.part);
+  result.imbalance = compute_partition_imbalance(g, result.part, 2);
+  ORDO_CHECK(validate_partition(g, result, 2, "bisect_graph"));
+  ORDO_CHECK(
+      validate_bisection_balance(g, result, tolerance, "bisect_graph"));
+  return result;
+}
+
 // Recursive bisection for several part counts at once. A bisection is a pure
 // function of the subgraph, the target fraction left_parts / num_parts and
 // the path-derived seed, none of which depends on k, so the requests whose
-// fractions agree at a node share one bisect_graph call and the subtree below
-// it. Requests are grouped by their reduced integer fraction: equal reduced
+// fractions agree at a node share one bisection and the subtree below it.
+// Requests are grouped by their reduced integer fraction: equal reduced
 // fractions divide to the same double, so the shared bisection is exactly the
-// one each request would have made alone.
+// one each request would have made alone. Each group writes only its own
+// requests' outputs, so the order groups run in changes no byte.
 void recursive_bisect(const Graph& g, const PartitionOptions& options,
                       const std::vector<PartRequest>& requests,
-                      const std::vector<index_t>& to_parent,
-                      std::vector<PartitionResult>& out, std::uint64_t seed) {
-  std::map<std::pair<index_t, index_t>, std::vector<PartRequest>> groups;
+                      const std::vector<index_t>& to_root,
+                      std::vector<PartitionResult>& out, std::uint64_t seed,
+                      RecursionScratch& scratch, std::size_t depth) {
+  DepthScratch& here = scratch.at(depth);
+  std::vector<KeyedRequest>& keyed = here.keyed;
+  keyed.clear();
   for (const PartRequest& request : requests) {
     if (request.num_parts <= 1 || g.num_vertices() == 0) {
       std::vector<index_t>& part = out[request.output].part;
       for (index_t v = 0; v < g.num_vertices(); ++v) {
-        part[static_cast<std::size_t>(to_parent[static_cast<std::size_t>(v)])] =
+        part[static_cast<std::size_t>(to_root[static_cast<std::size_t>(v)])] =
             request.first_part;
       }
       continue;
     }
     const index_t left_parts = request.num_parts / 2;
     const index_t divisor = std::gcd(left_parts, request.num_parts);
-    groups[{left_parts / divisor, request.num_parts / divisor}].push_back(
-        request);
+    // Insertion by fraction, after equal ones: the few requests of a node
+    // stay in arrival order within a group.
+    KeyedRequest entry{{left_parts / divisor, request.num_parts / divisor},
+                       request};
+    keyed.push_back(entry);
+    for (std::size_t k = keyed.size() - 1;
+         k > 0 && entry.fraction < keyed[k - 1].fraction; --k) {
+      std::swap(keyed[k], keyed[k - 1]);
+    }
   }
 
-  for (const auto& [fraction, group] : groups) {
+  for (std::size_t first = 0, last = 0; first < keyed.size(); first = last) {
+    const std::pair<index_t, index_t> fraction = keyed[first].fraction;
+    for (last = first; last < keyed.size() && keyed[last].fraction == fraction;
+         ++last) {
+    }
     poll_cancelled(options.cancel, "partition_graph");
-    // The bisection dies here, before the subtrees run: a forked subtree
-    // adds its working set to the memory its ancestors still hold.
-    Subgraph left;
-    Subgraph right;
     {
       PartitionOptions bisect_options = options;
       bisect_options.seed = seed;
-      const PartitionResult bisection = bisect_graph(
+      const std::vector<index_t>& part = scratch.bisector.bisect(
           g,
           static_cast<double>(fraction.first) /
               static_cast<double>(fraction.second),
           bisect_options);
-      left = induced_subgraph(g, bisection.part, 0);
-      right = induced_subgraph(g, bisection.part, 1);
+      if constexpr (check::invariant_checks_enabled()) {
+        bisection_result(g, part, options.imbalance_tolerance);
+      }
+      split_graph(g, part, to_root, scratch.to_sub, here.sides);
+      if (g.num_vertices() > kRetainedScratchVertices) {
+        scratch.bisector = GraphBisector();
+      }
     }
-    // Translate the sub-to-parent maps one level further up.
-    for (index_t& v : left.to_parent) {
-      v = to_parent[static_cast<std::size_t>(v)];
-    }
-    for (index_t& v : right.to_parent) {
-      v = to_parent[static_cast<std::size_t>(v)];
-    }
-
-    std::vector<PartRequest> left_requests;
-    std::vector<PartRequest> right_requests;
-    for (const PartRequest& request : group) {
+    for (std::vector<PartRequest>& side : here.requests) side.clear();
+    for (std::size_t k = first; k < last; ++k) {
+      const PartRequest& request = keyed[k].request;
       const index_t left_parts = request.num_parts / 2;
-      left_requests.push_back({request.output, left_parts, request.first_part});
-      right_requests.push_back({request.output, request.num_parts - left_parts,
-                                request.first_part + left_parts});
+      here.requests[0].push_back(
+          {request.output, left_parts, request.first_part});
+      here.requests[1].push_back({request.output,
+                                  request.num_parts - left_parts,
+                                  request.first_part + left_parts});
     }
     // The subtrees write disjoint vertices of `out`, so either may run on
-    // an idle core.
-    pipeline::fork_join(
-        static_cast<std::size_t>(left.graph.num_vertices()),
-        [&] {
-          recursive_bisect(left.graph, options, left_requests, left.to_parent,
-                           out, seed * 6364136223846793005ULL + 1);
+    // an idle core, with scratch of its own.
+    pipeline::fork_join_with(
+        static_cast<std::size_t>(here.sides[0].graph.num_vertices()), scratch,
+        [&](RecursionScratch& mine) {
+          recursive_bisect(here.sides[0].graph, options, here.requests[0],
+                           here.sides[0].to_root, out,
+                           seed * 6364136223846793005ULL + 1, mine,
+                           &mine == &scratch ? depth + 1 : 0);
         },
-        [&] {
-          recursive_bisect(right.graph, options, right_requests,
-                           right.to_parent, out,
-                           seed * 6364136223846793005ULL + 2);
+        [&](RecursionScratch& mine) {
+          recursive_bisect(here.sides[1].graph, options, here.requests[1],
+                           here.sides[1].to_root, out,
+                           seed * 6364136223846793005ULL + 2, mine,
+                           depth + 1);
         });
   }
 }
@@ -189,8 +252,8 @@ void repair_degenerate_bisection(const Graph& g, std::vector<index_t>& part) {
 
 }  // namespace
 
-PartitionResult bisect_graph(const Graph& g, double target_fraction,
-                             const PartitionOptions& options) {
+const std::vector<index_t>& GraphBisector::bisect(
+    const Graph& g, double target_fraction, const PartitionOptions& options) {
   require(g.num_vertices() > 0, "bisect_graph: empty graph");
 
   // Coarsening phase. Stop when the graph is small enough or when matching
@@ -216,14 +279,15 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
                    static_cast<std::int64_t>(hierarchy.size()));
 
   // Initial bisection on the coarsest graph, refined in place.
-  std::vector<index_t> part;
   {
     ORDO_SCOPE("partition/initial");
-    part = greedy_graph_growing_bisection(*current, target_fraction, seed);
+    greedy_graph_growing_bisection(*current, target_fraction, seed, grow_,
+                                   part_);
+    collect_boundary(*current, part_, fm_.boundary);
     fm_refine_bisection(
-        *current, part,
+        *current, part_,
         make_balance(*current, target_fraction, options.imbalance_tolerance),
-        options.refine_passes);
+        options.refine_passes, fm_);
   }
 
   // Uncoarsening: project the partition to each finer level and refine.
@@ -231,34 +295,43 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
     ORDO_SCOPE("partition/refine");
     for (std::size_t level = hierarchy.size(); level > 0; --level) {
       const Graph& fine = level >= 2 ? hierarchy[level - 2].graph : g;
-      const std::vector<index_t>& fine_to_coarse =
-          hierarchy[level - 1].fine_to_coarse;
-      std::vector<index_t> fine_part(
-          static_cast<std::size_t>(fine.num_vertices()));
+      const CoarseLevel& coarse = hierarchy[level - 1];
+      fine_part_.resize(static_cast<std::size_t>(fine.num_vertices()));
       for (index_t v = 0; v < fine.num_vertices(); ++v) {
-        fine_part[static_cast<std::size_t>(v)] =
-            part[static_cast<std::size_t>(
-                fine_to_coarse[static_cast<std::size_t>(v)])];
+        fine_part_[static_cast<std::size_t>(v)] =
+            part_[static_cast<std::size_t>(
+                coarse.fine_to_coarse[static_cast<std::size_t>(v)])];
       }
-      part = std::move(fine_part);
+      part_.swap(fine_part_);
+      // A fine vertex with a neighbour across the cut lies in a coarse
+      // vertex with one, so the fine boundary is found among the
+      // constituents of the coarse boundary.
+      coarse_boundary_.swap(fm_.boundary);
+      fm_.boundary.clear();
+      for (const index_t c : coarse_boundary_) {
+        const auto [first, second] =
+            coarse.coarse_to_fine[static_cast<std::size_t>(c)];
+        if (on_boundary(fine, part_, first)) fm_.boundary.push_back(first);
+        if (second >= 0 && on_boundary(fine, part_, second)) {
+          fm_.boundary.push_back(second);
+        }
+      }
       fm_refine_bisection(
-          fine, part,
+          fine, part_,
           make_balance(fine, target_fraction, options.imbalance_tolerance),
-          options.refine_passes);
+          options.refine_passes, fm_);
     }
   }
 
-  repair_degenerate_bisection(g, part);
+  repair_degenerate_bisection(g, part_);
+  return part_;
+}
 
-  PartitionResult result;
-  result.part = std::move(part);
-  result.num_parts = 2;
-  result.cut = compute_edge_cut(g, result.part);
-  result.imbalance = compute_partition_imbalance(g, result.part, 2);
-  ORDO_CHECK(validate_partition(g, result, 2, "bisect_graph"));
-  ORDO_CHECK(validate_bisection_balance(
-      g, result, options.imbalance_tolerance, "bisect_graph"));
-  return result;
+PartitionResult bisect_graph(const Graph& g, double target_fraction,
+                             const PartitionOptions& options) {
+  GraphBisector bisector;
+  return bisection_result(g, bisector.bisect(g, target_fraction, options),
+                          options.imbalance_tolerance);
 }
 
 std::vector<PartitionResult> partition_graph(
@@ -275,9 +348,11 @@ std::vector<PartitionResult> partition_graph(
     requests.push_back({i, part_counts[i], 0});
   }
   if (n > 0) {
-    std::vector<index_t> to_parent(static_cast<std::size_t>(n));
-    std::iota(to_parent.begin(), to_parent.end(), index_t{0});
-    recursive_bisect(g, options, requests, to_parent, results, options.seed);
+    std::vector<index_t> to_root(static_cast<std::size_t>(n));
+    std::iota(to_root.begin(), to_root.end(), index_t{0});
+    RecursionScratch scratch;
+    recursive_bisect(g, options, requests, to_root, results, options.seed,
+                     scratch, 0);
   }
   for (PartitionResult& result : results) {
     result.cut = compute_edge_cut(g, result.part);

@@ -9,9 +9,32 @@
 #pragma once
 
 #include "graph/graph.hpp"
+#include "partition/fm_refinement.hpp"
+#include "partition/initial_partition.hpp"
 #include "partition/partitioning.hpp"
 
 namespace ordo {
+
+/// One thread's scratch for graph bisections: greedy growing's trials,
+/// pseudo-peripheral search and frontier, FM's queue and boundary lists,
+/// and the part arrays. Reused across calls, it allocates only to grow, so
+/// once it has seen a graph of n vertices, bisecting a graph of at most n
+/// vertices that needs no coarsening (at most options.coarsen_to) makes no
+/// heap allocation (DESIGN §24).
+class GraphBisector {
+ public:
+  /// The bisection bisect_graph makes, as the part (0/1) of each vertex;
+  /// valid until the next call.
+  const std::vector<index_t>& bisect(const Graph& g, double target_fraction,
+                                     const PartitionOptions& options);
+
+ private:
+  GrowScratch grow_;
+  FmScratch fm_;
+  std::vector<index_t> part_;
+  std::vector<index_t> fine_part_;
+  std::vector<index_t> coarse_boundary_;
+};
 
 /// Bisects `g`, putting approximately `target_fraction` of the total vertex
 /// weight into part 0.

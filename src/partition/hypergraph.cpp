@@ -9,11 +9,19 @@ Hypergraph::Hypergraph(index_t num_vertices, std::vector<offset_t> net_ptr,
                        std::vector<index_t> pins,
                        std::vector<index_t> vertex_weights,
                        std::vector<index_t> net_weights)
+    : Hypergraph(num_vertices,
+                 HypergraphArrays{std::move(net_ptr), std::move(pins),
+                                  std::move(vertex_weights),
+                                  std::move(net_weights), {}, {}}) {}
+
+Hypergraph::Hypergraph(index_t num_vertices, HypergraphArrays arrays)
     : num_vertices_(num_vertices),
-      net_ptr_(std::move(net_ptr)),
-      pins_(std::move(pins)),
-      vertex_weights_(std::move(vertex_weights)),
-      net_weights_(std::move(net_weights)) {
+      net_ptr_(std::move(arrays.net_ptr)),
+      pins_(std::move(arrays.pins)),
+      vertex_net_ptr_(std::move(arrays.vertex_net_ptr)),
+      vertex_net_list_(std::move(arrays.vertex_net_list)),
+      vertex_weights_(std::move(arrays.vertex_weights)),
+      net_weights_(std::move(arrays.net_weights)) {
   require(num_vertices_ >= 0, "Hypergraph: negative vertex count");
   require(!net_ptr_.empty() && net_ptr_.front() == 0 &&
               net_ptr_.back() == static_cast<offset_t>(pins_.size()),
@@ -30,7 +38,19 @@ Hypergraph::Hypergraph(index_t num_vertices, std::vector<offset_t> net_ptr,
   build_vertex_incidence();
 }
 
+HypergraphArrays Hypergraph::release() {
+  num_vertices_ = 0;
+  return HypergraphArrays{std::move(net_ptr_),
+                          std::move(pins_),
+                          std::move(vertex_weights_),
+                          std::move(net_weights_),
+                          std::move(vertex_net_ptr_),
+                          std::move(vertex_net_list_)};
+}
+
 void Hypergraph::build_vertex_incidence() {
+  // Count, scan, then fill with vertex_net_ptr_[v] as v's cursor, which
+  // leaves it at v + 1's start; a shift restores the starts.
   vertex_net_ptr_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
   for (index_t pin : pins_) {
     vertex_net_ptr_[static_cast<std::size_t>(pin) + 1]++;
@@ -38,14 +58,16 @@ void Hypergraph::build_vertex_incidence() {
   std::partial_sum(vertex_net_ptr_.begin(), vertex_net_ptr_.end(),
                    vertex_net_ptr_.begin());
   vertex_net_list_.resize(pins_.size());
-  std::vector<offset_t> next(vertex_net_ptr_.begin(),
-                             vertex_net_ptr_.end() - 1);
   for (index_t e = 0; e < num_nets(); ++e) {
     for (index_t pin : net_pins(e)) {
       vertex_net_list_[static_cast<std::size_t>(
-          next[static_cast<std::size_t>(pin)]++)] = e;
+          vertex_net_ptr_[static_cast<std::size_t>(pin)]++)] = e;
     }
   }
+  for (auto v = static_cast<std::size_t>(num_vertices_); v > 0; --v) {
+    vertex_net_ptr_[v] = vertex_net_ptr_[v - 1];
+  }
+  vertex_net_ptr_[0] = 0;
 }
 
 Hypergraph Hypergraph::column_net(const CsrMatrix& a) {

@@ -16,9 +16,26 @@
 
 namespace ordo {
 
+/// The arrays a Hypergraph is built from, plus the storage of its vertex
+/// incidence, which the constructor fills (its old contents are ignored).
+/// Builders that make many hypergraphs one after another take them back
+/// with Hypergraph::release and refill them, so their allocations carry
+/// over to the next hypergraph.
+struct HypergraphArrays {
+  std::vector<offset_t> net_ptr;
+  std::vector<index_t> pins;
+  std::vector<index_t> vertex_weights;  // empty => all ones
+  std::vector<index_t> net_weights;     // empty => all ones
+  std::vector<offset_t> vertex_net_ptr;
+  std::vector<index_t> vertex_net_list;
+};
+
 class Hypergraph {
  public:
   Hypergraph() = default;
+
+  /// The constructor below, from one bundle of arrays.
+  Hypergraph(index_t num_vertices, HypergraphArrays arrays);
 
   /// Builds from pin lists: net_ptr/pins give, for each net, the vertices it
   /// connects. Vertex and net weights default to 1 when empty.
@@ -57,6 +74,9 @@ class Hypergraph {
   }
 
   std::int64_t total_vertex_weight() const;
+
+  /// Moves the arrays out, leaving a hypergraph of no vertices.
+  HypergraphArrays release();
 
  private:
   void build_vertex_incidence();

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <random>
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
-#include "partition/fm_refinement.hpp"
-#include "partition/gain_queue.hpp"
 #include "pipeline/fork_join.hpp"
 
 namespace ordo {
@@ -95,6 +93,8 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
   std::vector<index_t> pins;
   std::vector<index_t> net_weights;
   std::vector<index_t> seen_at(static_cast<std::size_t>(coarse_count), -1);
+  // The coarse pins are at most the fine ones: one allocation.
+  pins.reserve(static_cast<std::size_t>(h.num_pins()));
   for (index_t e = 0; e < h.num_nets(); ++e) {
     const std::size_t begin = pins.size();
     for (index_t pin : h.net_pins(e)) {
@@ -131,30 +131,33 @@ BisectionBalance make_balance(const Hypergraph& h, double target_fraction,
 
 // Grows part 0 by hypergraph BFS from `start` until it reaches the target
 // weight, restarting from an unassigned vertex when the frontier empties.
-std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
-                                    std::int64_t target_weight) {
+// `queued` and `frontier` (a FIFO read from `head`) are scratch.
+void grow_bisection(const Hypergraph& h, index_t start,
+                    std::int64_t target_weight, std::vector<char>& queued,
+                    std::vector<index_t>& frontier,
+                    std::vector<index_t>& part) {
   const index_t n = h.num_vertices();
-  std::vector<index_t> part(static_cast<std::size_t>(n), 1);
-  std::vector<bool> queued(static_cast<std::size_t>(n), false);
-  std::queue<index_t> frontier;
-  frontier.push(start);
-  queued[static_cast<std::size_t>(start)] = true;
+  part.assign(static_cast<std::size_t>(n), 1);
+  queued.assign(static_cast<std::size_t>(n), 0);
+  frontier.clear();
+  std::size_t head = 0;
+  frontier.push_back(start);
+  queued[static_cast<std::size_t>(start)] = 1;
   std::int64_t weight0 = 0;
   index_t scan = 0;
   while (weight0 < target_weight) {
-    if (frontier.empty()) {
+    if (head == frontier.size()) {
       while (scan < n && part[static_cast<std::size_t>(scan)] == 0) ++scan;
       if (scan >= n) break;
       if (!queued[static_cast<std::size_t>(scan)]) {
-        frontier.push(scan);
-        queued[static_cast<std::size_t>(scan)] = true;
+        frontier.push_back(scan);
+        queued[static_cast<std::size_t>(scan)] = 1;
       } else {
         ++scan;
         continue;
       }
     }
-    const index_t v = frontier.front();
-    frontier.pop();
+    const index_t v = frontier[head++];
     if (part[static_cast<std::size_t>(v)] == 0) continue;
     part[static_cast<std::size_t>(v)] = 0;
     weight0 += h.vertex_weight(v);
@@ -164,31 +167,47 @@ std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
       for (index_t u : pins) {
         if (part[static_cast<std::size_t>(u)] == 1 &&
             !queued[static_cast<std::size_t>(u)]) {
-          queued[static_cast<std::size_t>(u)] = true;
-          frontier.push(u);
+          queued[static_cast<std::size_t>(u)] = 1;
+          frontier.push_back(u);
         }
       }
     }
   }
-  return part;
 }
 
-// State one hypergraph_fm_refine call reuses across its passes.
-// pins_in[e][p] counts the pins of net e in part p; it follows `part`
-// through every move and rollback instead of being recounted each pass.
-struct HgFmScratch {
-  std::vector<std::array<index_t, 2>> pins_in;
-  FmGainQueue queue;
-  std::vector<index_t> moves;
-  std::vector<index_t> newly_boundary;
-  std::int64_t weight0 = 0;  // part 0's weight under the current `part`
-};
+// Brings scratch.cut_nets up to date after a pass that kept the first
+// `kept` of its moves: only a net of a kept move can have changed state.
+void update_cut_nets(const Hypergraph& h, std::size_t kept,
+                     HgFmScratch& scratch) {
+  if (kept == 0) return;
+  std::vector<index_t>& cut_nets = scratch.cut_nets;
+  for (std::size_t k = 0; k < kept; ++k) {
+    for (index_t e : h.vertex_nets(scratch.moves[k])) {
+      char& listed = scratch.listed[static_cast<std::size_t>(e)];
+      if (listed == 0) {
+        listed = 1;
+        cut_nets.push_back(e);
+      }
+    }
+  }
+  std::size_t out = 0;
+  for (const index_t e : cut_nets) {
+    const auto& counts = scratch.pins_in[static_cast<std::size_t>(e)];
+    if (counts[0] > 0 && counts[1] > 0) {
+      cut_nets[out++] = e;
+    } else {
+      scratch.listed[static_cast<std::size_t>(e)] = 0;
+    }
+  }
+  cut_nets.resize(out);
+}
 
 // One FM pass under the cut-net metric. Only boundary vertices (pins of cut
-// nets) are seeded into the gain queue, and gains are maintained with exact
-// delta updates on each move — a net's pins are only revisited when its pin
-// counts cross a critical value (0, 1 or 2 on either side), which is the
-// standard FM trick that keeps a pass near-linear in the number of pins.
+// nets) are seeded into the gain queue, in an order that changes no move
+// (DESIGN §19), and gains are maintained with exact delta updates on each
+// move — a net's pins are only revisited when its pin counts cross a
+// critical value (0, 1 or 2 on either side), which is the standard FM trick
+// that keeps a pass near-linear in the number of pins.
 std::int64_t hypergraph_fm_pass(const Hypergraph& h,
                                 std::vector<index_t>& part,
                                 const BisectionBalance& balance,
@@ -218,12 +237,9 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
     queue.insert(v, move_gain(v), part[static_cast<std::size_t>(v)],
                  h.vertex_weight(v));
   };
-  for (index_t e = 0; e < h.num_nets(); ++e) {
-    const auto& counts = pins_in[static_cast<std::size_t>(e)];
-    if (counts[0] > 0 && counts[1] > 0) {
-      for (index_t pin : h.net_pins(e)) {
-        if (!queue.tracked(pin)) insert(pin);
-      }
+  for (const index_t e : scratch.cut_nets) {
+    for (index_t pin : h.net_pins(e)) {
+      if (!queue.tracked(pin)) insert(pin);
     }
   }
 
@@ -307,6 +323,7 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
     }
     flip(v);
   }
+  update_cut_nets(h, best_prefix, scratch);
   ++tally.passes;
   tally.cut_improvement += best_cumulative;
   tally.moves += static_cast<std::int64_t>(moves.size());
@@ -315,17 +332,28 @@ std::int64_t hypergraph_fm_pass(const Hypergraph& h,
   return best_cumulative;
 }
 
-void hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
-                          const BisectionBalance& balance, int max_passes) {
-  HgFmScratch scratch;
-  scratch.pins_in.assign(static_cast<std::size_t>(h.num_nets()), {0, 0});
+}  // namespace
+
+FmTally hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
+                             const BisectionBalance& balance, int max_passes,
+                             HgFmScratch& scratch) {
+  require(part.size() == static_cast<std::size_t>(h.num_vertices()),
+          "hypergraph_fm_refine: partition size mismatch");
+  const auto nets = static_cast<std::size_t>(h.num_nets());
+  scratch.pins_in.assign(nets, {0, 0});
+  scratch.listed.assign(nets, 0);
+  scratch.cut_nets.clear();
   for (index_t e = 0; e < h.num_nets(); ++e) {
+    auto& counts = scratch.pins_in[static_cast<std::size_t>(e)];
     for (index_t pin : h.net_pins(e)) {
-      scratch.pins_in[static_cast<std::size_t>(e)]
-                     [static_cast<std::size_t>(
-                         part[static_cast<std::size_t>(pin)])]++;
+      counts[static_cast<std::size_t>(part[static_cast<std::size_t>(pin)])]++;
+    }
+    if (counts[0] > 0 && counts[1] > 0) {
+      scratch.listed[static_cast<std::size_t>(e)] = 1;
+      scratch.cut_nets.push_back(e);
     }
   }
+  scratch.weight0 = 0;
   for (index_t v = 0; v < h.num_vertices(); ++v) {
     if (part[static_cast<std::size_t>(v)] == 0) {
       scratch.weight0 += h.vertex_weight(v);
@@ -340,163 +368,84 @@ void hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
   ORDO_COUNTER_ADD("partition.hp.fm.moves", tally.moves);
   ORDO_COUNTER_ADD("partition.hp.fm.moves_kept", tally.moves_kept);
   ORDO_COUNTER_ADD("partition.hp.fm.deferrals", tally.deferrals);
+  return tally;
 }
 
+namespace {
+
+// A sub-hypergraph in the recursion: the hypergraph, and the root id of
+// each vertex.
 struct HgSubgraph {
   Hypergraph hypergraph;
-  std::vector<index_t> to_parent;
+  std::vector<index_t> to_root;
 };
 
-HgSubgraph induced_sub_hypergraph(const Hypergraph& h,
-                                  const std::vector<index_t>& part,
-                                  index_t which) {
-  HgSubgraph sub;
-  std::vector<index_t> to_sub(static_cast<std::size_t>(h.num_vertices()), -1);
-  std::vector<index_t> vweights;
+// Builds the sub-hypergraphs of `h` induced by part 0 and by part 1 into
+// sides[0] and sides[1], in one pass over the nets, refilling their
+// storage. A net keeps its pins on each side, and is dropped from a side
+// where fewer than two remain. `to_root` maps h's vertices to root ids,
+// and `to_sub` is scratch.
+void split_hypergraph(const Hypergraph& h, const std::vector<index_t>& part,
+                      const std::vector<index_t>& to_root,
+                      std::vector<index_t>& to_sub,
+                      std::array<HgSubgraph, 2>& sides) {
+  std::array<HypergraphArrays, 2> arrays;
+  for (std::size_t s = 0; s < 2; ++s) {
+    arrays[s] = sides[s].hypergraph.release();
+    arrays[s].net_ptr.assign(1, 0);
+    arrays[s].pins.clear();
+    arrays[s].vertex_weights.clear();
+    arrays[s].net_weights.clear();
+    sides[s].to_root.clear();
+  }
+  to_sub.resize(static_cast<std::size_t>(h.num_vertices()));
   for (index_t v = 0; v < h.num_vertices(); ++v) {
-    if (part[static_cast<std::size_t>(v)] == which) {
-      to_sub[static_cast<std::size_t>(v)] =
-          static_cast<index_t>(sub.to_parent.size());
-      sub.to_parent.push_back(v);
-      vweights.push_back(h.vertex_weight(v));
-    }
+    const auto s = static_cast<std::size_t>(part[static_cast<std::size_t>(v)]);
+    to_sub[static_cast<std::size_t>(v)] =
+        static_cast<index_t>(sides[s].to_root.size());
+    sides[s].to_root.push_back(to_root[static_cast<std::size_t>(v)]);
+    arrays[s].vertex_weights.push_back(h.vertex_weight(v));
   }
-  std::vector<offset_t> net_ptr{0};
-  std::vector<index_t> pins;
-  std::vector<index_t> net_weights;
   for (index_t e = 0; e < h.num_nets(); ++e) {
-    const std::size_t begin = pins.size();
+    const std::array<std::size_t, 2> begin = {arrays[0].pins.size(),
+                                              arrays[1].pins.size()};
     for (index_t pin : h.net_pins(e)) {
-      const index_t sv = to_sub[static_cast<std::size_t>(pin)];
-      if (sv >= 0) pins.push_back(sv);
+      arrays[static_cast<std::size_t>(part[static_cast<std::size_t>(pin)])]
+          .pins.push_back(to_sub[static_cast<std::size_t>(pin)]);
     }
-    if (pins.size() - begin < 2) {
-      pins.resize(begin);
-    } else {
-      net_ptr.push_back(static_cast<offset_t>(pins.size()));
-      net_weights.push_back(h.net_weight(e));
+    for (std::size_t s = 0; s < 2; ++s) {
+      std::vector<index_t>& pins = arrays[s].pins;
+      if (pins.size() - begin[s] < 2) {
+        pins.resize(begin[s]);
+      } else {
+        arrays[s].net_ptr.push_back(static_cast<offset_t>(pins.size()));
+        arrays[s].net_weights.push_back(h.net_weight(e));
+      }
     }
   }
-  sub.hypergraph = Hypergraph(static_cast<index_t>(sub.to_parent.size()),
-                              std::move(net_ptr), std::move(pins),
-                              std::move(vweights), std::move(net_weights));
-  return sub;
+  for (std::size_t s = 0; s < 2; ++s) {
+    sides[s].hypergraph = Hypergraph(
+        static_cast<index_t>(sides[s].to_root.size()), std::move(arrays[s]));
+  }
 }
 
-void recursive_bisect_hg(const Hypergraph& h, const PartitionOptions& options,
-                         index_t num_parts, index_t first_part,
-                         const std::vector<index_t>& to_parent,
-                         std::vector<index_t>& out_part, std::uint64_t seed) {
-  if (num_parts <= 1 || h.num_vertices() == 0) {
-    for (index_t v = 0; v < h.num_vertices(); ++v) {
-      out_part[static_cast<std::size_t>(
-          to_parent[static_cast<std::size_t>(v)])] = first_part;
-    }
-    return;
-  }
-  poll_cancelled(options.cancel, "partition_hypergraph");
-  const index_t left_parts = num_parts / 2;
-  const index_t right_parts = num_parts - left_parts;
-  const double target_fraction =
-      static_cast<double>(left_parts) / static_cast<double>(num_parts);
+// One recursion thread's scratch; `depths` is a deque so that a node's
+// subgraphs stay put while deeper nodes add theirs.
+struct HgRecursionScratch {
+  HypergraphBisector bisector;
+  std::vector<index_t> to_sub;
+  std::deque<std::array<HgSubgraph, 2>> depths;
 
-  // The bisection dies here, before the subtrees run: a forked subtree adds
-  // its working set to the memory its ancestors still hold.
-  HgSubgraph left;
-  HgSubgraph right;
-  {
-    PartitionOptions bisect_options = options;
-    bisect_options.seed = seed;
-    const PartitionResult bisection =
-        bisect_hypergraph(h, target_fraction, bisect_options);
-    left = induced_sub_hypergraph(h, bisection.part, 0);
-    right = induced_sub_hypergraph(h, bisection.part, 1);
+  std::array<HgSubgraph, 2>& at(std::size_t depth) {
+    while (depths.size() <= depth) depths.emplace_back();
+    return depths[depth];
   }
-  // Translate the sub-to-parent maps one level further up.
-  for (index_t& v : left.to_parent) {
-    v = to_parent[static_cast<std::size_t>(v)];
-  }
-  for (index_t& v : right.to_parent) {
-    v = to_parent[static_cast<std::size_t>(v)];
-  }
-  // The subtrees write disjoint vertices of `out_part`, so either may run
-  // on an idle core.
-  pipeline::fork_join(
-      static_cast<std::size_t>(left.hypergraph.num_vertices()),
-      [&] {
-        recursive_bisect_hg(left.hypergraph, options, left_parts, first_part,
-                            left.to_parent, out_part,
-                            seed * 6364136223846793005ULL + 1);
-      },
-      [&] {
-        recursive_bisect_hg(right.hypergraph, options, right_parts,
-                            first_part + left_parts, right.to_parent, out_part,
-                            seed * 6364136223846793005ULL + 2);
-      });
-}
+};
 
-}  // namespace
-
-PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
-                                  const PartitionOptions& options) {
-  require(h.num_vertices() > 0, "bisect_hypergraph: empty hypergraph");
-
-  std::vector<HypergraphCoarseLevel> hierarchy;
-  const Hypergraph* current = &h;
-  std::uint64_t seed = options.seed;
-  {
-    ORDO_SCOPE("partition/coarsen");
-    while (current->num_vertices() > options.coarsen_to) {
-      HypergraphCoarseLevel level = coarsen_hypergraph_once(*current, seed++);
-      if (level.hypergraph.num_vertices() >
-          static_cast<index_t>(0.9 * current->num_vertices())) {
-        break;
-      }
-      hierarchy.push_back(std::move(level));
-      current = &hierarchy.back().hypergraph;
-    }
-  }
-  ORDO_COUNTER_ADD("partition.hp.bisections", 1);
-  ORDO_COUNTER_ADD("partition.hp.coarsen_levels",
-                   static_cast<std::int64_t>(hierarchy.size()));
-
-  std::vector<index_t> part;
-  {
-    ORDO_SCOPE("partition/initial");
-    const std::int64_t target_weight = static_cast<std::int64_t>(
-        static_cast<double>(current->total_vertex_weight()) * target_fraction +
-        0.5);
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<index_t> dist(0,
-                                                current->num_vertices() - 1);
-    part = grow_bisection(*current, dist(rng), target_weight);
-    hypergraph_fm_refine(
-        *current, part,
-        make_balance(*current, target_fraction, options.imbalance_tolerance),
-        options.refine_passes);
-  }
-
-  {
-    ORDO_SCOPE("partition/refine");
-    for (std::size_t level = hierarchy.size(); level > 0; --level) {
-      const Hypergraph& fine =
-          level >= 2 ? hierarchy[level - 2].hypergraph : h;
-      const std::vector<index_t>& fine_to_coarse =
-          hierarchy[level - 1].fine_to_coarse;
-      std::vector<index_t> fine_part(
-          static_cast<std::size_t>(fine.num_vertices()));
-      for (index_t v = 0; v < fine.num_vertices(); ++v) {
-        fine_part[static_cast<std::size_t>(v)] = part[static_cast<std::size_t>(
-            fine_to_coarse[static_cast<std::size_t>(v)])];
-      }
-      part = std::move(fine_part);
-      hypergraph_fm_refine(
-          fine, part,
-          make_balance(fine, target_fraction, options.imbalance_tolerance),
-          options.refine_passes);
-    }
-  }
-
+// The result bisect_hypergraph returns for `part`, checked against its
+// contract.
+PartitionResult bisection_result(const Hypergraph& h,
+                                 std::vector<index_t> part) {
   PartitionResult result;
   result.part = std::move(part);
   result.num_parts = 2;
@@ -519,6 +468,127 @@ PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
   return result;
 }
 
+void recursive_bisect_hg(const Hypergraph& h, const PartitionOptions& options,
+                         index_t num_parts, index_t first_part,
+                         const std::vector<index_t>& to_root,
+                         std::vector<index_t>& out_part, std::uint64_t seed,
+                         HgRecursionScratch& scratch, std::size_t depth) {
+  if (num_parts <= 1 || h.num_vertices() == 0) {
+    for (index_t v = 0; v < h.num_vertices(); ++v) {
+      out_part[static_cast<std::size_t>(
+          to_root[static_cast<std::size_t>(v)])] = first_part;
+    }
+    return;
+  }
+  poll_cancelled(options.cancel, "partition_hypergraph");
+  const index_t left_parts = num_parts / 2;
+  const index_t right_parts = num_parts - left_parts;
+  const double target_fraction =
+      static_cast<double>(left_parts) / static_cast<double>(num_parts);
+
+  std::array<HgSubgraph, 2>& sides = scratch.at(depth);
+  {
+    PartitionOptions bisect_options = options;
+    bisect_options.seed = seed;
+    const std::vector<index_t>& part =
+        scratch.bisector.bisect(h, target_fraction, bisect_options);
+    if constexpr (check::invariant_checks_enabled()) {
+      bisection_result(h, part);
+    }
+    split_hypergraph(h, part, to_root, scratch.to_sub, sides);
+    if (h.num_vertices() > kRetainedScratchVertices) {
+      scratch.bisector = HypergraphBisector();
+    }
+  }
+  // The subtrees write disjoint vertices of `out_part`, so either may run
+  // on an idle core, with scratch of its own.
+  pipeline::fork_join_with(
+      static_cast<std::size_t>(sides[0].hypergraph.num_vertices()), scratch,
+      [&](HgRecursionScratch& mine) {
+        recursive_bisect_hg(sides[0].hypergraph, options, left_parts,
+                            first_part, sides[0].to_root, out_part,
+                            seed * 6364136223846793005ULL + 1, mine,
+                            &mine == &scratch ? depth + 1 : 0);
+      },
+      [&](HgRecursionScratch& mine) {
+        recursive_bisect_hg(sides[1].hypergraph, options, right_parts,
+                            first_part + left_parts, sides[1].to_root,
+                            out_part, seed * 6364136223846793005ULL + 2, mine,
+                            depth + 1);
+      });
+}
+
+}  // namespace
+
+const std::vector<index_t>& HypergraphBisector::bisect(
+    const Hypergraph& h, double target_fraction,
+    const PartitionOptions& options) {
+  require(h.num_vertices() > 0, "bisect_hypergraph: empty hypergraph");
+
+  std::vector<HypergraphCoarseLevel> hierarchy;
+  const Hypergraph* current = &h;
+  std::uint64_t seed = options.seed;
+  {
+    ORDO_SCOPE("partition/coarsen");
+    while (current->num_vertices() > options.coarsen_to) {
+      HypergraphCoarseLevel level = coarsen_hypergraph_once(*current, seed++);
+      if (level.hypergraph.num_vertices() >
+          static_cast<index_t>(0.9 * current->num_vertices())) {
+        break;
+      }
+      hierarchy.push_back(std::move(level));
+      current = &hierarchy.back().hypergraph;
+    }
+  }
+  ORDO_COUNTER_ADD("partition.hp.bisections", 1);
+  ORDO_COUNTER_ADD("partition.hp.coarsen_levels",
+                   static_cast<std::int64_t>(hierarchy.size()));
+
+  {
+    ORDO_SCOPE("partition/initial");
+    const std::int64_t target_weight = static_cast<std::int64_t>(
+        static_cast<double>(current->total_vertex_weight()) * target_fraction +
+        0.5);
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<index_t> dist(0,
+                                                current->num_vertices() - 1);
+    grow_bisection(*current, dist(rng), target_weight, queued_, frontier_,
+                   part_);
+    hypergraph_fm_refine(
+        *current, part_,
+        make_balance(*current, target_fraction, options.imbalance_tolerance),
+        options.refine_passes, fm_);
+  }
+
+  {
+    ORDO_SCOPE("partition/refine");
+    for (std::size_t level = hierarchy.size(); level > 0; --level) {
+      const Hypergraph& fine =
+          level >= 2 ? hierarchy[level - 2].hypergraph : h;
+      const std::vector<index_t>& fine_to_coarse =
+          hierarchy[level - 1].fine_to_coarse;
+      fine_part_.resize(static_cast<std::size_t>(fine.num_vertices()));
+      for (index_t v = 0; v < fine.num_vertices(); ++v) {
+        fine_part_[static_cast<std::size_t>(v)] =
+            part_[static_cast<std::size_t>(
+                fine_to_coarse[static_cast<std::size_t>(v)])];
+      }
+      part_.swap(fine_part_);
+      hypergraph_fm_refine(
+          fine, part_,
+          make_balance(fine, target_fraction, options.imbalance_tolerance),
+          options.refine_passes, fm_);
+    }
+  }
+  return part_;
+}
+
+PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
+                                  const PartitionOptions& options) {
+  HypergraphBisector bisector;
+  return bisection_result(h, bisector.bisect(h, target_fraction, options));
+}
+
 PartitionResult partition_hypergraph(const Hypergraph& h,
                                      const PartitionOptions& options) {
   require(options.num_parts >= 1,
@@ -528,10 +598,11 @@ PartitionResult partition_hypergraph(const Hypergraph& h,
   result.part.assign(static_cast<std::size_t>(h.num_vertices()), 0);
   result.num_parts = options.num_parts;
   if (options.num_parts > 1 && h.num_vertices() > 0) {
-    std::vector<index_t> to_parent(static_cast<std::size_t>(h.num_vertices()));
-    std::iota(to_parent.begin(), to_parent.end(), index_t{0});
-    recursive_bisect_hg(h, options, options.num_parts, 0, to_parent,
-                        result.part, options.seed);
+    std::vector<index_t> to_root(static_cast<std::size_t>(h.num_vertices()));
+    std::iota(to_root.begin(), to_root.end(), index_t{0});
+    HgRecursionScratch scratch;
+    recursive_bisect_hg(h, options, options.num_parts, 0, to_root,
+                        result.part, options.seed, scratch, 0);
   }
   result.cut = compute_cut_nets(h, result.part);
 

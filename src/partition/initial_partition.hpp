@@ -10,12 +10,29 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "partition/gain_queue.hpp"
 
 namespace ordo {
 
+/// Scratch greedy growing reuses across calls: no allocation once it has
+/// grown to the graph's size.
+struct GrowScratch {
+  PeripheralSearch search;
+  FmGainQueue frontier;
+  std::vector<index_t> queue_id;
+  std::vector<index_t> arrived;
+  std::vector<index_t> trial;
+};
+
 /// Computes a bisection of `g` where part 0 receives approximately
-/// `target_fraction` of the total vertex weight. Returns the part id (0/1)
-/// per vertex.
+/// `target_fraction` of the total vertex weight, writing the part id (0/1)
+/// per vertex into `part`.
+void greedy_graph_growing_bisection(const Graph& g, double target_fraction,
+                                    std::uint64_t seed, GrowScratch& scratch,
+                                    std::vector<index_t>& part,
+                                    int num_trials = 4);
+
+/// The same with fresh scratch, returning the parts.
 std::vector<index_t> greedy_graph_growing_bisection(const Graph& g,
                                                     double target_fraction,
                                                     std::uint64_t seed,

@@ -28,6 +28,12 @@ struct PartitionOptions {
   const std::atomic<bool>* cancel = nullptr;
 };
 
+/// The recursive partitioners (GP, HP, ND) keep one bisector's scratch
+/// across the nodes they bisect, so a small node allocates nothing. After a
+/// node of more vertices than this is split, they free that scratch: a
+/// root-sized block would otherwise stay live under every subtree.
+inline constexpr index_t kRetainedScratchVertices = index_t{1} << 12;
+
 /// A k-way partition assignment with its quality metrics.
 struct PartitionResult {
   std::vector<index_t> part;  ///< part id in [0, num_parts) per vertex

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <thread>
 
 namespace ordo::pipeline {
 
@@ -63,6 +64,35 @@ class BusyThread {
 /// order would), never std::terminate.
 void fork_join(std::size_t left_vertices, const std::function<void()>& left,
                const std::function<void()>& right);
+
+/// fork_join for a recursion that threads per-thread scratch through its
+/// calls: each branch is called with `scratch`, except a left branch that
+/// runs on a helper, which gets a fresh Scratch of its own because the
+/// right branch uses `scratch` meanwhile. No allocation when nothing forks.
+template <class Scratch, class Left, class Right>
+void fork_join_with(std::size_t left_vertices, Scratch& scratch,
+                    const Left& left, const Right& right) {
+  struct Branches {
+    Scratch* scratch;
+    const Left* left;
+    const Right* right;
+    std::thread::id caller;
+  };
+  const Branches branches{&scratch, &left, &right, std::this_thread::get_id()};
+  // One pointer per closure, so std::function keeps them inline.
+  const Branches* const b = &branches;
+  fork_join(
+      left_vertices,
+      [b] {
+        if (std::this_thread::get_id() == b->caller) {
+          (*b->left)(*b->scratch);
+          return;
+        }
+        Scratch own;
+        (*b->left)(own);
+      },
+      [b] { (*b->right)(*b->scratch); });
+}
 
 /// Runs body(begin, end) over contiguous chunks that cover [0, n) in order
 /// and returns once all have finished. Claims up to n / min_work - 1 idle

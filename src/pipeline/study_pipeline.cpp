@@ -61,6 +61,16 @@ struct ArmGuard {
 
 }  // namespace
 
+std::vector<std::size_t> dispatch_order(const std::vector<CorpusEntry>& corpus,
+                                        std::vector<std::size_t> todo) {
+  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    const offset_t nnz_a = corpus[a].matrix.num_nonzeros();
+    const offset_t nnz_b = corpus[b].matrix.num_nonzeros();
+    return nnz_a != nnz_b ? nnz_a > nnz_b : a < b;
+  });
+  return todo;
+}
+
 std::string shard_failures_filename(int shard_index) {
   require(shard_index >= 0, "pipeline: negative shard index");
   return "study_failures.shard" + std::to_string(shard_index) + ".jsonl";
@@ -337,10 +347,24 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     // Sequential path: inline on the calling thread, in corpus order.
     for (std::size_t i : todo) execute(i);
   } else {
-    TaskPool pool(std::min<int>(jobs, static_cast<int>(
-                                          std::max<std::size_t>(1, todo.size()))));
-    for (std::size_t i : todo) {
-      pool.submit([&execute, i] { execute(i); });
+    // Largest first from one shared cursor: each worker takes the next
+    // task as soon as it is free, so the small tasks fill in behind the
+    // large ones instead of one large task starting last.
+    const std::vector<std::size_t> order = dispatch_order(corpus, todo);
+    const int workers = std::min<int>(
+        jobs, static_cast<int>(std::max<std::size_t>(1, order.size())));
+    std::atomic<std::size_t> cursor{0};
+    TaskPool pool(workers);
+    for (int w = 0; w < workers; ++w) {
+      pool.submit([&] {
+        // Relaxed: the cursor only hands out distinct indices; each task's
+        // slot is published to the merge by the pool's wait_idle.
+        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+             k < order.size();
+             k = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          execute(order[k]);
+        }
+      });
     }
     pool.wait_idle();
   }

@@ -1,6 +1,6 @@
 // The study scheduler: runs the per-matrix study tasks (orderings →
 // features → per-(machine, kernel) model evaluation) of a corpus sweep on a
-// work-stealing thread pool, with
+// thread pool, largest matrix first, with
 //   (a) per-task error isolation — a matrix whose reordering throws becomes
 //       a structured StudyTaskFailure row, never an aborted sweep;
 //   (b) soft per-task deadlines with cooperative cancellation (the deadline
@@ -48,10 +48,18 @@ struct StudyReport {
   int computed = 0;  ///< matrices computed by this run
 };
 
+/// The order a pooled sweep starts the corpus indices in `todo`: nonzeros
+/// descending, corpus index ascending among equals. Task time grows with
+/// the nonzero count, so this is greedy longest-processing-time-first list
+/// scheduling (DESIGN §8).
+std::vector<std::size_t> dispatch_order(const std::vector<CorpusEntry>& corpus,
+                                        std::vector<std::size_t> todo);
+
 /// Runs the sweep. Scheduling knobs (jobs, task_timeout_seconds,
 /// checkpoint_dir, resume) come from `options`; jobs == 1 executes tasks
 /// inline on the calling thread in corpus order (the sequential path), any
-/// other value uses the work-stealing pool. Also writes
+/// other value starts `jobs` pool workers that take the tasks in
+/// dispatch_order from one shared cursor. Also writes
 /// `<checkpoint_dir>/study_failures.jsonl` (one structured row per failure;
 /// removed again when a run has none) when checkpointing is enabled.
 StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,

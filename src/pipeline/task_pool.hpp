@@ -1,12 +1,11 @@
 // Work-stealing thread pool for the study pipeline.
 //
 // Each worker owns a deque: it pops its own work from the back (LIFO, warm
-// caches) and steals from the front of a victim's deque (FIFO, oldest —
-// i.e. typically largest remaining — work first). Submissions from outside
-// the pool are dealt round-robin across the deques, so a sweep whose
-// matrices vary wildly in cost (the corpus spans three orders of magnitude
-// in nnz) self-balances: a worker that drains its share early steals the
-// stragglers' queued work instead of idling.
+// caches) and steals from the front of a victim's deque (FIFO, oldest work
+// first). Submissions from outside the pool are dealt round-robin across
+// the deques. The study sweep submits one task per worker, each of which
+// takes matrices largest first from a shared cursor (study_pipeline.hpp),
+// so its balance does not rest on stealing.
 //
 // Tasks must not throw — the pipeline wraps every study task in its own
 // error isolation; a task that does throw anyway terminates the process

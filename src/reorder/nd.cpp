@@ -6,6 +6,7 @@
 // numbered last. Small leaf subgraphs are ordered with AMD, following the
 // practice of METIS-style ND implementations.
 #include <algorithm>
+#include <deque>
 #include <numeric>
 
 #include "graph/graph.hpp"
@@ -16,6 +17,24 @@
 namespace ordo {
 namespace {
 
+// One recursion thread's scratch: the bisector, the storage of the node's
+// subgraph (dead before the subtrees run, so one serves every depth), and
+// per depth the vertex lists a node keeps while its subtrees run. `depths`
+// is a deque so that a node's lists stay put while deeper nodes add theirs.
+struct DissectScratch {
+  struct Split {
+    std::vector<index_t> left, right, middle;
+  };
+  GraphBisector bisector;
+  GraphArrays arrays;
+  std::deque<Split> depths;
+
+  Split& at(std::size_t depth) {
+    while (depths.size() <= depth) depths.emplace_back();
+    return depths[depth];
+  }
+};
+
 // Orders the subgraph of `g` induced by `vertices` (parent-graph ids),
 // writing parent ids in elimination order to out[0, vertices.size()).
 // `to_sub` maps every vertex of `g` to -1 on entry and on return; each node
@@ -25,7 +44,8 @@ namespace {
 // separators keep out of any concurrently running subtree.
 void dissect(const Graph& g, const std::vector<index_t>& vertices,
              const ReorderOptions& options, std::uint64_t seed,
-             std::vector<index_t>& to_sub, index_t* out) {
+             std::vector<index_t>& to_sub, index_t* out,
+             DissectScratch& scratch, std::size_t depth) {
   const index_t n = static_cast<index_t>(vertices.size());
   if (n == 0) return;
   poll_cancelled(options.cancel, "nd_ordering");
@@ -34,24 +54,26 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
   for (index_t i = 0; i < n; ++i) {
     to_sub[static_cast<std::size_t>(vertices[static_cast<std::size_t>(i)])] = i;
   }
-  CsrArray<offset_t> adj_ptr(static_cast<std::size_t>(n) + 1, 0);
-  CsrArray<index_t> adj;
+  GraphArrays& arrays = scratch.arrays;
+  arrays.adj_ptr.assign(1, 0);
+  arrays.adj.clear();
   for (index_t i = 0; i < n; ++i) {
     const index_t v = vertices[static_cast<std::size_t>(i)];
     for (index_t u : g.neighbors(v)) {
       const index_t su = to_sub[static_cast<std::size_t>(u)];
-      if (su >= 0) adj.push_back(su);
+      if (su >= 0) arrays.adj.push_back(su);
     }
-    adj_ptr[static_cast<std::size_t>(i) + 1] = static_cast<offset_t>(adj.size());
+    arrays.adj_ptr.push_back(static_cast<offset_t>(arrays.adj.size()));
   }
   for (const index_t v : vertices) to_sub[static_cast<std::size_t>(v)] = -1;
-  Graph sub(n, std::move(adj_ptr), std::move(adj));
+  Graph sub(n, std::move(arrays));
 
   // Leaf: order with AMD via a pattern-only CSR of the subgraph.
   if (n <= options.nd_leaf_size) {
     CsrArray<offset_t> row_ptr(sub.adj_ptr().begin(), sub.adj_ptr().end());
     CsrArray<index_t> cols(sub.adj().begin(), sub.adj().end());
     CsrArray<value_t> vals(cols.size(), 1.0);
+    arrays = sub.release();
     const CsrMatrix leaf(n, n, std::move(row_ptr), std::move(cols),
                          std::move(vals));
     for (index_t i : amd_ordering(leaf)) {
@@ -60,50 +82,59 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
     return;
   }
 
-  // Split, then free the subgraph and its bisection before the subtrees
-  // run: a forked subtree adds its working set to what its ancestors hold.
-  std::vector<index_t> left, right, middle;
+  // Split; the subgraph's storage goes back to the scratch, or is freed with
+  // the bisector's if the node is large, before the subtrees run.
+  DissectScratch::Split& split = scratch.at(depth);
+  split.left.clear();
+  split.right.clear();
+  split.middle.clear();
   {
     PartitionOptions popt;
     popt.num_parts = 2;
     popt.seed = seed;
     popt.cancel = options.cancel;
-    const PartitionResult bisection = bisect_graph(sub, 0.5, popt);
+    const std::vector<index_t>& part = scratch.bisector.bisect(sub, 0.5, popt);
     const std::vector<bool> separator =
-        vertex_separator_from_bisection(sub, bisection.part);
+        vertex_separator_from_bisection(sub, part);
     for (index_t i = 0; i < n; ++i) {
       const index_t v = vertices[static_cast<std::size_t>(i)];
       if (separator[static_cast<std::size_t>(i)]) {
-        middle.push_back(v);
-      } else if (bisection.part[static_cast<std::size_t>(i)] == 0) {
-        left.push_back(v);
+        split.middle.push_back(v);
+      } else if (part[static_cast<std::size_t>(i)] == 0) {
+        split.left.push_back(v);
       } else {
-        right.push_back(v);
+        split.right.push_back(v);
       }
     }
   }
-  sub = Graph();
+  if (n > kRetainedScratchVertices) {
+    scratch.bisector = GraphBisector();
+    sub = Graph();
+  } else {
+    arrays = sub.release();
+  }
 
   // Degenerate split (e.g. the separator swallowed a whole side): stop
   // recursing and fall back to AMD-free sequential numbering to guarantee
   // termination.
-  if (left.empty() && right.empty()) {
-    std::copy(middle.begin(), middle.end(), out);
+  if (split.left.empty() && split.right.empty()) {
+    std::copy(split.middle.begin(), split.middle.end(), out);
     return;
   }
 
-  index_t* const right_out = out + left.size();
-  pipeline::fork_join(
-      left.size(),
-      [&] {
-        dissect(g, left, options, seed * 6364136223846793005ULL + 1, to_sub,
-                out);
+  index_t* const right_out = out + split.left.size();
+  pipeline::fork_join_with(
+      split.left.size(), scratch,
+      [&](DissectScratch& mine) {
+        dissect(g, split.left, options, seed * 6364136223846793005ULL + 1,
+                to_sub, out, mine, &mine == &scratch ? depth + 1 : 0);
       },
-      [&] {
-        dissect(g, right, options, seed * 6364136223846793005ULL + 2, to_sub,
-                right_out);
+      [&](DissectScratch& mine) {
+        dissect(g, split.right, options, seed * 6364136223846793005ULL + 2,
+                to_sub, right_out, mine, depth + 1);
       });
-  std::copy(middle.begin(), middle.end(), right_out + right.size());
+  std::copy(split.middle.begin(), split.middle.end(),
+            right_out + split.right.size());
 }
 
 }  // namespace
@@ -115,7 +146,8 @@ Permutation nd_ordering(const CsrMatrix& a, const ReorderOptions& options) {
   std::iota(all.begin(), all.end(), index_t{0});
   Permutation order(all.size());
   std::vector<index_t> to_sub(all.size(), -1);
-  dissect(g, all, options, options.seed, to_sub, order.data());
+  DissectScratch scratch;
+  dissect(g, all, options, options.seed, to_sub, order.data(), scratch, 0);
   return order;
 }
 

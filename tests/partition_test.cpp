@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <queue>
 #include <random>
+#include <string>
 
 #include "corpus/generators.hpp"
 #include "obs/obs.hpp"
@@ -139,15 +142,44 @@ class LazyGainHeap {
 };
 
 TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
+  // The packed keys order by (gain, id) at the ends of both ranges.
+  constexpr std::int64_t kMaxGain = std::numeric_limits<std::int32_t>::max();
+  constexpr index_t kTop = std::numeric_limits<index_t>::max();
+  const std::pair<std::int64_t, index_t> ascending[] = {
+      {-kMaxGain, 0},    {-kMaxGain, kTop - 1}, {-kMaxGain, kTop},
+      {-1, kTop},        {0, 0},                {0, kTop},
+      {1, 0},            {kMaxGain - 1, kTop},  {kMaxGain, 0},
+      {kMaxGain, kTop - 1}, {kMaxGain, kTop}};
+  for (std::size_t k = 1; k < std::size(ascending); ++k) {
+    EXPECT_LT(FmGainQueue::key(ascending[k - 1].first, ascending[k - 1].second),
+              FmGainQueue::key(ascending[k].first, ascending[k].second))
+        << k;
+  }
+
   std::mt19937_64 rng(2023);
   // Gains from a narrow range, so most keys tie on gain and break on id.
-  auto draw = [&rng] { return static_cast<std::int64_t>(rng() % 7) - 3; };
+  // Every seventh trial draws them instead at the ends of int32,
+  // ±(2^31 - 1) and the three values inside each, with updates that move
+  // toward zero so they stay there.
+  bool extreme = false;
+  auto draw = [&rng, &extreme] {
+    if (!extreme) return static_cast<std::int64_t>(rng() % 7) - 3;
+    const auto inward = static_cast<std::int64_t>(rng() % 4);
+    return rng() % 2 == 0 ? kMaxGain - inward : inward - kMaxGain;
+  };
+  auto delta_from = [&rng, &extreme, &draw](std::int64_t gain) {
+    if (!extreme) return draw();
+    const auto step = static_cast<std::int64_t>(rng() % 4);
+    return gain > 0 ? -step : step;
+  };
+  std::int64_t extreme_moves = 0;
   FmGainQueue queue;  // reused across trials, as across FM passes
   std::int64_t moves = 0;
   std::int64_t exhausted_with_deferred = 0;
   std::int64_t deferred_updates = 0;
   std::int64_t moves_from_outside = 0;
   for (int trial = 0; trial < 600; ++trial) {
+    extreme = trial % 7 == 3;
     const auto n = static_cast<index_t>(1 + rng() % 64);
     std::vector<index_t> side(static_cast<std::size_t>(n));
     std::vector<index_t> weight(static_cast<std::size_t>(n));
@@ -192,6 +224,7 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
       if (v < 0) break;
       ASSERT_EQ(queue.gain(v), lazy.gain(v));
       ++moves;
+      if (extreme) ++extreme_moves;
       if (outside && !unbounded) ++moves_from_outside;
       weight0 += side[v] == 0 ? -weight[v] : weight[v];
       side[v] = 1 - side[v];
@@ -201,12 +234,13 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
         const auto u = static_cast<index_t>(rng() % static_cast<unsigned>(n));
         ASSERT_EQ(queue.locked(u), lazy.locked(u));
         if (queue.locked(u)) continue;
-        const std::int64_t gain = draw();
         if (queue.tracked(u)) {
           if (queue.deferred(u)) ++deferred_updates;
-          queue.add(u, gain);
-          lazy.add(u, gain);
+          const std::int64_t delta = delta_from(queue.gain(u));
+          queue.add(u, delta);
+          lazy.add(u, delta);
         } else {
+          const std::int64_t gain = draw();
           queue.insert(u, gain, side[u], weight[u]);
           lazy.insert(u, gain);
         }
@@ -227,6 +261,26 @@ TEST(FmGainQueue, PopsInTheLazyHeapOrder) {
   EXPECT_GT(exhausted_with_deferred, 100);
   EXPECT_GT(deferred_updates, 200);
   EXPECT_GT(moves_from_outside, 100);
+  EXPECT_GT(extreme_moves, 200);
+}
+
+TEST(FmGainQueue, GainOutsideInt32Throws) {
+  constexpr std::int64_t kMaxGain = std::numeric_limits<std::int32_t>::max();
+  FmGainQueue queue;
+  queue.reset(4);
+  EXPECT_THROW(queue.insert(0, kMaxGain + 1, 0, 1), invalid_argument_error);
+  EXPECT_THROW(queue.insert(1, -kMaxGain - 2, 1, 1), invalid_argument_error);
+  EXPECT_THROW(FmGainQueue::key(std::int64_t{1} << 40, 3),
+               invalid_argument_error);
+  // An update past either end throws and leaves the gain as it was.
+  queue.insert(2, kMaxGain, 0, 1);
+  queue.insert(3, -kMaxGain - 1, 1, 1);
+  EXPECT_THROW(queue.add(2, 1), invalid_argument_error);
+  EXPECT_THROW(queue.add(3, -1), invalid_argument_error);
+  EXPECT_EQ(queue.gain(2), kMaxGain);
+  EXPECT_EQ(queue.pop(), 2);
+  EXPECT_EQ(queue.pop(), 3);
+  EXPECT_EQ(queue.pop(), -1);
 }
 
 // Greedy graph growing as it was before the restart cursor: the frontier is
@@ -573,6 +627,447 @@ TEST(GraphGrowing, HitsWeightTarget) {
     if (part[static_cast<std::size_t>(v)] == 0) weight0 += 1;
   }
   EXPECT_NEAR(static_cast<double>(weight0), 100.0, 12.0);
+}
+
+// ---------------------------------------------------------------------------
+// Boundary seeding. The refiners seed each pass from a maintained boundary
+// (graph) or cut-net list (hypergraph) instead of scanning every vertex or
+// net. The references below are the refiners as they were, seeding every
+// pass by a full scan; seeding the same set in another order must make the
+// same moves, so parts and totals must match exactly.
+// ---------------------------------------------------------------------------
+
+void expect_same_tally(const FmTally& a, const FmTally& b,
+                       const std::string& context) {
+  EXPECT_EQ(a.passes, b.passes) << context;
+  EXPECT_EQ(a.cut_improvement, b.cut_improvement) << context;
+  EXPECT_EQ(a.moves, b.moves) << context;
+  EXPECT_EQ(a.moves_kept, b.moves_kept) << context;
+  EXPECT_EQ(a.deferrals, b.deferrals) << context;
+}
+
+// Graph FM with every pass seeded by a scan over all vertices.
+FmTally reference_fm_refine(const Graph& g, std::vector<index_t>& part,
+                            const BisectionBalance& balance, int max_passes) {
+  const index_t n = g.num_vertices();
+  FmGainQueue queue;
+  std::vector<index_t> moves;
+  std::int64_t weight0 = 0;
+  for (index_t v = 0; v < n; ++v) {
+    if (part[v] == 0) weight0 += g.vertex_weight(v);
+  }
+  auto flip = [&](index_t v) {
+    weight0 += part[v] == 0 ? -g.vertex_weight(v) : g.vertex_weight(v);
+    part[v] = 1 - part[v];
+  };
+  FmTally tally;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    queue.reset(n);
+    for (index_t v = 0; v < n; ++v) {
+      for (index_t u : g.neighbors(v)) {
+        if (part[u] != part[v]) {
+          queue.insert(v, fm_move_gain(g, part, v), part[v],
+                       g.vertex_weight(v));
+          break;
+        }
+      }
+    }
+    moves.clear();
+    std::int64_t cumulative = 0, best_cumulative = 0;
+    std::size_t best_prefix = 0;
+    const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
+    while (moves.size() - best_prefix <= stall_limit) {
+      const index_t v =
+          queue.next(weight0, balance.min_weight0, balance.max_weight0);
+      if (v < 0) break;
+      flip(v);
+      cumulative += queue.gain(v);
+      moves.push_back(v);
+      if (cumulative > best_cumulative) {
+        best_cumulative = cumulative;
+        best_prefix = moves.size();
+      }
+      const auto neighbors = g.neighbors(v);
+      const offset_t base = g.adj_ptr()[v];
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        const index_t u = neighbors[k];
+        if (queue.locked(u)) continue;
+        if (!queue.tracked(u)) {
+          queue.insert(u, fm_move_gain(g, part, u), part[u],
+                       g.vertex_weight(u));
+          continue;
+        }
+        const index_t w = g.edge_weight(base + static_cast<offset_t>(k));
+        queue.add(u, part[u] == part[v] ? -2 * w : 2 * w);
+      }
+    }
+    for (std::size_t k = moves.size(); k > best_prefix; --k) {
+      flip(moves[k - 1]);
+    }
+    ++tally.passes;
+    tally.cut_improvement += best_cumulative;
+    tally.moves += static_cast<std::int64_t>(moves.size());
+    tally.moves_kept += static_cast<std::int64_t>(best_prefix);
+    tally.deferrals += queue.deferrals();
+    if (best_cumulative <= 0) break;
+  }
+  return tally;
+}
+
+// Hypergraph FM (cut-net metric) with every pass seeded by a scan over all
+// nets.
+FmTally reference_hypergraph_fm_refine(const Hypergraph& h,
+                                       std::vector<index_t>& part,
+                                       const BisectionBalance& balance,
+                                       int max_passes) {
+  const index_t n = h.num_vertices();
+  std::vector<std::array<index_t, 2>> pins_in(
+      static_cast<std::size_t>(h.num_nets()), {0, 0});
+  for (index_t e = 0; e < h.num_nets(); ++e) {
+    for (index_t pin : h.net_pins(e)) pins_in[e][part[pin]]++;
+  }
+  std::int64_t weight0 = 0;
+  for (index_t v = 0; v < n; ++v) {
+    if (part[v] == 0) weight0 += h.vertex_weight(v);
+  }
+  auto move_gain = [&](index_t v) {
+    const index_t s = part[v];
+    std::int64_t gain = 0;
+    for (index_t e : h.vertex_nets(v)) {
+      const index_t same = pins_in[e][s];
+      const index_t other = pins_in[e][1 - s];
+      if (same == 1 && other >= 1) gain += h.net_weight(e);
+      if (other == 0 && same >= 2) gain -= h.net_weight(e);
+    }
+    return gain;
+  };
+  auto flip = [&](index_t v) {
+    weight0 += part[v] == 0 ? -h.vertex_weight(v) : h.vertex_weight(v);
+    part[v] = 1 - part[v];
+  };
+  FmGainQueue queue;
+  std::vector<index_t> moves;
+  std::vector<index_t> newly_boundary;
+  FmTally tally;
+  for (int pass = 0; pass < max_passes; ++pass) {
+    queue.reset(n);
+    auto insert = [&](index_t v) {
+      queue.insert(v, move_gain(v), part[v], h.vertex_weight(v));
+    };
+    for (index_t e = 0; e < h.num_nets(); ++e) {
+      if (pins_in[e][0] > 0 && pins_in[e][1] > 0) {
+        for (index_t pin : h.net_pins(e)) {
+          if (!queue.tracked(pin)) insert(pin);
+        }
+      }
+    }
+    moves.clear();
+    std::int64_t cumulative = 0, best_cumulative = 0;
+    std::size_t best_prefix = 0;
+    const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
+    while (moves.size() - best_prefix <= stall_limit) {
+      const index_t v =
+          queue.next(weight0, balance.min_weight0, balance.max_weight0);
+      if (v < 0) break;
+      const index_t from = part[v];
+      flip(v);
+      cumulative += queue.gain(v);
+      moves.push_back(v);
+      if (cumulative > best_cumulative) {
+        best_cumulative = cumulative;
+        best_prefix = moves.size();
+      }
+      newly_boundary.clear();
+      for (index_t e : h.vertex_nets(v)) {
+        auto& counts = pins_in[e];
+        const index_t f = counts[from];
+        const index_t t = counts[1 - from];
+        const index_t w = h.net_weight(e);
+        if (f == 1 || f == 2 || t == 0 || t == 1) {
+          for (index_t u : h.net_pins(e)) {
+            if (queue.locked(u)) continue;
+            if (!queue.tracked(u)) {
+              newly_boundary.push_back(u);
+              continue;
+            }
+            std::int64_t delta = 0;
+            if (part[u] == from) {
+              if (f == 2) delta += w;
+              if (t == 0) delta += w;
+            } else {
+              if (f == 1) delta -= w;
+              if (t == 1) delta -= w;
+            }
+            if (delta != 0) queue.add(u, delta);
+          }
+        }
+        counts[from]--;
+        counts[1 - from]++;
+      }
+      for (index_t u : newly_boundary) {
+        if (!queue.tracked(u)) insert(u);
+      }
+    }
+    for (std::size_t k = moves.size(); k > best_prefix; --k) {
+      const index_t v = moves[k - 1];
+      for (index_t e : h.vertex_nets(v)) {
+        pins_in[e][part[v]]--;
+        pins_in[e][1 - part[v]]++;
+      }
+      flip(v);
+    }
+    ++tally.passes;
+    tally.cut_improvement += best_cumulative;
+    tally.moves += static_cast<std::int64_t>(moves.size());
+    tally.moves_kept += static_cast<std::int64_t>(best_prefix);
+    tally.deferrals += queue.deferrals();
+    if (best_cumulative <= 0) break;
+  }
+  return tally;
+}
+
+// The balance window bisect_graph and bisect_hypergraph give a target
+// fraction.
+BisectionBalance window(std::int64_t total, double fraction) {
+  return BisectionBalance{
+      static_cast<std::int64_t>(std::floor(total * fraction * (1.0 - 0.05))),
+      static_cast<std::int64_t>(std::ceil(total * fraction * (1.0 + 0.05)))};
+}
+
+// A graph of `n` vertices, most of them isolated, with a few small random
+// clusters among them.
+Graph mostly_isolated_graph(index_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<index_t>> adjacency(static_cast<std::size_t>(n));
+  for (auto e = rng() % static_cast<unsigned>(n / 3); e > 0; --e) {
+    const auto a = static_cast<index_t>(rng() % static_cast<unsigned>(n));
+    const auto b =
+        static_cast<index_t>((a + 1 + rng() % 6) % static_cast<unsigned>(n));
+    adjacency[a].push_back(b);
+    adjacency[b].push_back(a);
+  }
+  CsrArray<offset_t> adj_ptr(1, 0);
+  CsrArray<index_t> adj;
+  for (auto& list : adjacency) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    adj.insert(adj.end(), list.begin(), list.end());
+    adj_ptr.push_back(static_cast<offset_t>(adj.size()));
+  }
+  return Graph(n, std::move(adj_ptr), std::move(adj));
+}
+
+// The seeding tests' inputs: a shuffled mesh, an R-MAT graph and a graph
+// of mostly isolated vertices.
+std::vector<Graph> seeding_graphs() {
+  const CsrMatrix mesh = gen_mesh2d(40, 40, 5);
+  std::vector<Graph> graphs;
+  graphs.push_back(Graph::from_matrix(
+      permute_symmetric(mesh, random_permutation(mesh.num_rows(), 5))));
+  graphs.push_back(Graph::from_matrix(gen_rmat(11, 8, 0.57, 0.19, 0.19, 3)));
+  graphs.push_back(mostly_isolated_graph(900, 17));
+  return graphs;
+}
+
+// Starting partitions for a level: greedy growing at two fractions, and a
+// random assignment, whose boundary is most of the graph.
+std::vector<std::pair<double, std::vector<index_t>>> starting_parts(
+    const Graph& g, std::uint64_t seed) {
+  std::vector<std::pair<double, std::vector<index_t>>> starts;
+  starts.emplace_back(0.5, greedy_graph_growing_bisection(g, 0.5, seed));
+  starts.emplace_back(0.3, greedy_graph_growing_bisection(g, 0.3, seed + 1));
+  std::mt19937_64 rng(seed);
+  std::vector<index_t> random(static_cast<std::size_t>(g.num_vertices()));
+  for (index_t& p : random) p = static_cast<index_t>(rng() % 2);
+  starts.emplace_back(0.5, std::move(random));
+  return starts;
+}
+
+TEST(FmSeeding, GraphBoundarySeedingMatchesFullScan) {
+  std::int64_t levels = 0, weighted = 0, passes = 0;
+  FmScratch scratch;  // reused across calls, as a bisector reuses it
+  for (const Graph& input : seeding_graphs()) {
+    std::vector<CoarseLevel> hierarchy;
+    const Graph* g = &input;
+    for (std::uint64_t seed = 1;; ++seed) {
+      ++levels;
+      if (g->has_weights()) ++weighted;
+      for (auto& [fraction, part] : starting_parts(*g, seed)) {
+        const std::string context = "level of " +
+                                    std::to_string(g->num_vertices()) +
+                                    " vertices, seed " + std::to_string(seed);
+        const BisectionBalance balance =
+            window(g->total_vertex_weight(), fraction);
+        std::vector<index_t> expected = part;
+        const FmTally want = reference_fm_refine(*g, expected, balance, 8);
+        collect_boundary(*g, part, scratch.boundary);
+        const FmTally got = fm_refine_bisection(*g, part, balance, 8, scratch);
+        EXPECT_EQ(part, expected) << context;
+        expect_same_tally(got, want, context);
+        passes += got.passes;
+        // The boundary handed back is the refined partition's.
+        std::vector<index_t> boundary = scratch.boundary;
+        std::sort(boundary.begin(), boundary.end());
+        std::vector<index_t> scanned;
+        collect_boundary(*g, part, scanned);
+        EXPECT_EQ(boundary, scanned) << context;
+      }
+      if (g->num_vertices() <= 40) break;
+      CoarseLevel level = coarsen_once(*g, seed);
+      if (level.graph.num_vertices() == g->num_vertices()) break;
+      hierarchy.push_back(std::move(level));
+      g = &hierarchy.back().graph;
+    }
+  }
+  EXPECT_GE(levels, 12);
+  EXPECT_GE(weighted, 9);
+  EXPECT_GT(passes, 3 * levels);  // most calls run more than one pass
+}
+
+// bisect_graph as it was before boundary seeding: full-scan FM at every
+// level, including the first pass after each projection.
+std::vector<index_t> reference_bisect_graph(const Graph& g, double fraction,
+                                            const PartitionOptions& options) {
+  std::vector<CoarseLevel> hierarchy;
+  const Graph* current = &g;
+  std::uint64_t seed = options.seed;
+  while (current->num_vertices() > options.coarsen_to) {
+    CoarseLevel level = coarsen_once(*current, seed++);
+    if (level.graph.num_vertices() >
+        static_cast<index_t>(0.9 * current->num_vertices())) {
+      break;
+    }
+    hierarchy.push_back(std::move(level));
+    current = &hierarchy.back().graph;
+  }
+  std::vector<index_t> part =
+      greedy_graph_growing_bisection(*current, fraction, seed);
+  reference_fm_refine(*current, part,
+                      window(current->total_vertex_weight(), fraction),
+                      options.refine_passes);
+  for (std::size_t level = hierarchy.size(); level > 0; --level) {
+    const Graph& fine = level >= 2 ? hierarchy[level - 2].graph : g;
+    std::vector<index_t> fine_part(
+        static_cast<std::size_t>(fine.num_vertices()));
+    for (index_t v = 0; v < fine.num_vertices(); ++v) {
+      fine_part[v] = part[hierarchy[level - 1].fine_to_coarse[v]];
+    }
+    part = std::move(fine_part);
+    reference_fm_refine(fine, part,
+                        window(fine.total_vertex_weight(), fraction),
+                        options.refine_passes);
+  }
+  return part;
+}
+
+TEST(FmSeeding, ProjectedBoundaryMatchesFullScanBisection) {
+  // Each uncoarsening level's first pass is seeded from the coarse
+  // boundary's constituents; the whole multilevel bisection must equal the
+  // full-scan one. None of these inputs is degenerate, so the final repair
+  // of an all-one-side split never applies.
+  GraphBisector bisector;
+  for (const Graph& g : seeding_graphs()) {
+    for (const double fraction : {0.5, 0.3}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        PartitionOptions options;
+        options.seed = seed;
+        EXPECT_EQ(bisector.bisect(g, fraction, options),
+                  reference_bisect_graph(g, fraction, options))
+            << g.num_vertices() << " vertices, fraction " << fraction
+            << ", seed " << seed;
+      }
+    }
+  }
+}
+
+// The column-net hypergraph of a graph: one net per vertex, pinning it and
+// its neighbours. A vertex with no neighbour has no net.
+Hypergraph closed_neighbourhood_hypergraph(const Graph& g) {
+  std::vector<offset_t> net_ptr{0};
+  std::vector<index_t> pins;
+  for (index_t v = 0; v < g.num_vertices(); ++v) {
+    if (g.degree(v) == 0) continue;
+    pins.push_back(v);
+    for (index_t u : g.neighbors(v)) pins.push_back(u);
+    net_ptr.push_back(static_cast<offset_t>(pins.size()));
+  }
+  return Hypergraph(g.num_vertices(), std::move(net_ptr), std::move(pins), {},
+                    {});
+}
+
+TEST(FmSeeding, CutNetSeedingMatchesFullScan) {
+  std::int64_t levels = 0, passes = 0;
+  HgFmScratch scratch;
+  for (const Graph& graph : seeding_graphs()) {
+    std::vector<HypergraphCoarseLevel> hierarchy;
+    const Hypergraph input = closed_neighbourhood_hypergraph(graph);
+    const Hypergraph* h = &input;
+    for (std::uint64_t seed = 1;; ++seed) {
+      ++levels;
+      std::mt19937_64 rng(seed);
+      std::vector<std::pair<double, std::vector<index_t>>> starts;
+      std::vector<index_t> halves(static_cast<std::size_t>(h->num_vertices()));
+      std::vector<index_t> random(halves.size());
+      for (index_t v = 0; v < h->num_vertices(); ++v) {
+        halves[v] = v < h->num_vertices() / 2 ? 0 : 1;
+        random[v] = static_cast<index_t>(rng() % 2);
+      }
+      starts.emplace_back(0.5, std::move(halves));
+      starts.emplace_back(0.3, std::move(random));
+      for (auto& [fraction, part] : starts) {
+        const std::string context = "level of " +
+                                    std::to_string(h->num_vertices()) +
+                                    " vertices, seed " + std::to_string(seed);
+        const BisectionBalance balance =
+            window(h->total_vertex_weight(), fraction);
+        std::vector<index_t> expected = part;
+        const FmTally want =
+            reference_hypergraph_fm_refine(*h, expected, balance, 8);
+        const FmTally got = hypergraph_fm_refine(*h, part, balance, 8, scratch);
+        EXPECT_EQ(part, expected) << context;
+        expect_same_tally(got, want, context);
+        passes += got.passes;
+      }
+      if (h->num_vertices() <= 40) break;
+      HypergraphCoarseLevel level = coarsen_hypergraph_once(*h, seed);
+      if (level.hypergraph.num_vertices() == h->num_vertices()) break;
+      hierarchy.push_back(std::move(level));
+      h = &hierarchy.back().hypergraph;
+    }
+  }
+  EXPECT_GE(levels, 12);
+  EXPECT_GT(passes, 2 * levels);
+}
+
+// ND bisects its root with the graph GP partitions, the same seed and
+// fraction 1/2, and every Table 2 count is even, so its root bisection is
+// GP's root bisection. They differ only where GP's root fraction is not
+// 1/2 (a count capped at an odd row count), where GP weights vertices by
+// row nonzeros, or where ND stops at a leaf (ROADMAP).
+TEST(NdRoot, EqualsGpRootBisection) {
+  for (const CsrMatrix& a :
+       {gen_mesh2d(48, 48, 5), gen_rmat(11, 8, 0.57, 0.19, 0.19, 3)}) {
+    const Graph g = Graph::from_matrix(a);
+    ASSERT_GT(g.num_vertices(), ReorderOptions{}.nd_leaf_size);
+    for (const index_t count : kStudyPartCounts) {
+      EXPECT_EQ(std::gcd(count / 2, count), count / 2) << count;
+    }
+    // ND's root subgraph: every vertex, in order, as dissect builds it.
+    CsrArray<offset_t> adj_ptr(g.adj_ptr().begin(), g.adj_ptr().end());
+    CsrArray<index_t> adj(g.adj().begin(), g.adj().end());
+    const Graph nd_root(g.num_vertices(), std::move(adj_ptr), std::move(adj));
+    for (const std::uint64_t seed : {1, 2023}) {
+      PartitionOptions gp;
+      gp.seed = seed;
+      PartitionOptions nd;
+      nd.num_parts = 2;
+      nd.seed = seed;
+      const PartitionResult gp_root = bisect_graph(g, 0.5, gp);
+      EXPECT_EQ(bisect_graph(nd_root, 0.5, nd).part, gp_root.part);
+      // And it is the root of GP's shared tree: two parts are that split.
+      EXPECT_EQ(partition_graph(g, {2}, gp).front().part, gp_root.part);
+    }
+  }
 }
 
 }  // namespace

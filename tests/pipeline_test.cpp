@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -96,6 +97,38 @@ CorpusEntry poisoned_entry() {
   entry.name = "nonsquare";
   entry.matrix = CsrMatrix(2, 3, {0, 1, 2}, {0, 2}, {1.0, 1.0});
   return entry;
+}
+
+// A corpus entry whose matrix is a diagonal of `nonzeros` entries.
+CorpusEntry entry_with_nonzeros(index_t nonzeros) {
+  CorpusEntry entry;
+  entry.group = "diagonal";
+  entry.name = "d" + std::to_string(nonzeros);
+  CsrArray<offset_t> row_ptr(static_cast<std::size_t>(nonzeros) + 1);
+  CsrArray<index_t> cols(static_cast<std::size_t>(nonzeros));
+  std::iota(row_ptr.begin(), row_ptr.end(), offset_t{0});
+  std::iota(cols.begin(), cols.end(), index_t{0});
+  CsrArray<value_t> values(cols.size(), 1.0);
+  entry.matrix = CsrMatrix(nonzeros, nonzeros, std::move(row_ptr),
+                           std::move(cols), std::move(values));
+  return entry;
+}
+
+TEST(DispatchOrder, LargestFirstThenCorpusIndex) {
+  // Ties at 5 nonzeros (indices 1, 3, 6) and at 2 (indices 0, 4).
+  std::vector<CorpusEntry> corpus;
+  for (const index_t nonzeros : {2, 5, 9, 5, 2, 7, 5, 1}) {
+    corpus.push_back(entry_with_nonzeros(nonzeros));
+  }
+  EXPECT_EQ(pipeline::dispatch_order(corpus, {0, 1, 2, 3, 4, 5, 6, 7}),
+            (std::vector<std::size_t>{2, 5, 1, 3, 6, 0, 4, 7}));
+  // A resumed run dispatches what is left by the same rule, whatever order
+  // the indices arrive in.
+  EXPECT_EQ(pipeline::dispatch_order(corpus, {7, 6, 4, 3, 1}),
+            (std::vector<std::size_t>{1, 3, 6, 4, 7}));
+  EXPECT_EQ(pipeline::dispatch_order(corpus, {4, 0}),
+            (std::vector<std::size_t>{0, 4}));
+  EXPECT_TRUE(pipeline::dispatch_order(corpus, {}).empty());
 }
 
 TEST(TaskPool, RunsEverySubmittedTask) {
