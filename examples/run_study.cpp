@@ -4,7 +4,7 @@
 // behind every figure/table bench, exposed as a standalone tool.
 //
 //   ./run_study [--count N] [--scale S] [--out DIR] [--seed K] [--jobs N]
-//               [--shards N] [--task-timeout S] [--resume|--no-resume]
+//               [--task-timeout S] [--resume|--no-resume]
 //               [--verbose] [--log quiet|progress|debug] [--kernels id,...]
 //               [--list-kernels] [--allow-nondeterministic] [--hw]
 //               [--status-port P] [--status-file PATH] [--auto-order]
@@ -30,10 +30,7 @@
 // The sweep checkpoints one JSON line per completed matrix into
 // <out>/study_journal.jsonl; an interrupted run restarted with the same
 // arguments resumes where it stopped (--no-resume recomputes from scratch).
-// Result files are byte-identical for every --jobs value — and for every
-// --shards value: sharded runs fork worker processes that journal into
-// <out>/study_journal.shard<k>.jsonl, merged deterministically by the
-// parent (src/pipeline/shard.hpp).
+// Result files are byte-identical for every --jobs value.
 //
 // Observability: ORDO_TRACE/ORDO_LOG/ORDO_METRICS/ORDO_PROFILE are honoured
 // (see src/obs/obs.hpp); the trace and metrics files are written on exit.
@@ -98,18 +95,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                "  --jobs N           parallel per-matrix tasks; 1 = "
                "sequential, 0 = one per CPU in the affinity mask\n"
                "                     (default 1, or ORDO_JOBS)\n"
-               "  --shards N         fork N worker processes, each sweeping "
-               "the corpus indices\n"
-               "                     congruent to its shard modulo N and "
-               "journaling to its own\n"
-               "                     <out>/study_journal.shard<k>.jsonl; the "
-               "parent merges the shard\n"
-               "                     journals in corpus order, so results are "
-               "byte-identical to\n"
-               "                     --shards 1 — including resume after a "
-               "killed worker (default 1,\n"
-               "                     or ORDO_SHARDS; composes with --jobs, "
-               "which applies per worker)\n"
                "  --task-timeout S   soft per-matrix deadline in seconds; a "
                "task past it is cancelled\n"
                "                     cooperatively and recorded as a failure "
@@ -192,8 +177,6 @@ int main(int argc, char** argv) {
       corpus.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--jobs") {
       study.jobs = std::atoi(next());
-    } else if (arg == "--shards") {
-      study.shards = std::atoi(next());
     } else if (arg == "--task-timeout") {
       study.task_timeout_seconds = std::atof(next());
     } else if (arg == "--resume") {

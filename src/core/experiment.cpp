@@ -7,7 +7,6 @@
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/journal.hpp"
-#include "pipeline/shard.hpp"
 #include "pipeline/study_pipeline.hpp"
 
 #include <algorithm>
@@ -386,9 +385,7 @@ StudyResults run_full_study(const std::vector<CorpusEntry>& corpus,
                             const StudyOptions& options) {
   ORDO_SCOPE("study/run");
   ORDO_COUNTER_ADD("study.runs", 1);
-  // run_sharded_study falls through to the in-process pipeline for
-  // shards <= 1, so this is the single dispatch point for both topologies.
-  pipeline::StudyReport report = pipeline::run_sharded_study(corpus, options);
+  pipeline::StudyReport report = pipeline::run_study_pipeline(corpus, options);
   if (!report.failures.empty()) {
     obs::logf(obs::LogLevel::kProgress,
               "study: %zu of %zu matrices failed and were skipped "
@@ -555,10 +552,9 @@ StudyResults load_or_run_study(const std::string& dir,
     }
   }
   // A failures file vetoes the cache: the result files were written by a
-  // run with missing matrices (a timed-out task, or a crashed shard
-  // worker's synthesized rows), and failures are retried on resume — so
-  // fall through to the sweep, which replays the journal and recomputes
-  // only the gaps.
+  // run with missing matrices (a timed-out or failed task), and failures
+  // are retried on resume — so fall through to the sweep, which replays the
+  // journal and recomputes only the gaps.
   if (fs::exists(fs::path(options.checkpoint_dir.empty()
                               ? dir
                               : options.checkpoint_dir) /
@@ -616,12 +612,6 @@ StudyResults load_or_run_study(const std::string& dir,
   }
   if (const char* jobs = std::getenv("ORDO_JOBS")) {
     run_options.jobs = std::atoi(jobs);
-  }
-  // ORDO_SHARDS forks the sweep across worker processes the same way
-  // ORDO_JOBS threads it — byte-identical results either way (see
-  // src/pipeline/shard.hpp).
-  if (const char* shards = std::getenv("ORDO_SHARDS")) {
-    if (*shards != '\0') run_options.shards = std::atoi(shards);
   }
   results = run_full_study(corpus, run_options);
 

@@ -105,21 +105,6 @@ struct StudyOptions {
   /// replay it instead of recomputing those matrices.
   bool resume = true;
 
-  // --- multi-process sharding (see src/pipeline/shard.hpp) ---
-  /// Worker *processes* for the sweep (run_study --shards / ORDO_SHARDS).
-  /// shards > 1 forks that many workers, each owning the corpus indices
-  /// with index % shards == shard_index and journaling to its own
-  /// study_journal.shard<k>.jsonl; the parent merges the shard journals in
-  /// corpus order, so results are byte-identical to shards == 1 for any
-  /// value — including a resume after a worker was killed mid-run.
-  /// Requires a checkpoint_dir (the shard journals are the merge channel).
-  int shards = 1;
-  /// Internal: >= 0 marks this process as shard worker k of `shards`. The
-  /// pipeline then runs only the worker's own slice and uses the
-  /// shard-suffixed journal/failure files. Set by the shard orchestrator
-  /// in the forked child, never by callers.
-  int shard_index = -1;
-
   // --- kernel set (see src/engine/) ---
   /// Engine kernel ids swept in addition to the studied 1D/2D pair (the
   /// pair is always included; duplicates are ignored). Each id must name a

@@ -57,12 +57,6 @@ std::int64_t latency_bucket_lower_ns(int index) {
          << (octave - kSubBucketBits);
 }
 
-void LatencySnapshot::merge(const LatencySnapshot& other) {
-  for (int i = 0; i < kLatencyBuckets; ++i) buckets[i] += other.buckets[i];
-  count += other.count;
-  sum_ns += other.sum_ns;
-}
-
 std::int64_t LatencySnapshot::percentile_ns(double q) const {
   if (count <= 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -92,18 +86,6 @@ void LatencyHistogram::record_ns(std::int64_t ns) {
   sum_ns_.fetch_add(std::max<std::int64_t>(0, ns), std::memory_order_relaxed);
 }
 
-void LatencyHistogram::merge(const LatencySnapshot& snapshot) {
-  // Relaxed: same tally reasoning as record_ns.
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    if (snapshot.buckets[i] != 0) {
-      buckets_[static_cast<std::size_t>(i)].fetch_add(
-          snapshot.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  count_.fetch_add(snapshot.count, std::memory_order_relaxed);
-  sum_ns_.fetch_add(snapshot.sum_ns, std::memory_order_relaxed);
-}
-
 LatencySnapshot LatencyHistogram::snapshot() const {
   LatencySnapshot s;
   // Relaxed: see record_ns — a snapshot is per-field coherent, not a cut.
@@ -114,14 +96,6 @@ LatencySnapshot LatencyHistogram::snapshot() const {
   s.count = count_.load(std::memory_order_relaxed);
   s.sum_ns = sum_ns_.load(std::memory_order_relaxed);
   return s;
-}
-
-void LatencyHistogram::reset() {
-  // Relaxed: reset is a test/harness convenience, not a synchronization
-  // point; racing records land in either the old or the new epoch.
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_ns_.store(0, std::memory_order_relaxed);
 }
 
 LatencyHistogram& latency(const std::string& name) {
@@ -143,12 +117,6 @@ std::vector<std::pair<std::string, LatencySnapshot>> sample_latency() {
     samples.emplace_back(name, histogram->snapshot());
   }
   return samples;  // std::map iteration order is already sorted
-}
-
-void reset_latency() {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  for (const auto& [name, histogram] : r.entries) histogram->reset();
 }
 
 void append_latency_snapshot_json(std::string& out,
@@ -198,29 +166,6 @@ void append_latency_section(std::string& out, bool include_buckets) {
     append_latency_snapshot_json(out, snapshot, include_buckets);
   }
   out += '}';
-}
-
-ParsedLatencySnapshot parse_latency_snapshot(const JsonValue& value) {
-  require(value.kind == JsonValue::Kind::kObject,
-          "latency snapshot: expected an object");
-  ParsedLatencySnapshot parsed;
-  parsed.snapshot.count = value.at("count").as_int();
-  parsed.snapshot.sum_ns = value.at("sum_ns").as_int();
-  if (const JsonValue* buckets = value.find("buckets")) {
-    require(buckets->kind == JsonValue::Kind::kArray,
-            "latency snapshot: buckets must be an array");
-    parsed.has_buckets = true;
-    for (const JsonValue& pair : buckets->items) {
-      require(pair.kind == JsonValue::Kind::kArray && pair.items.size() == 2,
-              "latency snapshot: bucket entries are [index,count] pairs");
-      const std::int64_t index = pair.items[0].as_int();
-      require(index >= 0 && index < kLatencyBuckets,
-              "latency snapshot: bucket index out of range");
-      parsed.snapshot.buckets[static_cast<std::size_t>(index)] =
-          pair.items[1].as_int();
-    }
-  }
-  return parsed;
 }
 
 }  // namespace ordo::obs::agg

@@ -1,6 +1,4 @@
-// ordo::obs::agg — fleet-level aggregation: tail-latency histograms whose
-// buckets merge exactly across processes (this header), shard heartbeat
-// aggregation (fleet.hpp) and Chrome-trace stitching (trace_merge.hpp).
+// ordo::obs::agg — tail-latency histograms with percentiles.
 //
 // The histogram is the percentile substrate the ROADMAP's ordo-serve
 // direction needs ("measure tail latency, not just throughput"): the mean
@@ -16,11 +14,6 @@
 //  * Lock-light: record() is a handful of relaxed atomic adds — no mutex,
 //    no allocation — cheap enough for per-task and per-phase call sites
 //    (never inner loops; the discipline of obs/trace.hpp applies).
-//  * Exactly mergeable: two snapshots with identical bucket layouts merge
-//    by summing buckets. Merging is associative and commutative, so the
-//    parent of a sharded study can sum worker snapshots read back from
-//    heartbeat JSON and report fleet-wide percentiles that equal what one
-//    process recording every sample would have reported (bucket-exactly).
 //
 // Recording macros (ORDO_LATENCY_RECORD / ORDO_LATENCY_SCOPE) compile out
 // with ORDO_OBS=OFF like every other obs macro.
@@ -34,10 +27,6 @@
 #include <vector>
 
 #include "obs/stopwatch.hpp"
-
-namespace ordo::obs {
-struct JsonValue;
-}  // namespace ordo::obs
 
 namespace ordo::obs::agg {
 
@@ -53,8 +42,8 @@ int latency_bucket_index(std::int64_t ns);
 /// Inclusive lower bound of bucket `index`, in nanoseconds.
 std::int64_t latency_bucket_lower_ns(int index);
 
-/// A point-in-time copy of one histogram: plain integers, safe to merge,
-/// serialize, and ship across processes.
+/// A point-in-time copy of one histogram: plain integers, safe to read and
+/// serialize while recording continues.
 struct LatencySnapshot {
   std::array<std::int64_t, kLatencyBuckets> buckets{};
   std::int64_t count = 0;
@@ -66,9 +55,6 @@ struct LatencySnapshot {
                            (1e9 * static_cast<double>(count))
                      : 0.0;
   }
-
-  /// Exact merge: per-bucket sums. Associative and commutative.
-  void merge(const LatencySnapshot& other);
 
   /// Value at quantile `q` in [0, 1], read from bucket lower bounds: the
   /// returned nanoseconds are the lower bound of the bucket holding the
@@ -89,12 +75,7 @@ class LatencyHistogram {
     record_ns(static_cast<std::int64_t>(seconds * 1e9));
   }
 
-  /// Folds a foreign snapshot (a shard worker's heartbeat) into this
-  /// histogram — the parent-side half of the exact cross-process merge.
-  void merge(const LatencySnapshot& snapshot);
-
   LatencySnapshot snapshot() const;
-  void reset();
 
  private:
   // Relaxed throughout: each bucket is an independent tally; a snapshot
@@ -113,31 +94,18 @@ LatencyHistogram& latency(const std::string& name);
 /// are included (callers apply the absent-not-zero rule when emitting).
 std::vector<std::pair<std::string, LatencySnapshot>> sample_latency();
 
-/// Zeroes every registered histogram without invalidating references.
-void reset_latency();
-
 /// Appends one JSON object mapping each non-empty histogram name to
 /// {"count","sum_seconds","mean_seconds","p50","p90","p99","p999"} plus,
-/// when `include_buckets`, a sparse "buckets":[[index,count],...] array —
-/// the wire form a heartbeat carries so the parent can merge exactly.
-/// Emits "{}" when nothing was recorded.
+/// when `include_buckets`, a sparse "buckets":[[index,count],...] array,
+/// from which a reader can recompute any quantile. Emits "{}" when nothing
+/// was recorded.
 void append_latency_section(std::string& out, bool include_buckets);
 
-/// Same emission for one already-taken snapshot under a caller-chosen name
-/// policy (used by the fleet section for merged snapshots).
+/// The same emission for one snapshot: the object each histogram name maps
+/// to.
 void append_latency_snapshot_json(std::string& out,
                                   const LatencySnapshot& snapshot,
                                   bool include_buckets);
-
-/// Parses a snapshot back from the JSON object append_latency_snapshot_json
-/// emitted. A document without "buckets" yields count/sum only (its buckets
-/// are all zero and it must not be bucket-merged — callers check
-/// has_buckets). Throws invalid_argument_error on malformed input.
-struct ParsedLatencySnapshot {
-  LatencySnapshot snapshot;
-  bool has_buckets = false;
-};
-ParsedLatencySnapshot parse_latency_snapshot(const JsonValue& value);
 
 /// RAII recorder for ORDO_LATENCY_SCOPE: records the enclosing block's
 /// wall time into `histogram` on destruction.

@@ -205,45 +205,4 @@ void append_json_double(std::string& out, double v) {
   out += buf;
 }
 
-void append_json_value(std::string& out, const JsonValue& value) {
-  switch (value.kind) {
-    case JsonValue::Kind::kNull:
-      out += "null";
-      return;
-    case JsonValue::Kind::kBool:
-      out += value.boolean ? "true" : "false";
-      return;
-    case JsonValue::Kind::kNumber:
-      out += value.text;  // raw text: int64 and %.17g doubles round-trip
-      return;
-    case JsonValue::Kind::kString:
-      append_json_string(out, value.text);
-      return;
-    case JsonValue::Kind::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& item : value.items) {
-        if (!first) out += ',';
-        first = false;
-        append_json_value(out, item);
-      }
-      out += ']';
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members) {
-        if (!first) out += ',';
-        first = false;
-        append_json_string(out, key);
-        out += ':';
-        append_json_value(out, member);
-      }
-      out += '}';
-      return;
-    }
-  }
-}
-
 }  // namespace ordo::obs

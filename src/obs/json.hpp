@@ -46,10 +46,4 @@ void append_json_string(std::string& out, const std::string& s);
 /// Appends `v` with 17 significant digits (round-trip exact).
 void append_json_double(std::string& out, double v);
 
-/// Re-serializes a parsed value. Numbers keep their original text, so a
-/// parse → append round trip is byte-identical for everything this parser
-/// accepts — what the trace merger relies on to re-emit shard span events
-/// without perturbing timestamps.
-void append_json_value(std::string& out, const JsonValue& value);
-
 }  // namespace ordo::obs

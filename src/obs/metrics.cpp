@@ -233,7 +233,7 @@ void write_metrics_json(std::ostream& out) {
     return true;
   });
   // Tail-latency histograms (obs/agg/latency_histogram.hpp), buckets
-  // included so two dumps — or N shard dumps — merge exactly. An additive
+  // included so a reader can recompute any quantile. An additive
   // group: schema_version stays 1, consumers reading only the three
   // summary groups are unaffected. Lock order is registry mutex (held
   // here) then the latency registry's own mutex; the latency layer never

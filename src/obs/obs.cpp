@@ -8,7 +8,6 @@
 #include <mutex>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/trace_merge.hpp"
 #include "obs/status/status.hpp"
 
 namespace ordo::obs {
@@ -125,17 +124,8 @@ void finalize() {
   // failure swallow the metrics dump (or vice versa).
   if (!trace_path.empty() && tracing_enabled()) {
     try {
-      // With registered shard inputs (a sharded study ran), the export is
-      // the stitched multi-process timeline; otherwise the plain
-      // single-process document.
-      if (!agg::trace_merge_inputs().empty()) {
-        agg::write_merged_chrome_trace_file(trace_path);
-        logf(LogLevel::kProgress, "wrote merged trace to %s",
-             trace_path.c_str());
-      } else {
-        write_chrome_trace_file(trace_path);
-        logf(LogLevel::kProgress, "wrote trace to %s", trace_path.c_str());
-      }
+      write_chrome_trace_file(trace_path);
+      logf(LogLevel::kProgress, "wrote trace to %s", trace_path.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "ordo: trace export failed: %s\n", e.what());
     }

@@ -49,16 +49,16 @@ HeartbeatWriter::HeartbeatWriter(std::string path, double interval_seconds)
       interval_seconds_(std::max(0.1, interval_seconds)) {
   // Refuse to clobber a live foreign heartbeat: if the path already holds a
   // snapshot owned by a different, still-running process, two writers would
-  // alternate each other's state on one file (the classic mistake: a shard
-  // worker inheriting the parent's ORDO_STATUS_FILE). A dead owner's
-  // leftover is overwritten normally.
+  // alternate each other's state on one file (the classic mistake: two runs
+  // started with the same ORDO_STATUS_FILE). A dead owner's leftover is
+  // overwritten normally.
   const long owner = recorded_owner_pid(path_);
   require(owner < 0 || owner == static_cast<long>(::getpid()) ||
               !pid_alive(owner),
           "status: heartbeat file " + path_ +
               " is owned by live process pid " + std::to_string(owner) +
-              "; refusing to clobber it (use a per-process path, e.g. a "
-              "shard-suffixed ORDO_STATUS_FILE)");
+              "; refusing to clobber it (give each process its own "
+              "ORDO_STATUS_FILE)");
   write_snapshot();  // fail fast on an unwritable path, before the thread
   thread_ = std::thread([this] { loop(); });
   logf(LogLevel::kProgress, "status: heartbeat file %s every %.1fs",

@@ -23,16 +23,12 @@ class HeartbeatWriter {
   /// already holds the live heartbeat of a *different* process (the
   /// snapshot's "pid" names a still-running pid other than ours): two
   /// concurrent writers on one path would tear each other's snapshots, so
-  /// every process (each shard worker of a sharded study in particular)
-  /// must write to its own file. A dead owner's leftover file is
-  /// overwritten normally.
+  /// every process must write to its own file. A dead owner's leftover
+  /// file is overwritten normally.
   HeartbeatWriter(std::string path, double interval_seconds);
   ~HeartbeatWriter();  // = stop()
   HeartbeatWriter(const HeartbeatWriter&) = delete;
   HeartbeatWriter& operator=(const HeartbeatWriter&) = delete;
-
-  const std::string& path() const { return path_; }
-  double interval_seconds() const { return interval_seconds_; }
 
   /// Joins the writer thread after one final snapshot write. Idempotent.
   void stop();

@@ -295,13 +295,6 @@ std::unique_ptr<HeartbeatWriter> g_heartbeat
     ORDO_GUARDED_BY(g_consumer_mutex);
 std::atomic<bool> g_consumers{false};
 
-// Consumer configuration parked by suspend_consumers() so a matching
-// resume_consumers() can restart the exact same listener/heartbeat after a
-// fork window (see status.hpp).
-int g_suspended_port ORDO_GUARDED_BY(g_consumer_mutex) = -1;
-std::string g_suspended_heartbeat_path ORDO_GUARDED_BY(g_consumer_mutex);
-double g_suspended_heartbeat_interval ORDO_GUARDED_BY(g_consumer_mutex) = 0.0;
-
 }  // namespace
 
 void register_section(const std::string& key, SectionFn fn) {
@@ -502,10 +495,9 @@ std::string snapshot_json() {
   out += ',';
   append_metrics_section(out, b.last_counters);
   {
-    // Tail-latency histograms, buckets included: the snapshot doubles as
-    // the heartbeat document a sharded parent merges exactly (bucket sums),
-    // so the wire form must carry the buckets, not just the percentiles.
-    // Absent — never an empty section — when nothing was recorded.
+    // Tail-latency histograms, buckets included, so a reader can recompute
+    // any quantile, not just the emitted percentiles. Absent — never an
+    // empty section — when nothing was recorded.
     std::string latency;
     agg::append_latency_section(latency, /*include_buckets=*/true);
     if (latency != "{}") {
@@ -581,8 +573,6 @@ void stop() {
     MutexLock lock(g_consumer_mutex);
     listener = std::move(g_listener);
     heartbeat = std::move(g_heartbeat);
-    g_suspended_port = -1;
-    g_suspended_heartbeat_path.clear();
     // Relaxed: same reasoning as start_listener.
     g_consumers.store(false, std::memory_order_relaxed);
   }
@@ -591,51 +581,6 @@ void stop() {
   // cannot deadlock a concurrent start_*.
   heartbeat.reset();
   listener.reset();
-}
-
-void suspend_consumers() {
-  std::unique_ptr<StatusListener> listener;
-  std::unique_ptr<HeartbeatWriter> heartbeat;
-  {
-    MutexLock lock(g_consumer_mutex);
-    listener = std::move(g_listener);
-    heartbeat = std::move(g_heartbeat);
-    g_suspended_port = listener ? listener->port() : -1;
-    if (heartbeat) {
-      g_suspended_heartbeat_path = heartbeat->path();
-      g_suspended_heartbeat_interval = heartbeat->interval_seconds();
-    } else {
-      g_suspended_heartbeat_path.clear();
-    }
-    // Relaxed: same reasoning as start_listener.
-    g_consumers.store(false, std::memory_order_relaxed);
-  }
-  // Joins happen outside the mutex, exactly like stop(). After this returns
-  // no status service thread exists, so the process is safe to fork: a
-  // child cannot inherit a mid-operation listener socket or a heartbeat
-  // thread that exists in the parent but not in the child.
-  heartbeat.reset();
-  listener.reset();
-}
-
-void resume_consumers() {
-  int port = -1;
-  std::string heartbeat_path;
-  double heartbeat_interval = 0.0;
-  {
-    MutexLock lock(g_consumer_mutex);
-    port = g_suspended_port;
-    heartbeat_path = g_suspended_heartbeat_path;
-    heartbeat_interval = g_suspended_heartbeat_interval;
-    g_suspended_port = -1;
-    g_suspended_heartbeat_path.clear();
-  }
-  // Rebinding the remembered port can race another process that grabbed it
-  // during the window; surface that as the usual start_listener throw.
-  if (port >= 0) start_listener(port);
-  if (!heartbeat_path.empty()) {
-    start_heartbeat(heartbeat_path, heartbeat_interval);
-  }
 }
 
 }  // namespace ordo::obs::status

@@ -40,8 +40,7 @@ namespace ordo::obs::status {
 /// Layout version of the /stats and heartbeat documents; bumped whenever a
 /// field changes meaning so ordo_top and CI checkers can detect drift.
 /// v2: adds the "latency" section (tail-latency histograms with their
-/// merge-able buckets) and run.rate_tasks_per_second — the fields the
-/// sharded parent's fleet aggregation reads back from worker heartbeats.
+/// buckets) and run.rate_tasks_per_second.
 inline constexpr int kStatusSchemaVersion = 2;
 
 /// A subsystem section provider: appends one complete JSON value (object,
@@ -102,8 +101,7 @@ struct ProgressSnapshot {
   bool has_eta = false;   ///< false until the first completion of this run
   double eta_seconds = 0.0;
   double elapsed_seconds = 0.0;  ///< since begin_run
-  /// Fleet-pace signal: workers / EWMA task seconds, the throughput the
-  /// straggler detector compares across shards. Absent (has_rate false)
+  /// Pace signal: workers / EWMA task seconds. Absent (has_rate false)
   /// until this run's first completion, like the ETA.
   bool has_rate = false;
   double rate_tasks_per_second = 0.0;
@@ -152,20 +150,5 @@ bool consumers_active();
 /// snapshot on the way out (a SIGTERM-to-exit path leaves a fresh file).
 /// Idempotent; called from obs::finalize().
 void stop();
-
-/// Fork window support for the sharded study: stops and joins the consumer
-/// service threads (like stop()) but parks their configuration — the bound
-/// listener port and the heartbeat path/interval — so resume_consumers()
-/// can restart them identically. fork() clones only the calling thread, so
-/// forking while a listener or heartbeat thread holds a lock would leave
-/// the child with an unreleasable mutex; the shard parent calls this before
-/// forking workers and resume_consumers() once they are all spawned.
-void suspend_consumers();
-
-/// Restarts the consumers parked by the last suspend_consumers(). Rebinding
-/// the remembered port can fail if another process claimed it during the
-/// window (start_listener's throw propagates). No-op when nothing was
-/// suspended.
-void resume_consumers();
 
 }  // namespace ordo::obs::status

@@ -19,13 +19,6 @@ namespace {
 
 std::atomic<bool> g_tracing_enabled{false};
 
-Mutex g_label_mutex;
-// Leaked: read by the atexit trace export, after ordinary statics died.
-std::string& label_storage() ORDO_REQUIRES(g_label_mutex) {
-  static std::string* label = new std::string;
-  return *label;
-}
-
 // Per-thread span buffer. The owning thread is the only appender, but a
 // snapshot (collect_trace/clear_trace) may run concurrently from another
 // thread, so the events vector is guarded by a per-buffer mutex — contended
@@ -139,39 +132,15 @@ std::vector<SpanEvent> collect_trace() {
   return all;
 }
 
-std::string trace_process_label() {
-  MutexLock lock(g_label_mutex);
-  return label_storage();
-}
-
-void set_trace_process_label(const std::string& label) {
-  MutexLock lock(g_label_mutex);
-  label_storage() = label;
-}
-
 void write_chrome_trace(std::ostream& out) {
   const std::vector<SpanEvent> events = collect_trace();
   const long pid = static_cast<long>(::getpid());
-  const std::string label = trace_process_label();
-  // schema_version and process_label are ours (chrome://tracing ignores
-  // unknown top-level keys); schema_version tracks the span "args" layout,
-  // versioned with the metrics document, and pid/process_label let the
-  // shard trace merger stitch per-process files into named rows.
-  out << "{\"schema_version\":" << kMetricsSchemaVersion << ",\"pid\":" << pid;
-  if (!label.empty()) {
-    out << ",\"process_label\":\"";
-    json_escape(out, label);
-    out << '"';
-  }
-  out << ",\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  // schema_version and pid are ours (chrome://tracing ignores unknown
+  // top-level keys); schema_version tracks the span "args" layout,
+  // versioned with the metrics document.
+  out << "{\"schema_version\":" << kMetricsSchemaVersion << ",\"pid\":" << pid
+      << ",\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  if (!label.empty()) {
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"args\":{\"name\":\"";
-    json_escape(out, label);
-    out << "\"}}";
-    first = false;
-  }
   for (const SpanEvent& e : events) {
     if (!first) out << ',';
     first = false;

@@ -47,17 +47,8 @@ void clear_trace();
 /// land on one side of their buffer's lock.
 std::vector<SpanEvent> collect_trace();
 
-/// Human-readable name for this process's rows in a merged trace ("shard
-/// 0"; shard workers set it at fork). Empty by default. Emitted as a
-/// Chrome process_name metadata event and as a top-level "process_label"
-/// key of the trace document.
-std::string trace_process_label();
-void set_trace_process_label(const std::string& label);
-
 /// Writes the collected spans as Chrome trace_event JSON. Events carry the
-/// real pid (plus a top-level "pid" key), so per-process trace files can
-/// be stitched into one timeline (obs/agg/trace_merge.hpp) with each
-/// process on its own named row.
+/// real pid, and so does a top-level "pid" key.
 void write_chrome_trace(std::ostream& out);
 void write_chrome_trace_file(const std::string& path);
 

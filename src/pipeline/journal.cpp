@@ -208,11 +208,6 @@ std::string json_quote(const std::string& s) {
   return out;
 }
 
-std::string shard_journal_filename(int shard_index) {
-  require(shard_index >= 0, "journal: negative shard index");
-  return "study_journal.shard" + std::to_string(shard_index) + ".jsonl";
-}
-
 JournalKey make_journal_key(const std::vector<CorpusEntry>& corpus,
                             const StudyOptions& options) {
   JournalKey key;

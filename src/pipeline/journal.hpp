@@ -25,13 +25,6 @@ namespace ordo::pipeline {
 /// Journal file name inside a checkpoint directory.
 inline constexpr const char* kJournalFilename = "study_journal.jsonl";
 
-/// Journal file name of shard worker `shard_index` inside a checkpoint
-/// directory ("study_journal.shard<k>.jsonl"). Shard journals use the same
-/// record format and the same key as the merged journal — the key
-/// deliberately excludes shards/jobs, so a shard journal replays under any
-/// process topology.
-std::string shard_journal_filename(int shard_index);
-
 /// Quotes and escapes `s` as a JSON string literal (shared by the journal
 /// and the failure-row writer).
 std::string json_quote(const std::string& s);

@@ -1,19 +1,15 @@
 #include "pipeline/study_pipeline.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 
 #include "check/invariants.hpp"
-#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/cancel.hpp"
@@ -22,31 +18,6 @@
 
 namespace ordo::pipeline {
 namespace {
-
-// Fault injection for the shard tests and the CI shard-smoke job:
-// ORDO_SHARD_EXIT_AFTER=<shard>:<count> makes shard worker <shard> die
-// (hard _exit, no unwinding, no final journal flush beyond what append
-// already flushed — the closest in-process model of a SIGKILL) after
-// completing <count> tasks in this run. Parsed once per pipeline run;
-// ignored outside shard workers.
-struct ShardFault {
-  int shard = -1;
-  int exit_after = -1;
-};
-
-ShardFault shard_fault_from_env() {
-  ShardFault fault;
-  if (const char* raw = std::getenv("ORDO_SHARD_EXIT_AFTER")) {
-    int shard = -1;
-    int count = -1;
-    if (std::sscanf(raw, "%d:%d", &shard, &count) == 2 && shard >= 0 &&
-        count >= 0) {
-      fault.shard = shard;
-      fault.exit_after = count;
-    }
-  }
-  return fault;
-}
 
 // Disarms a token from the watchdog on scope exit, including the unwind
 // path of a cancelled task (the token dies with this frame).
@@ -59,23 +30,7 @@ struct ArmGuard {
   }
 };
 
-}  // namespace
-
-std::vector<std::size_t> dispatch_order(const std::vector<CorpusEntry>& corpus,
-                                        std::vector<std::size_t> todo) {
-  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
-    const offset_t nnz_a = corpus[a].matrix.num_nonzeros();
-    const offset_t nnz_b = corpus[b].matrix.num_nonzeros();
-    return nnz_a != nnz_b ? nnz_a > nnz_b : a < b;
-  });
-  return todo;
-}
-
-std::string shard_failures_filename(int shard_index) {
-  require(shard_index >= 0, "pipeline: negative shard index");
-  return "study_failures.shard" + std::to_string(shard_index) + ".jsonl";
-}
-
+// One structured JSON line per failure, truncating `path`.
 void write_failures_file(const std::string& path,
                          const std::vector<StudyTaskFailure>& failures) {
   std::ofstream out(path, std::ios::trunc);
@@ -94,31 +49,16 @@ void write_failures_file(const std::string& path,
   }
 }
 
-std::vector<StudyTaskFailure> load_failures_file(const std::string& path) {
-  std::vector<StudyTaskFailure> failures;
-  std::ifstream in(path);
-  if (!in.good()) return failures;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      const obs::JsonValue doc = obs::parse_json(line);
-      StudyTaskFailure f;
-      f.index = static_cast<int>(doc.at("index").as_int());
-      f.group = doc.at("group").as_string();
-      f.name = doc.at("name").as_string();
-      f.error = doc.at("error").as_string();
-      f.timed_out = doc.at("timed_out").boolean;
-      f.seconds = doc.at("seconds").as_double();
-      if (const obs::JsonValue* kind = doc.find("invariant_kind")) {
-        f.invariant_kind = kind->as_string();
-      }
-      failures.push_back(std::move(f));
-    } catch (const std::exception&) {
-      break;  // torn tail from a killed writer — same policy as the journal
-    }
-  }
-  return failures;
+}  // namespace
+
+std::vector<std::size_t> dispatch_order(const std::vector<CorpusEntry>& corpus,
+                                        std::vector<std::size_t> todo) {
+  std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+    const offset_t nnz_a = corpus[a].matrix.num_nonzeros();
+    const offset_t nnz_b = corpus[b].matrix.num_nonzeros();
+    return nnz_a != nnz_b ? nnz_a > nnz_b : a < b;
+  });
+  return todo;
 }
 
 StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
@@ -132,27 +72,6 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
 
   const auto& machines = table2_architectures();
   const std::size_t n = corpus.size();
-
-  // Shard-worker mode (options.shard_index >= 0, set by the fork
-  // orchestrator in src/pipeline/shard.cpp): this process owns the corpus
-  // indices congruent to shard_index modulo shards, journals to the
-  // shard-suffixed files, and leaves every foreign slot empty for the
-  // parent's merge.
-  const bool shard_worker = options.shard_index >= 0;
-  if (shard_worker) {
-    require(options.shards > 1 && options.shard_index < options.shards,
-            "pipeline: shard_index " + std::to_string(options.shard_index) +
-                " out of range for " + std::to_string(options.shards) +
-                " shards");
-    require(!options.checkpoint_dir.empty(),
-            "pipeline: shard workers need a checkpoint directory (the shard "
-            "journals are the merge channel)");
-  }
-  auto owned = [&](std::size_t i) {
-    return !shard_worker ||
-           static_cast<int>(i % static_cast<std::size_t>(options.shards)) ==
-               options.shard_index;
-  };
 
   // Resolve (and validate) the kernel set up front. Nondeterministic
   // kernels are refused in checkpointed sweeps: the journal's guarantee is
@@ -178,7 +97,6 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
   // every jobs value.
   std::vector<std::optional<MatrixStudyRows>> slots(n);
   std::vector<std::optional<StudyTaskFailure>> failure_slots(n);
-  std::vector<char> done(n, 0);
 
   // Checkpoint journal: replay, then rewrite (header + replayed records) so
   // the file also recovers from a corrupt tail left by a killed run.
@@ -187,37 +105,13 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     namespace fs = std::filesystem;
     fs::create_directories(options.checkpoint_dir);
     const std::string path =
-        (fs::path(options.checkpoint_dir) /
-         (shard_worker ? shard_journal_filename(options.shard_index)
-                       : std::string(kJournalFilename)))
-            .string();
+        (fs::path(options.checkpoint_dir) / kJournalFilename).string();
     const JournalKey key = make_journal_key(corpus, options);
     if (options.resume) {
       ORDO_SCOPE("pipeline/journal_replay");
       for (JournalRecord& record : load_journal(path, key)) {
-        // A record outside this worker's slice (the topology changed between
-        // runs) is dropped rather than replayed: the shard owning it will
-        // recompute it, and replaying it here would double-count the row in
-        // the parent's merge.
-        if (!owned(static_cast<std::size_t>(record.index))) continue;
         slots[static_cast<std::size_t>(record.index)] = std::move(record.rows);
-        done[static_cast<std::size_t>(record.index)] = 1;
         ++report.resumed;
-      }
-      if (shard_worker) {
-        // Cross-topology resume: a merged journal left by a previous run
-        // (any shard count, including an unsharded one) seeds the slots the
-        // shard journal does not cover. The rewrite below copies them into
-        // the shard journal, so the next resume is self-contained.
-        const std::string merged =
-            (fs::path(options.checkpoint_dir) / kJournalFilename).string();
-        for (JournalRecord& record : load_journal(merged, key)) {
-          const auto idx = static_cast<std::size_t>(record.index);
-          if (!owned(idx) || done[idx]) continue;
-          slots[idx] = std::move(record.rows);
-          done[idx] = 1;
-          ++report.resumed;
-        }
       }
       if (report.resumed > 0) {
         ORDO_COUNTER_ADD("pipeline.tasks.resumed", report.resumed);
@@ -228,14 +122,12 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     }
     journal = std::make_unique<JournalWriter>(path, key);
     for (std::size_t i = 0; i < n; ++i) {
-      if (done[i]) journal->append({static_cast<int>(i), *slots[i]});
+      if (slots[i]) journal->append({static_cast<int>(i), *slots[i]});
     }
   }
 
   DeadlineWatchdog watchdog;
   const double timeout = options.task_timeout_seconds;
-  const ShardFault fault = shard_fault_from_env();
-  std::atomic<int> completed_this_run{0};
 
   auto execute = [&](std::size_t i) {
     const CorpusEntry& entry = corpus[i];
@@ -296,17 +188,6 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       ORDO_COUNTER_ADD("pipeline.tasks.completed", 1);
       obs::status::task_finished(/*failed=*/false, /*timed_out=*/false,
                                  watch.seconds());
-      // Relaxed: the counter only gates the fault-injection exit below; no
-      // other memory is published through it.
-      const int completed =
-          completed_this_run.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (shard_worker && fault.exit_after >= 0 &&
-          options.shard_index == fault.shard && completed >= fault.exit_after) {
-        obs::logf(obs::LogLevel::kProgress,
-                  "shard %d: ORDO_SHARD_EXIT_AFTER fired after %d tasks",
-                  options.shard_index, completed);
-        ::_exit(113);  // models a SIGKILL: no unwinding, no final flushes
-      }
     } catch (const check::InvariantViolation& e) {
       // A contract breach inside one matrix's study is isolated like any
       // other failure, but tagged with its violation class so the failure
@@ -324,11 +205,8 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
 
   std::vector<std::size_t> todo;
   todo.reserve(n);
-  std::size_t owned_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!owned(i)) continue;
-    ++owned_total;
-    if (!done[i]) todo.push_back(i);
+    if (!slots[i]) todo.push_back(i);
   }
   ORDO_COUNTER_ADD("pipeline.tasks.queued",
                    static_cast<std::int64_t>(todo.size()));
@@ -339,10 +217,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
   }
   jobs = std::max(1, jobs);
 
-  // A shard worker reports its own slice as the run: the parent's "shards"
-  // status section aggregates the per-shard fractions back into a whole.
-  obs::status::begin_run(static_cast<std::int64_t>(owned_total), jobs,
-                         report.resumed);
+  obs::status::begin_run(static_cast<std::int64_t>(n), jobs, report.resumed);
   if (jobs == 1) {
     // Sequential path: inline on the calling thread, in corpus order.
     for (std::size_t i : todo) execute(i);
@@ -394,10 +269,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
   if (!options.checkpoint_dir.empty()) {
     namespace fs = std::filesystem;
     const std::string path =
-        (fs::path(options.checkpoint_dir) /
-         (shard_worker ? shard_failures_filename(options.shard_index)
-                       : std::string(kFailuresFilename)))
-            .string();
+        (fs::path(options.checkpoint_dir) / kFailuresFilename).string();
     if (report.failures.empty()) {
       std::error_code ignored;
       fs::remove(path, ignored);

@@ -68,19 +68,4 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
 /// Failure-row file name inside a checkpoint directory.
 inline constexpr const char* kFailuresFilename = "study_failures.jsonl";
 
-/// Failure-row file name of shard worker `shard_index`
-/// ("study_failures.shard<k>.jsonl").
-std::string shard_failures_filename(int shard_index);
-
-/// Reads a failure-row file back (the shard merge path). Returns empty when
-/// the file is missing; skips unparsable lines (a torn tail from a killed
-/// worker loses at most the row being written).
-std::vector<StudyTaskFailure> load_failures_file(const std::string& path);
-
-/// Writes one structured JSON line per failure (truncating `path`) — the
-/// format load_failures_file reads back. Shared by the pipeline and the
-/// shard orchestrator's merge.
-void write_failures_file(const std::string& path,
-                         const std::vector<StudyTaskFailure>& failures);
-
 }  // namespace ordo::pipeline

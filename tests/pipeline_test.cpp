@@ -1,13 +1,19 @@
 // Tests for the study pipeline scheduler (src/pipeline): parallel-vs-
-// sequential determinism, per-task failure isolation, checkpoint/resume,
-// soft-deadline cancellation, and the journal/pool/fork-join building blocks.
+// sequential determinism, per-task failure isolation, checkpoint/resume
+// (including a forked study killed with SIGKILL mid-matrix), soft-deadline
+// cancellation, and the journal/pool/fork-join building blocks.
 #include <gtest/gtest.h>
+
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -18,6 +24,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "corpus/corpus.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/cancel.hpp"
 #include "pipeline/fork_join.hpp"
@@ -289,6 +296,102 @@ TEST(StudyPipeline, SoftDeadlineCancelsPathologicalTask) {
             std::string::npos);
   EXPECT_TRUE(report.results.empty() ||
               report.results.begin()->second.empty());
+}
+
+// Polls until `path` holds at least `lines` newline-terminated lines.
+// Returns false when `child` exits first (left unreaped, so the caller's
+// waitpid still sees how it ended) or two minutes pass.
+bool await_complete_lines(const std::string& path, std::size_t lines,
+                          pid_t child) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::string text = slurp(path);
+    const auto complete = std::count(text.begin(), text.end(), '\n');
+    if (static_cast<std::size_t>(complete) >= lines) return true;
+    siginfo_t info{};
+    if (::waitid(P_PID, static_cast<id_t>(child), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == child) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+// Writes every (machine, kernel) result file of `results` into `dir` and
+// returns their bytes by file name.
+std::map<std::string, std::string> result_file_bytes(
+    const StudyResults& results, const std::string& dir) {
+  fs::create_directories(dir);
+  std::map<std::string, std::string> bytes;
+  for (const auto& [key, rows] : results) {
+    const std::string leaf = key.first + "." + key.second.id() + ".txt";
+    const std::string path = (fs::path(dir) / leaf).string();
+    write_results_file(path, rows);
+    bytes[leaf] = slurp(path);
+  }
+  return bytes;
+}
+
+TEST(StudyCrash, SigkilledRunResumesByteIdentically) {
+  // The tiny corpus with one large matrix (over a second of study work) at
+  // position k. At jobs == 1 the tasks run in corpus order, so while the
+  // journal holds exactly k records the large matrix is in flight, and a
+  // SIGKILL sent then lands mid-run.
+  auto corpus = generate_corpus(tiny_corpus());
+  const int k = 2;
+  corpus.insert(corpus.begin() + k, generate_named("HV15R", 1.0));
+  const int n = static_cast<int>(corpus.size());
+  const std::string dir = ::testing::TempDir() + "/ordo_pipeline_sigkill";
+  fs::remove_all(dir);
+
+  StudyOptions options;
+  options.jobs = 1;
+  options.checkpoint_dir = dir + "/run";
+  const std::string journal =
+      (fs::path(options.checkpoint_dir) / pipeline::kJournalFilename).string();
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The child never returns into the test framework.
+    int code = 0;
+    try {
+      pipeline::run_study_pipeline(corpus, options);
+    } catch (...) {
+      code = 1;
+    }
+    ::_exit(code);
+  }
+  // Header plus k records.
+  const bool reached =
+      await_complete_lines(journal, static_cast<std::size_t>(k) + 1, child);
+  ::kill(child, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(reached) << "the study never journaled " << k << " records";
+  // A child that finished before the kill would make the resume below
+  // vacuous: fail instead of passing silently.
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "child was not killed mid-run (wait status " << status << ")";
+
+  const pipeline::StudyReport resumed =
+      pipeline::run_study_pipeline(corpus, options);
+  EXPECT_TRUE(resumed.failures.empty());
+  EXPECT_EQ(resumed.resumed, k);
+  EXPECT_EQ(resumed.computed, n - k);
+
+  StudyOptions uninterrupted;
+  uninterrupted.jobs = 1;
+  const pipeline::StudyReport clean =
+      pipeline::run_study_pipeline(corpus, uninterrupted);
+  ASSERT_TRUE(clean.failures.empty());
+  expect_identical_results(clean.results, resumed.results);
+  EXPECT_EQ(result_file_bytes(resumed.results, dir + "/resumed"),
+            result_file_bytes(clean.results, dir + "/clean"));
+  fs::remove_all(dir);
 }
 
 #if defined(ORDO_OBS_ENABLED)

@@ -23,6 +23,7 @@
 
 #include "obs/agg/latency_histogram.hpp"
 #include "obs/json.hpp"
+#include "obs/status/heartbeat.hpp"
 #include "obs/status/listener.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/task_pool.hpp"
@@ -96,8 +97,8 @@ TEST(StatusTest, EtaAbsentNotZeroBeforeFirstCompletion) {
 
 TEST(StatusTest, RateAbsentNotZeroBeforeFirstCompletion) {
   status::begin_run(/*total=*/8, /*workers=*/2, /*resumed=*/0);
-  // The fleet monitor's pace field obeys the same rule as the ETA: absent
-  // until the EWMA has a sample, so a fresh shard is never pace-judged.
+  // The pace field obeys the same rule as the ETA: absent until the EWMA
+  // has a sample, never a misleading zero.
   EXPECT_FALSE(status::progress().has_rate);
   EXPECT_EQ(obs::parse_json(status::snapshot_json())
                 .at("run")
@@ -126,8 +127,8 @@ TEST(StatusTest, SnapshotCarriesBucketCompleteLatencySection) {
   ASSERT_NE(entry, nullptr);
   EXPECT_GE(entry->at("count").as_int(), 1);
   EXPECT_NE(entry->find("p99"), nullptr);
-  // The snapshot doubles as the shard heartbeat wire form, so it must carry
-  // the bucket detail the parent's exact cross-shard merge needs.
+  // The snapshot carries the bucket detail, so a reader can recompute any
+  // quantile, not just the emitted ones.
   EXPECT_NE(entry->find("buckets"), nullptr);
   status::end_run();
 }
@@ -290,6 +291,28 @@ TEST(StatusTest, HeartbeatFileIsValidJsonAndSurvivesStop) {
   // with its counts intact.
   EXPECT_FALSE(doc.at("run").at("running").boolean);
   EXPECT_EQ(doc.at("run").at("completed").as_int(), 2);
+  fs::remove_all(dir);
+}
+
+TEST(StatusTest, HeartbeatWriterRefusesLiveForeignFile) {
+  const fs::path dir = fs::temp_directory_path() / "ordo_status_foreign";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "ordo_status.json").string();
+
+  // pid 1 is always alive and never us: the writer must refuse to clobber
+  // its (purported) live heartbeat instead of tearing snapshots.
+  { std::ofstream(path) << "{\"pid\": 1}\n"; }
+  EXPECT_THROW(status::HeartbeatWriter(path, 10.0), invalid_argument_error);
+
+  // A dead owner's leftover is overwritten normally (pid far beyond
+  // pid_max never names a live process), as is our own file.
+  { std::ofstream(path) << "{\"pid\": 999999999}\n"; }
+  {
+    status::HeartbeatWriter writer(path, 10.0);
+    writer.stop();
+  }
+  { status::HeartbeatWriter writer(path, 10.0); }  // own pid now
   fs::remove_all(dir);
 }
 

@@ -26,11 +26,6 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
   mmap           src/ only. No raw memory mapping (::mmap/::munmap/
                  ::ftruncate or <sys/mman.h>): every matrix lives in RAM
                  as CsrMatrix arrays, so the library maps no memory.
-  memory_order   src/ only. Every std::atomic operation that opens and
-                 closes on one line (.load/.store/.exchange/.fetch_*/
-                 .compare_exchange_*) must pass an explicit
-                 std::memory_order — seq_cst-by-default hides intent.
-                 Multi-line calls are audited by tools/ordo_analyze.py.
   float-eq       src/ only. No == / != on floating-point values (float
                  literals, or identifiers declared double/float in the same
                  file). Use explicit tolerances — or suppress where exact
@@ -141,18 +136,6 @@ SOCKET_RE = re.compile(
     r"|<sys/socket\.h>|<netinet/|<arpa/inet\.h>")
 MMAP_RE = re.compile(
     r"::\s*(?:mmap|munmap|ftruncate)\s*\(|<sys/mman\.h>")
-# An atomic op whose argument list closes on the same line and names no
-# memory_order. Nested-paren and multi-line calls are left to the deeper
-# pass in tools/ordo_analyze.py.
-MEMORY_ORDER_RE = re.compile(
-    r"[\w\])]\.(?:load|store|exchange|fetch_add|fetch_sub|fetch_and|"
-    r"fetch_or|fetch_xor|compare_exchange_weak|compare_exchange_strong)"
-    r"\s*\(([^()]*)\)")
-
-
-def memory_order_violations(code):
-    return any("memory_order" not in m.group(1)
-               for m in MEMORY_ORDER_RE.finditer(code))
 
 
 def io_exempt(relpath):
@@ -322,10 +305,6 @@ def lint_file(path):
                 check(lineno, "chrono", CHRONO_RE.search(code),
                       "raw std::chrono outside src/obs/ and src/pipeline/ — "
                       "time through obs::Stopwatch / trace_now_us")
-            check(lineno, "memory_order", memory_order_violations(code),
-                  "atomic operation without an explicit std::memory_order — "
-                  "spell the ordering (and justify relaxed; see "
-                  "tools/ordo_analyze.py)")
             check(lineno, "float-eq", float_eq_violations(code, float_names),
                   "floating-point == / != — compare with a tolerance, or "
                   "suppress where exact equality is the contract")
@@ -395,10 +374,6 @@ void scale(std::vector<double>& v) {
   for (auto& x : v) x *= 2.0;
 }
 
-void tick(std::atomic<int>& n) {
-  n.store(1);
-}
-
 int open_backdoor() {
   return ::socket(2, 1, 0);
 }
@@ -446,7 +421,7 @@ def self_test():
 
         fired = {v.rule for v in bad_violations}
         for rule in ("random", "thread", "io", "omp", "chrono", "socket",
-                     "mmap", "memory_order", "float-eq", "include-order"):
+                     "mmap", "float-eq", "include-order"):
             if rule not in fired:
                 failures.append(f"rule '{rule}' did not fire on seeded code")
         if "pragma-once" not in {v.rule for v in hdr_violations}:

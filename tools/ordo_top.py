@@ -15,11 +15,7 @@ cache hit rate, the ordering selector's tally when the study runs with
 --auto-order (decisions, oracle hit rate, mean regret, per-ordering
 picks), tail-latency percentiles (p50/p90/p99/p999 per task and phase),
 and — when the study runs with --hw — the latest counter window
-(IPC, LLC miss rate, achieved vs peak GB/s). During a sharded run
-(run_study --shards N) the parent's snapshot carries a "fleet" section:
-one row per shard worker with LIVE/STALE/DEAD/DONE state, progress,
-pace, and straggler flags, plus the exact bucket-merged fleet-wide
-latency percentiles.
+(IPC, LLC miss rate, achieved vs peak GB/s).
 
 Modes:
   (default)     full-screen curses refresh every --interval seconds;
@@ -41,7 +37,6 @@ import urllib.request
 
 POLL_TIMEOUT_SECONDS = 5.0
 PHASES = ("reorder", "profile", "features", "spmv", "model", "journal")
-SHARD_STATES = ("unknown", "live", "stale", "dead", "done")
 PERCENTILE_KEYS = ("p50", "p90", "p99", "p999")
 
 
@@ -97,7 +92,7 @@ def validate(snap):
                     "run.eta_seconds present but negative/mistyped")
             _expect(errors, run.get("completed", 0) + run.get("failed", 0) > 0,
                     "run.eta_seconds present before any task finished")
-        # Same rule for the v2 pace field the fleet monitor consumes.
+        # Same rule for the v2 pace field.
         if "rate_tasks_per_second" in run:
             _expect(errors,
                     isinstance(run["rate_tasks_per_second"], (int, float))
@@ -158,11 +153,6 @@ def validate(snap):
             for name, entry in latency.items():
                 errors.extend(validate_latency_entry(f"latency[{name!r}]",
                                                      entry))
-
-    # fleet is optional (only a sharded parent registers it).
-    fleet = snap.get("fleet")
-    if fleet is not None:
-        errors.extend(validate_fleet(fleet))
     return errors
 
 
@@ -196,64 +186,6 @@ def validate_latency_entry(label, entry):
                     f"{label}.buckets do not sum to count")
     return errors
 
-
-def validate_fleet(fleet):
-    """Violations in the sharded parent's fleet section."""
-    errors = []
-    _expect(errors, isinstance(fleet, dict), "fleet is not an object")
-    if not isinstance(fleet, dict):
-        return errors
-    _expect(errors, fleet.get("schema_version") == 1,
-            f"fleet.schema_version != 1 "
-            f"(got {fleet.get('schema_version')!r})")
-    _expect(errors, isinstance(fleet.get("shards"), list),
-            "fleet.shards missing or not a list")
-    stragglers = fleet.get("stragglers")
-    _expect(errors, isinstance(stragglers, int) and stragglers >= 0,
-            "fleet.stragglers is not a non-negative integer")
-    flagged = 0
-    for i, shard in enumerate(fleet.get("shards") or []):
-        label = f"fleet.shards[{i}]"
-        if not isinstance(shard, dict):
-            errors.append(f"{label} is not an object")
-            continue
-        _expect(errors, isinstance(shard.get("shard"), int),
-                f"{label}.shard missing or mistyped")
-        _expect(errors, shard.get("state") in SHARD_STATES,
-                f"{label}.state not one of {SHARD_STATES}")
-        _expect(errors, isinstance(shard.get("heartbeat"), bool),
-                f"{label}.heartbeat missing or mistyped")
-        if shard.get("heartbeat") is not True:
-            continue  # no heartbeat file yet: only identity keys exist
-        for key in ("pid", "total", "completed", "failed", "resumed"):
-            _expect(errors, isinstance(shard.get(key), int),
-                    f"{label}.{key} missing or mistyped")
-        for key in ("heartbeat_age_seconds", "fraction", "elapsed_seconds"):
-            _expect(errors, isinstance(shard.get(key), (int, float)),
-                    f"{label}.{key} missing or mistyped")
-        for key in ("pid_alive", "running"):
-            _expect(errors, isinstance(shard.get(key), bool),
-                    f"{label}.{key} missing or mistyped")
-        if shard.get("straggler"):
-            flagged += 1
-            _expect(errors, isinstance(shard.get("straggler_reason"), str),
-                    f"{label}.straggler set without straggler_reason")
-        for name, entry in (shard.get("latency") or {}).items():
-            errors.extend(
-                validate_latency_entry(f"{label}.latency[{name!r}]", entry))
-    if isinstance(stragglers, int) and isinstance(fleet.get("shards"), list):
-        _expect(errors, flagged == stragglers,
-                f"fleet.stragglers ({stragglers}) != flagged shard rows "
-                f"({flagged})")
-    _expect(errors, isinstance(fleet.get("latency"), dict),
-            "fleet.latency (merged histograms) missing or not an object")
-    for name, entry in (fleet.get("latency") or {}).items():
-        errors.extend(
-            validate_latency_entry(f"fleet.latency[{name!r}]", entry))
-    return errors
-
-
-# --- rendering -------------------------------------------------------------
 
 def format_seconds(seconds):
     seconds = max(0, int(seconds))
@@ -290,37 +222,6 @@ def latency_lines(latency, header):
             for key in PERCENTILE_KEYS if key in entry)
         lines.append(f"  {name:<16.16} n={entry.get('count', 0):<7} "
                      f"{quantiles}")
-    return lines
-
-
-def fleet_lines(fleet):
-    """Per-shard rows of the sharded parent's fleet section."""
-    if not isinstance(fleet, dict):
-        return []
-    shards = fleet.get("shards") or []
-    lines = ["", f"fleet ({len(shards)} shards, "
-                 f"{fleet.get('stragglers', 0)} stragglers):"]
-    for shard in shards:
-        if not isinstance(shard, dict):
-            continue
-        state = str(shard.get("state", "?")).upper()
-        row = f"  shard {shard.get('shard', '?'):>2}  {state:<7}"
-        if shard.get("heartbeat"):
-            done = shard.get("completed", 0) + shard.get("failed", 0) \
-                + shard.get("resumed", 0)
-            row += (f" {done:>4}/{shard.get('total', 0):<4} "
-                    f"({100.0 * shard.get('fraction', 0.0):3.0f}%) ")
-            if "rate_tasks_per_second" in shard:
-                row += f" {shard['rate_tasks_per_second']:6.2f} tasks/s"
-            if shard.get("phases"):
-                row += f"  [{shard['phases']}]"
-            if shard.get("straggler"):
-                row += f"  !! {shard.get('straggler_reason', 'straggler')}"
-        else:
-            row += "  (no heartbeat yet)"
-        lines.append(row)
-    lines.extend(latency_lines(fleet.get("latency"),
-                               "fleet latency (bucket-merged):"))
     return lines
 
 
@@ -386,7 +287,6 @@ def render(snap, width=78):
         lines.append("  ".join(parts))
 
     lines.extend(latency_lines(snap.get("latency"), "latency:"))
-    lines.extend(fleet_lines(snap.get("fleet")))
 
     workers = snap.get("workers") or []
     lines.append("")
@@ -476,14 +376,9 @@ def main():
                 print(f"ordo_top --check FAILED: {error}")
             if not errors:
                 run = snap.get("run", {})
-                fleet = snap.get("fleet")
-                fleet_note = ""
-                if isinstance(fleet, dict):
-                    fleet_note = (f", fleet of "
-                                  f"{len(fleet.get('shards') or [])} shards")
                 print(f"ordo_top --check: snapshot valid "
                       f"(schema_version 2, {run.get('completed', 0)}/"
-                      f"{run.get('total', 0)} completed{fleet_note})")
+                      f"{run.get('total', 0)} completed)")
             return 1 if errors else 0
         if args.once:
             plain_frame(args)
