@@ -27,6 +27,7 @@ InvariantViolation::InvariantViolation(ViolationKind kind,
       kind_(kind),
       where_(where) {}
 
+#if defined(ORDO_OBS_ENABLED)
 namespace {
 
 std::string counter_name(ViolationKind kind) {
@@ -34,6 +35,7 @@ std::string counter_name(ViolationKind kind) {
 }
 
 }  // namespace
+#endif
 
 void report_violation(ViolationKind kind, const std::string& where,
                       const std::string& detail) {

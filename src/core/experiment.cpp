@@ -132,29 +132,25 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   // Arch-independent orderings, computed once. The GP ordering matches the
   // part count to the machine's cores (Section 3.3), so it is computed per
   // distinct core count instead, below.
-  obs::status::set_phase("reorder");
-  // Per-phase wall time feeds the tail-latency histograms ("phase.<name>"),
-  // the per-phase overhead distributions the reordering-effectiveness
-  // question hinges on. Boundary timestamps, not a Stopwatch window: the
-  // phase deliberately includes its own logging and validation.
-  std::int64_t phase_start_us = obs::trace_now_us();
+  // Each phase's wall time lands in a "phase.<name>" histogram, the
+  // per-phase overhead distributions the reordering-effectiveness question
+  // hinges on. A phase deliberately includes its own logging and
+  // validation.
+  obs::Phase reorder_phase(
+      obs::Phase::Parts().status("reorder").histogram("phase.reorder"));
   std::map<OrderingKind, CsrMatrix> reordered;
   for (OrderingKind kind : kinds) {
     if (kind == OrderingKind::kGp) continue;
     poll_cancelled(cancel, "run_matrix_study");
-    // Scope-name construction before the stopwatch, and the elapsed-time
-    // read right after the scope closes: the timed window covers only
-    // reorder+apply, not metric-name strings or the validator below.
-    obs::hw::CounterScope hw_scope("reorder." + ordering_name(kind));
-    obs::Stopwatch watch;
+    // The window covers only reorder+apply, not the validator below.
+    obs::Phase window(obs::Phase::Parts().hw("reorder." + ordering_name(kind)));
     [[maybe_unused]] const auto it = reordered
         .emplace(kind, apply_ordering(
                            entry.matrix,
                            compute_ordering(entry.matrix, kind,
                                             options.reorder)))
         .first;
-    const double reorder_millis = watch.millis();
-    hw_scope.stop();
+    const double reorder_millis = window.close() * 1e3;
     ORDO_CHECK(validate_reordered_matrix(
         entry.matrix, it->second,
         "run_matrix_study(" + entry.name + "/" + ordering_name(kind) + ")"));
@@ -175,17 +171,15 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   poll_cancelled(cancel, "run_matrix_study");
   std::map<int, CsrMatrix> gp_by_cores;
   {
-    // Same ordering discipline as the loop above: nothing but
-    // reorder+apply inside the watch window.
-    obs::hw::CounterScope hw_scope("reorder.GP");
-    obs::Stopwatch watch;
+    // Same discipline as the loop above: nothing but reorder+apply inside
+    // the window.
+    obs::Phase window(obs::Phase::Parts().hw("reorder.GP"));
     const std::vector<Ordering> gp =
         compute_gp_orderings(entry.matrix, gp_parts, options.reorder);
     for (std::size_t i = 0; i < gp_parts.size(); ++i) {
       gp_by_cores.emplace(gp_parts[i], apply_ordering(entry.matrix, gp[i]));
     }
-    const double reorder_millis = watch.millis();
-    hw_scope.stop();
+    const double reorder_millis = window.close() * 1e3;
     for ([[maybe_unused]] const index_t cores : gp_parts) {
       ORDO_CHECK(validate_reordered_matrix(
           entry.matrix, gp_by_cores.at(cores),
@@ -197,13 +191,11 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
               reorder_millis);
   }
 
-  ORDO_LATENCY_RECORD(
-      "phase.reorder",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  reorder_phase.close();
 
   // One reuse profile per reordered matrix, shared across machines.
-  obs::status::set_phase("profile");
-  phase_start_us = obs::trace_now_us();
+  obs::Phase profile_phase(
+      obs::Phase::Parts().status("profile").histogram("phase.profile"));
   std::map<OrderingKind, SpmvModel> models;
   {
     ORDO_SCOPE("study/reuse_profiles");
@@ -221,15 +213,13 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
     }
   }
 
-  ORDO_LATENCY_RECORD(
-      "phase.profile",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  profile_phase.close();
 
   // Order-sensitive features: bandwidth and profile are machine-
   // independent; the off-diagonal count uses the machine's core count as
   // block count and is computed per distinct thread count.
-  obs::status::set_phase("features");
-  phase_start_us = obs::trace_now_us();
+  obs::Phase features_phase(
+      obs::Phase::Parts().status("features").histogram("phase.features"));
   std::map<OrderingKind, std::pair<std::int64_t, std::int64_t>> band_profile;
   for (const auto& [kind, matrix] : reordered) {
     band_profile[kind] = {matrix_bandwidth(matrix), matrix_profile(matrix)};
@@ -250,9 +240,7 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
       offdiag[key] = off_diagonal_block_nonzeros(matrix, arch.cores);
     }
   }
-  ORDO_LATENCY_RECORD(
-      "phase.features",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  features_phase.close();
 
   // Host hardware-counter measurements, one per (kernel, reordered matrix).
   // GP matrices differ per core count, so those are keyed by cores; every
@@ -260,9 +248,10 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   std::map<std::pair<std::string, OrderingKind>, HostHwSample> host_hw;
   std::map<std::pair<std::string, int>, HostHwSample> gp_host_hw;
   if (options.hw_counters) {
-    ORDO_SCOPE("study/host_hw");
-    obs::status::set_phase("spmv");
-    ORDO_LATENCY_SCOPE("phase.spmv");
+    obs::Phase spmv_phase(obs::Phase::Parts()
+                              .status("spmv")
+                              .span("study/host_hw")
+                              .histogram("phase.spmv"));
     for (const SpmvKernel& kernel : kernels) {
       for (const auto& [kind, matrix] : reordered) {
         poll_cancelled(cancel, "run_matrix_study");
@@ -295,8 +284,8 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
       group_estimates;
 
   MatrixStudyRows rows;
-  obs::status::set_phase("model");
-  phase_start_us = obs::trace_now_us();
+  obs::Phase model_phase(
+      obs::Phase::Parts().status("model").histogram("phase.model"));
   for (const Architecture& arch : machines) {
     poll_cancelled(cancel, "run_matrix_study");
     const std::vector<const Architecture*>& group =
@@ -368,9 +357,7 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
       rows.emplace(std::make_pair(arch.name, kernel), std::move(row));
     }
   }
-  ORDO_LATENCY_RECORD(
-      "phase.model",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  model_phase.close();
   // The selector annotation happens here — inside the task, before the rows
   // reach the journal — so resumed runs replay decisions instead of
   // recomputing them, and the live `select` status section fills in as the

@@ -102,6 +102,7 @@ class JsonParser {
           case 'n': v.text += '\n'; break;
           case 't': v.text += '\t'; break;
           case 'r': v.text += '\r'; break;
+          case 'u': v.text += ascii_escape(); break;
           default:
             throw invalid_argument_error("json: unsupported escape");
         }
@@ -109,6 +110,19 @@ class JsonParser {
       }
       v.text += c;
     }
+  }
+
+  // The four hex digits of a \uXXXX escape. Only ASCII code points: ordo
+  // writes \u00XX for control characters and nothing else.
+  char ascii_escape() {
+    require(pos_ + 4 <= text_.size(), "json: bad escape");
+    const std::string hex = text_.substr(pos_, 4);
+    char* end = nullptr;
+    const unsigned long code = std::strtoul(hex.c_str(), &end, 16);
+    require(end == hex.c_str() + 4 && code < 0x80,
+            "json: unsupported escape");
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   JsonValue boolean() {
@@ -193,7 +207,15 @@ void append_json_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          // The other control characters have no short escape.
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   out += '"';

@@ -9,8 +9,8 @@
 //
 // This parser reads back files ordo wrote (BENCH_*.json round-trips,
 // study_journal.jsonl replay); it is not a general-purpose JSON library and
-// deliberately rejects what ordo never writes (\uXXXX escapes, exotic
-// whitespace).
+// deliberately rejects what ordo never writes (\uXXXX escapes beyond
+// ASCII, exotic whitespace).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,8 @@ struct JsonValue {
 /// Parses one complete JSON document (trailing characters are an error).
 JsonValue parse_json(const std::string& text);
 
-/// Appends `s` as a quoted, escaped JSON string literal.
+/// Appends `s` as a quoted, escaped JSON string literal: \" \\ \n \t \r,
+/// and \u00XX for the other control characters.
 void append_json_string(std::string& out, const std::string& s);
 
 /// Appends `v` with 17 significant digits (round-trip exact).

@@ -1,14 +1,15 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
+#include "obs/json.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo::obs {
@@ -33,83 +34,151 @@ Registry& registry() {
   return *r;
 }
 
-void write_double(std::ostream& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out << buf;
+// A positive double's bits shifted right by 49 keep the 11 exponent bits
+// and the top 3 mantissa bits: one key per log-linear bucket, in value
+// order.
+constexpr int kKeyShift = 49;
+constexpr double kLowestBucketed = std::bit_cast<double>(
+    static_cast<std::uint64_t>(1023 + kHistogramMinExponent) << 52);
+constexpr std::uint64_t kLowestKey =
+    std::bit_cast<std::uint64_t>(kLowestBucketed) >> kKeyShift;
+
+const double kQuantiles[] = {0.50, 0.90, 0.99, 0.999};
+const char* const kQuantileKeys[] = {"p50", "p90", "p99", "p999"};
+
+template <typename Kind>
+Kind& find_or_create(const std::string& name,
+                     std::unique_ptr<Kind> Entry::*slot) {
+  Registry& r = registry();
+  MutexLock lock(r.mutex);
+  Entry& entry = r.entries[name];
+  if (!(entry.*slot)) {
+    require(!entry.counter && !entry.gauge && !entry.histogram,
+            "obs: metric '" + name + "' already registered as another kind");
+    entry.*slot = std::make_unique<Kind>();
+  }
+  return *(entry.*slot);
 }
 
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
+// Appends `"key":value` pairs of one group, skipping entries `append`
+// declines (it returns false without writing).
+template <typename Append>
+void append_group(std::string& out, const char* key, const Registry& r,
+                  Append&& append) ORDO_REQUIRES(r.mutex) {
+  out += '"';
+  out += key;
+  out += "\":{";
+  bool first = true;
+  for (const auto& [name, entry] : r.entries) {
+    std::string value;
+    if (!append(value, entry)) continue;
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ':';
+    out += value;
   }
-  out << '"';
+  out += '}';
 }
 
 }  // namespace
 
-void Histogram::record(double value) {
-  MutexLock lock(mutex_);
-  if (state_.count == 0) {
-    state_.min = value;
-    state_.max = value;
-  } else {
-    state_.min = std::min(state_.min, value);
-    state_.max = std::max(state_.max, value);
+int histogram_bucket_index(double value) {
+  if (!(value >= kLowestBucketed)) return 0;  // zero, negative, tiny, NaN
+  const std::uint64_t key = std::bit_cast<std::uint64_t>(value) >> kKeyShift;
+  return static_cast<int>(std::min<std::uint64_t>(
+      key - kLowestKey + 1, kHistogramBuckets - 1));
+}
+
+double histogram_bucket_lower(int index) {
+  require(index >= 0 && index < kHistogramBuckets,
+          "histogram_bucket_lower: index out of range");
+  if (index == 0) return 0.0;
+  return std::bit_cast<double>(
+      (kLowestKey + static_cast<std::uint64_t>(index - 1)) << kKeyShift);
+}
+
+double Histogram::Snapshot::percentile(double q) const {
+  if (count <= 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Rank of the q-th sample (1-based): the first bucket whose cumulative
+  // count reaches it. ceil keeps p100 at the last occupied bucket.
+  const std::int64_t rank = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count))));
+  std::int64_t cumulative = 0;
+  int index = buckets.empty() ? 0 : buckets.back().first;
+  for (const auto& [i, n] : buckets) {
+    cumulative += n;
+    if (cumulative >= rank) {
+      index = i;
+      break;
+    }
   }
-  state_.sum += value;
-  state_.count += 1;
+  return std::clamp(histogram_bucket_lower(index), min, max);
+}
+
+void Histogram::record(double value) {
+  // Relaxed: min, max and sum publish nothing but their own values; the
+  // bucket add below orders them for snapshots.
+  double seen = min_.load(std::memory_order_relaxed);
+  while (value < seen && !min_.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (value > seen && !max_.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  // Release, paired with snapshot()'s acquire: a snapshot that counts this
+  // sample also sees it in min, max and sum, so min <= max whenever the
+  // count is positive.
+  buckets_[static_cast<std::size_t>(histogram_bucket_index(value))].fetch_add(
+      1, std::memory_order_release);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
-  MutexLock lock(mutex_);
-  return state_;
+  Snapshot s;
+  // Acquire: see record().
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    const std::int64_t n =
+        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_acquire);
+    if (n == 0) continue;
+    s.buckets.emplace_back(i, n);
+    s.count += n;
+  }
+  if (s.count > 0) {
+    // Relaxed: ordered after the acquire loads above, so these cover every
+    // counted sample (and perhaps a few in flight).
+    s.sum = sum_.load(std::memory_order_relaxed);
+    s.min = min_.load(std::memory_order_relaxed);
+    s.max = max_.load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 void Histogram::reset() {
-  MutexLock lock(mutex_);
-  state_ = Snapshot{};
+  // Relaxed: reset runs between measurements (tests, harness reruns); a
+  // record racing it lands on either side, like any other snapshot.
+  for (std::atomic<std::int64_t>& bucket : buckets_) {
+    bucket.store(0, std::memory_order_relaxed);
+  }
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 Counter& counter(const std::string& name) {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  Entry& entry = r.entries[name];
-  if (!entry.counter) {
-    require(!entry.gauge && !entry.histogram,
-            "obs::counter: metric '" + name +
-                "' already registered as another kind");
-    entry.counter = std::make_unique<Counter>();
-  }
-  return *entry.counter;
+  return find_or_create(name, &Entry::counter);
 }
 
 Gauge& gauge(const std::string& name) {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  Entry& entry = r.entries[name];
-  if (!entry.gauge) {
-    require(!entry.counter && !entry.histogram,
-            "obs::gauge: metric '" + name +
-                "' already registered as another kind");
-    entry.gauge = std::make_unique<Gauge>();
-  }
-  return *entry.gauge;
+  return find_or_create(name, &Entry::gauge);
 }
 
 Histogram& histogram(const std::string& name) {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  Entry& entry = r.entries[name];
-  if (!entry.histogram) {
-    require(!entry.counter && !entry.gauge,
-            "obs::histogram: metric '" + name +
-                "' already registered as another kind");
-    entry.histogram = std::make_unique<Histogram>();
-  }
-  return *entry.histogram;
+  return find_or_create(name, &Entry::histogram);
 }
 
 bool has_metric(const std::string& name) {
@@ -160,90 +229,65 @@ std::vector<MetricSample> sample_metrics() {
   return samples;  // std::map iteration order is already sorted
 }
 
-void write_metrics_text(std::ostream& out) {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  for (const auto& [name, entry] : r.entries) {
-    out << name << ' ';
-    if (entry.counter) {
-      out << "counter " << entry.counter->value();
-    } else if (entry.gauge) {
-      out << "gauge ";
-      write_double(out, entry.gauge->value());
-    } else if (entry.histogram) {
-      const Histogram::Snapshot s = entry.histogram->snapshot();
-      out << "histogram count " << s.count << " mean ";
-      write_double(out, s.mean());
-      out << " min ";
-      write_double(out, s.min);
-      out << " max ";
-      write_double(out, s.max);
-    }
-    out << '\n';
+void append_histogram_json(std::string& out, const Histogram::Snapshot& s) {
+  out += "{\"count\":";
+  out += std::to_string(s.count);
+  for (const auto& [key, value] : {std::pair{"sum", s.sum},
+                                   std::pair{"min", s.min},
+                                   std::pair{"max", s.max},
+                                   std::pair{"mean", s.mean()}}) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    append_json_double(out, value);
   }
+  for (std::size_t i = 0; i < std::size(kQuantiles); ++i) {
+    out += ",\"";
+    out += kQuantileKeys[i];
+    out += "\":";
+    append_json_double(out, s.percentile(kQuantiles[i]));
+  }
+  out += ",\"buckets\":[";
+  for (std::size_t i = 0; i < s.buckets.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '[';
+    out += std::to_string(s.buckets[i].first);
+    out += ',';
+    out += std::to_string(s.buckets[i].second);
+    out += ']';
+  }
+  out += "]}";
 }
 
 void write_metrics_json(std::ostream& out) {
-  Registry& r = registry();
-  MutexLock lock(r.mutex);
-  const auto dump_kind = [&](const char* kind, auto&& writer) {
-    out << '"' << kind << "\":{";
-    bool first = true;
-    for (const auto& [name, entry] : r.entries) {
-      if (!writer(name, entry, first)) continue;
-      first = false;
-    }
-    out << '}';
-  };
-  out << "{\"schema_version\":" << kMetricsSchemaVersion << ',';
-  dump_kind("counters", [&](const std::string& name, const Entry& entry,
-                            bool first) {
-    if (!entry.counter) return false;
-    if (!first) out << ',';
-    write_json_string(out, name);
-    out << ':' << entry.counter->value();
-    return true;
-  });
-  out << ',';
-  dump_kind("gauges", [&](const std::string& name, const Entry& entry,
-                          bool first) {
-    if (!entry.gauge) return false;
-    if (!first) out << ',';
-    write_json_string(out, name);
-    out << ':';
-    write_double(out, entry.gauge->value());
-    return true;
-  });
-  out << ',';
-  dump_kind("histograms", [&](const std::string& name, const Entry& entry,
-                              bool first) {
-    if (!entry.histogram) return false;
-    if (!first) out << ',';
-    const Histogram::Snapshot s = entry.histogram->snapshot();
-    write_json_string(out, name);
-    out << ":{\"count\":" << s.count << ",\"sum\":";
-    write_double(out, s.sum);
-    out << ",\"min\":";
-    write_double(out, s.min);
-    out << ",\"max\":";
-    write_double(out, s.max);
-    out << ",\"mean\":";
-    write_double(out, s.mean());
-    out << '}';
-    return true;
-  });
-  // Tail-latency histograms (obs/agg/latency_histogram.hpp), buckets
-  // included so a reader can recompute any quantile. An additive
-  // group: schema_version stays 1, consumers reading only the three
-  // summary groups are unaffected. Lock order is registry mutex (held
-  // here) then the latency registry's own mutex; the latency layer never
-  // takes this registry's mutex, so the order cannot invert.
+  std::string json = "{\"schema_version\":";
+  json += std::to_string(kMetricsSchemaVersion);
+  json += ',';
   {
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/true);
-    out << ",\"latency\":" << latency;
+    Registry& r = registry();
+    MutexLock lock(r.mutex);
+    append_group(json, "counters", r, [](std::string& v, const Entry& e) {
+      if (!e.counter) return false;
+      v = std::to_string(e.counter->value());
+      return true;
+    });
+    json += ',';
+    append_group(json, "gauges", r, [](std::string& v, const Entry& e) {
+      if (!e.gauge) return false;
+      append_json_double(v, e.gauge->value());
+      return true;
+    });
+    json += ',';
+    append_group(json, "histograms", r, [](std::string& v, const Entry& e) {
+      if (!e.histogram) return false;
+      const Histogram::Snapshot s = e.histogram->snapshot();
+      if (s.count == 0) return false;  // absent, never zero
+      append_histogram_json(v, s);
+      return true;
+    });
   }
-  out << "}\n";
+  json += "}\n";
+  out << json;
 }
 
 void write_metrics_json_file(const std::string& path) {

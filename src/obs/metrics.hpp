@@ -6,26 +6,29 @@
 //                passes, coarsening levels);
 //  * Gauge     — last-written double (observed imbalance of the most recent
 //                kernel launch);
-//  * Histogram — count/sum/min/max summary of recorded doubles (reordering
-//                wall time per algorithm, per-thread nnz and seconds).
+//  * Histogram — log-linear distribution of recorded doubles with exact
+//                count/sum/min/max and p50/p90/p99/p999 (reordering and
+//                phase wall times, per-thread nnz, imbalance ratios, hw
+//                counter totals).
 //
 // Instruments live for the whole process once created; lookups take the
 // registry mutex, so hot sites should cache the returned reference (phase
-// granularity makes the lookup cost irrelevant in practice). Counter adds
-// and gauge stores are lock-free atomics; histogram records take a
-// per-histogram mutex.
+// granularity makes the lookup cost irrelevant in practice). Every record
+// is a handful of lock-free relaxed atomics.
 //
-// Dumps: a human-oriented text table and a machine-readable JSON document
-// (what the benches write to ordo_metrics.json).
+// Dump: one machine-readable JSON document (what the benches write to
+// ordo_metrics.json); the live /stats snapshot carries the same histogram
+// entries.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "core/thread_safety.hpp"
 
 namespace ordo::obs {
 
@@ -55,23 +58,58 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Histogram buckets (DESIGN.md §15). Bucket 0 holds zero, negatives and
+/// everything below 2^kHistogramMinExponent; each octave [2^e, 2^(e+1))
+/// above it, for e in [kHistogramMinExponent, kHistogramMaxExponent), is
+/// split into 8 equal sub-buckets (the exponent plus the top 3 mantissa
+/// bits of the IEEE-754 double), so a bucket is at most 1/8 of its lower
+/// bound wide. The range spans sub-nanosecond times to hw counter totals;
+/// values from 2^kHistogramMaxExponent up clamp into the last bucket.
+inline constexpr int kHistogramMinExponent = -40;
+inline constexpr int kHistogramMaxExponent = 64;
+inline constexpr int kHistogramBuckets =
+    1 + 8 * (kHistogramMaxExponent - kHistogramMinExponent);
+
+/// Bucket index of a recorded value.
+int histogram_bucket_index(double value);
+
+/// Inclusive lower bound of bucket `index` (0 for bucket 0).
+double histogram_bucket_lower(int index);
+
 class Histogram {
  public:
+  /// A point-in-time copy: count, sum, min and max are exact; quantiles
+  /// come from the buckets.
   struct Snapshot {
     std::int64_t count = 0;
     double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
+    double min = 0.0;  ///< 0 when empty
+    double max = 0.0;  ///< 0 when empty
+    /// Occupied buckets as (index, count), ascending by index.
+    std::vector<std::pair<int, std::int64_t>> buckets;
+
+    double mean() const {
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
+    }
+    /// Value at quantile `q` in [0, 1]: the lower bound of the bucket that
+    /// holds the q-th sample, clamped to [min, max], so it never exceeds
+    /// that sample and is below it by at most one bucket width. 0 when
+    /// empty.
+    double percentile(double q) const;
   };
 
   void record(double value);
+  /// Not a cut: count and buckets agree, while min, max and sum cover
+  /// every counted sample and perhaps a record still in flight.
   Snapshot snapshot() const;
   void reset();
 
  private:
-  mutable Mutex mutex_;
-  Snapshot state_ ORDO_GUARDED_BY(mutex_);
+  // The count is the buckets' sum, so it always agrees with them.
+  std::array<std::atomic<std::int64_t>, kHistogramBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Finds or creates the named instrument. A name is bound to one kind for
@@ -106,14 +144,19 @@ struct MetricSample {
 /// shows its old. The live-status snapshot path is the consumer.
 std::vector<MetricSample> sample_metrics();
 
-/// Human-readable dump, one instrument per line.
-void write_metrics_text(std::ostream& out);
+/// Appends one histogram entry: {"count","sum","min","max","mean","p50",
+/// "p90","p99","p999","buckets":[[index,count],...]}. The sparse buckets
+/// let a reader recompute any quantile (histogram_bucket_lower gives each
+/// index's bound). Emitters skip empty histograms: absent, never zero.
+void append_histogram_json(std::string& out, const Histogram::Snapshot& s);
 
 /// Layout version of the metrics/trace JSON documents; bumped whenever a
 /// field changes meaning so downstream consumers can detect drift.
-inline constexpr int kMetricsSchemaVersion = 1;
+/// v2: histogram entries carry percentiles and buckets, and the separate
+/// "latency" group is gone.
+inline constexpr int kMetricsSchemaVersion = 2;
 
-/// JSON document {"schema_version":1,"counters":{...},"gauges":{...},
+/// JSON document {"schema_version":2,"counters":{...},"gauges":{...},
 /// "histograms":{...}}.
 void write_metrics_json(std::ostream& out);
 void write_metrics_json_file(const std::string& path);

@@ -102,6 +102,24 @@ void set_profiling_enabled(bool enabled) {
   g_profiling.store(enabled, std::memory_order_relaxed);
 }
 
+Phase::Phase(Parts parts) : histogram_(std::move(parts.histogram_name)) {
+  if (parts.status_tag != nullptr) status::set_phase(parts.status_tag);
+  if (!parts.span_name.empty()) span_.emplace(std::move(parts.span_name));
+  if (!parts.hw_name.empty()) hw_.emplace(std::move(parts.hw_name));
+  watch_.reset();
+}
+
+double Phase::close() {
+  if (!open_) return seconds_;
+  open_ = false;
+  seconds_ = watch_.seconds();  // before any bookkeeping below
+  if (hw_) hw_->stop();
+#if defined(ORDO_OBS_ENABLED)
+  if (!histogram_.empty()) histogram(histogram_).record(seconds_);
+#endif
+  return seconds_;
+}
+
 void finalize() {
   // Stop the status consumers first: the heartbeat writer flushes one final
   // snapshot, so an orderly exit (or SIGTERM-to-exit path) leaves a fresh

@@ -1,6 +1,7 @@
 // ordo::obs — observability for the study pipeline: scoped-timer tracing,
-// a metrics registry and a structured logging sink, configured from the
-// environment and flushed once at the end of a run.
+// a metrics registry (counters, gauges and one histogram type), the Phase
+// object that times a phase into it, and a structured logging sink,
+// configured from the environment and flushed once at the end of a run.
 //
 // Environment knobs (read by init_from_env):
 //   ORDO_TRACE=path    enable span tracing; write Chrome trace_event JSON to
@@ -24,7 +25,9 @@
 //  * when compiled in but not enabled, a span costs one relaxed atomic load.
 #pragma once
 
-#include "obs/agg/latency_histogram.hpp"
+#include <optional>
+#include <string>
+
 #include "obs/hw/hw_counters.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -70,5 +73,66 @@ void flush_metrics();
 /// long-lived embedders may also call it repeatedly. Also stops the live
 /// status consumers (status::stop()), flushing one final heartbeat.
 void finalize();
+
+/// One timed phase of a run: the single RAII object for a site that would
+/// otherwise wire a status tag, a span, an hw counter window and a
+/// stopwatch feeding a histogram by hand. Construction tags the calling
+/// task's status slot, then opens the span and the counter window, then
+/// starts the clock, so the measured seconds exclude all three. close()
+/// (or destruction, also while unwinding) reads the clock, stops the
+/// counter window and records the seconds; the span stays open until
+/// destruction, so nesting follows the object's scope.
+class Phase {
+ public:
+  /// What the phase opens and records; every part is optional.
+  struct Parts {
+    /// status::set_phase tag; must have static storage duration.
+    Parts& status(const char* tag) {
+      status_tag = tag;
+      return *this;
+    }
+    /// Trace span name.
+    Parts& span(std::string name) {
+      span_name = std::move(name);
+      return *this;
+    }
+    /// hw::CounterScope metric name.
+    Parts& hw(std::string name) {
+      hw_name = std::move(name);
+      return *this;
+    }
+    /// Histogram that records the phase's wall seconds.
+    Parts& histogram(std::string name) {
+      histogram_name = std::move(name);
+      return *this;
+    }
+
+    const char* status_tag = nullptr;
+    std::string span_name;
+    std::string hw_name;
+    std::string histogram_name;
+  };
+
+  explicit Phase(Parts parts);
+  ~Phase() { close(); }
+  Phase(const Phase&) = delete;
+  Phase& operator=(const Phase&) = delete;
+
+  /// Seconds since the phase opened (still running after close()).
+  double seconds() const { return watch_.seconds(); }
+
+  /// Ends the measurement and returns its seconds. Idempotent: later calls
+  /// return the first close's value. The histogram sample compiles out with
+  /// ORDO_OBS=OFF.
+  double close();
+
+ private:
+  std::optional<Span> span_;
+  std::optional<hw::CounterScope> hw_;
+  std::string histogram_;
+  bool open_ = true;
+  double seconds_ = 0.0;
+  Stopwatch watch_;
+};
 
 }  // namespace ordo::obs

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/hw/hw_counters.hpp"
 #include "obs/json.hpp"
 #include "obs/stopwatch.hpp"
@@ -187,20 +186,7 @@ std::string BenchReport::to_json() const {
     if (i > 0) out += ',';
     append_case_json(out, s.cases[i]);
   }
-  out += ']';
-  // Tail-latency percentiles recorded this process-lifetime (per-task,
-  // per-phase) — the "measure tail latency, not just throughput" half of a
-  // bench's story. Additive and absent when nothing was recorded, so the
-  // schema version holds and parse_bench_report_file round-trips either way.
-  {
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/false);
-    if (latency != "{}") {
-      out += ",\"latency\":";
-      out += latency;
-    }
-  }
-  out += "}\n";
+  out += "]}\n";
   return out;
 }
 

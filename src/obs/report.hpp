@@ -11,10 +11,7 @@
 //    "host":{"os":...,"cpu":...,"logical_cpus":N,"compiler":...,
 //            "build":"Release","hw_backend":"perf|perf-software|null"},
 //    "cases":[{"name":...,"reps":[seconds...],"median_seconds":...,
-//              "iqr_seconds":...,"counters":{"ipc":...,...}}],
-//    "latency":{...}}   — optional: tail-latency percentiles (p50..p999)
-//                         recorded via obs/agg/latency_histogram.hpp;
-//                         absent when nothing was recorded
+//              "iqr_seconds":...,"counters":{"ipc":...,...}}]}
 //
 // The process-wide report is written by obs::finalize() (and therefore by
 // the atexit flush), so a bench that exits early still leaves its file.

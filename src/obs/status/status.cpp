@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/hw/hw_counters.hpp"
 #include "obs/hw/membw.hpp"
 #include "obs/json.hpp"
@@ -225,19 +224,16 @@ void append_metrics_section(std::string& out,
   out += "},\"histograms\":{";
   first = true;
   for (const MetricSample& s : samples) {
-    if (s.kind != MetricSample::Kind::kHistogram) continue;
+    // Absent, never zero: a registered histogram appears once it has a
+    // sample.
+    if (s.kind != MetricSample::Kind::kHistogram || s.histogram.count == 0) {
+      continue;
+    }
     if (!first) out += ',';
     first = false;
     append_json_string(out, s.name);
-    out += ":{";
-    append_kv(out, "count", s.histogram.count);
-    out += ',';
-    append_kv(out, "mean", s.histogram.mean());
-    out += ',';
-    append_kv(out, "min", s.histogram.min);
-    out += ',';
-    append_kv(out, "max", s.histogram.max);
-    out += '}';
+    out += ':';
+    append_histogram_json(out, s.histogram);
   }
   out += "}}";
   last = std::move(current);
@@ -494,17 +490,6 @@ std::string snapshot_json() {
   append_workers_section(out, in_flight_workers());
   out += ',';
   append_metrics_section(out, b.last_counters);
-  {
-    // Tail-latency histograms, buckets included, so a reader can recompute
-    // any quantile, not just the emitted percentiles. Absent — never an
-    // empty section — when nothing was recorded.
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/true);
-    if (latency != "{}") {
-      out += ",\"latency\":";
-      out += latency;
-    }
-  }
   {
     MutexLock section_lock(b.section_mutex);
     for (const auto& [key, fn] : b.sections) {

@@ -41,7 +41,9 @@ namespace ordo::obs::status {
 /// field changes meaning so ordo_top and CI checkers can detect drift.
 /// v2: adds the "latency" section (tail-latency histograms with their
 /// buckets) and run.rate_tasks_per_second.
-inline constexpr int kStatusSchemaVersion = 2;
+/// v3: metrics.histograms entries carry percentiles and buckets (see
+/// obs::append_histogram_json), and the "latency" section is gone.
+inline constexpr int kStatusSchemaVersion = 3;
 
 /// A subsystem section provider: appends one complete JSON value (object,
 /// array or scalar) to `out`. Must be callable from any thread and must not

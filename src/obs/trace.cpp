@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "core/thread_safety.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "sparse/types.hpp"
@@ -62,25 +62,6 @@ ThreadBuffer& local_buffer() {
     return b;
   }();
   return *buffer;
-}
-
-void json_escape(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -141,12 +122,14 @@ void write_chrome_trace(std::ostream& out) {
   out << "{\"schema_version\":" << kMetricsSchemaVersion << ",\"pid\":" << pid
       << ",\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  std::string name;
   for (const SpanEvent& e : events) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"";
-    json_escape(out, e.name);
-    out << "\",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":" << e.start_us
+    name.clear();
+    append_json_string(name, e.name);
+    out << "{\"name\":" << name
+        << ",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":" << e.start_us
         << ",\"dur\":" << e.duration_us << ",\"pid\":" << pid
         << ",\"tid\":" << e.thread_id << ",\"args\":{\"depth\":" << e.depth
         << "}}";

@@ -131,7 +131,11 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
 
   auto execute = [&](std::size_t i) {
     const CorpusEntry& entry = corpus[i];
-    obs::Span task_span("pipeline/task/" + entry.name);
+    // Every task's wall time, failed ones included: a sweep whose p99 is a
+    // string of timeouts must not report the p99 of its successes.
+    obs::Phase task(obs::Phase::Parts()
+                        .span("pipeline/task/" + entry.name)
+                        .histogram("pipeline.task.seconds"));
     obs::status::task_started(static_cast<int>(i), entry.name, timeout);
     obs::logf(obs::LogLevel::kProgress, "[%zu/%zu] %s (n=%d, nnz=%lld)", i + 1,
               n, entry.name.c_str(), static_cast<int>(entry.matrix.num_rows()),
@@ -149,7 +153,6 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     StudyOptions task_options = options;
     task_options.reorder.cancel = token.flag();
 
-    obs::Stopwatch watch;
     auto record_failure = [&](const char* what,
                               const std::string& invariant_kind) {
       StudyTaskFailure failure;
@@ -158,13 +161,10 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       failure.name = entry.name;
       failure.error = what;
       failure.timed_out = token.cancelled();
-      failure.seconds = watch.seconds();
+      failure.seconds = task.close();
       failure.invariant_kind = invariant_kind;
       ORDO_COUNTER_ADD("pipeline.tasks.failed", 1);
       if (failure.timed_out) ORDO_COUNTER_ADD("pipeline.tasks.timeout", 1);
-      // Failed tasks belong in the tail too: a sweep whose p99 is a string
-      // of timeouts must not report the p99 of its successes.
-      ORDO_LATENCY_RECORD("task", failure.seconds);
       obs::logf(obs::LogLevel::kProgress, "task %s %s after %.2fs: %s",
                 entry.name.c_str(),
                 failure.timed_out ? "timed out" : "failed", failure.seconds,
@@ -173,21 +173,19 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     };
     try {
       MatrixStudyRows rows = run_matrix_study(entry, task_options);
-      ORDO_HISTOGRAM_RECORD("pipeline.task.seconds", watch.seconds());
-      ORDO_LATENCY_RECORD("task", watch.seconds());
+      task.close();
       slots[i] = std::move(rows);
-      obs::status::set_phase("journal");
       if (journal) {
         // The journal write is the only phase serialized across workers
         // (the writer's internal lock), so its tail is the first place
         // checkpoint-fsync contention shows up.
-        obs::Stopwatch journal_watch;
+        obs::Phase journal_phase(
+            obs::Phase::Parts().status("journal").histogram("phase.journal"));
         journal->append({static_cast<int>(i), *slots[i]});
-        ORDO_LATENCY_RECORD("phase.journal", journal_watch.seconds());
       }
       ORDO_COUNTER_ADD("pipeline.tasks.completed", 1);
       obs::status::task_finished(/*failed=*/false, /*timed_out=*/false,
-                                 watch.seconds());
+                                 task.seconds());
     } catch (const check::InvariantViolation& e) {
       // A contract breach inside one matrix's study is isolated like any
       // other failure, but tagged with its violation class so the failure
@@ -195,11 +193,11 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       ORDO_COUNTER_ADD("pipeline.tasks.invariant_violations", 1);
       record_failure(e.what(), violation_kind_name(e.kind()));
       obs::status::task_finished(/*failed=*/true, token.cancelled(),
-                                 watch.seconds());
+                                 task.seconds());
     } catch (const std::exception& e) {
       record_failure(e.what(), std::string());
       obs::status::task_finished(/*failed=*/true, token.cancelled(),
-                                 watch.seconds());
+                                 task.seconds());
     }
   };
 

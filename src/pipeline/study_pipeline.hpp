@@ -14,7 +14,8 @@
 //       result files.
 //
 // Observability: `pipeline.tasks.{queued,completed,failed,timeout,resumed}`
-// counters, the `pipeline.task.seconds` histogram, the
+// counters, the `pipeline.task.seconds` (failed tasks included) and
+// `phase.journal` histograms, the
 // `pipeline.pool.{occupancy,steals}` instruments, and `pipeline/task/<name>`
 // spans (see src/obs).
 #pragma once

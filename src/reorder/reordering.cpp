@@ -24,22 +24,10 @@ Ordering compute_ordering(const CsrMatrix& a, OrderingKind kind,
   require(a.is_square(), "compute_ordering: matrix must be square");
   // Phase-granular instrumentation: one span plus one wall-time histogram
   // sample per ordering computation (the Table 5 quantity, observed).
-  obs::Span span("reorder/" + ordering_name(kind));
-  obs::Stopwatch watch;
-  struct RecordOnExit {
-    OrderingKind kind;
-    obs::Stopwatch& watch;
-    ~RecordOnExit() {
-#if defined(ORDO_OBS_ENABLED)
-      // Read the clock before building metric names: the histogram sample
-      // must not include string construction or registry lookups.
-      const double seconds = watch.seconds();
-      const std::string prefix = "reorder." + ordering_name(kind);
-      obs::counter(prefix + ".calls").increment();
-      obs::histogram(prefix + ".seconds").record(seconds);
-#endif
-    }
-  } record{kind, watch};
+  obs::Phase phase(
+      obs::Phase::Parts()
+          .span("reorder/" + ordering_name(kind))
+          .histogram("reorder." + ordering_name(kind) + ".seconds"));
   Ordering result;
   result.symmetric = true;
   switch (kind) {
@@ -100,11 +88,10 @@ Ordering compute_ordering(const CsrMatrix& a, OrderingKind kind,
 std::vector<Ordering> compute_gp_orderings(
     const CsrMatrix& a, const std::vector<index_t>& part_counts,
     const ReorderOptions& options) {
-  obs::Span span("reorder/GP");
-  obs::Stopwatch watch;
+  obs::Phase phase(obs::Phase::Parts().span("reorder/GP").histogram(
+      "reorder.GP.shared_seconds"));
   std::vector<Permutation> perms = gp_orderings(a, part_counts, options);
-  [[maybe_unused]] const double seconds = watch.seconds();
-  ORDO_HISTOGRAM_RECORD("reorder.GP.shared_seconds", seconds);
+  phase.close();
   std::vector<Ordering> orderings;
   for (Permutation& perm : perms) {
     Ordering ordering;

@@ -1,15 +1,23 @@
 // Tests for ordo::obs: span nesting and the trace buffer, thread safety of
-// the metrics registry, JSON export well-formedness, the logging sink and
-// environment-variable configuration.
+// the metrics registry, histogram buckets and percentiles, the Phase
+// object, JSON export well-formedness, the logging sink and
+// environment-variable configuration. The TsanStressTest cases run again
+// under the sanitizer CI job (ctest -R '^TsanStress').
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sparse/types.hpp"
 
@@ -226,11 +234,285 @@ TEST_F(ObsTest, ResetZeroesWithoutInvalidatingReferences) {
   c.add(7);
   Histogram& h = histogram("test.reset_histogram");
   h.record(1.0);
+  // A phase's seconds land in the same registry, so reset reaches them too.
+  Phase(Phase::Parts().histogram("test.reset_phase")).close();
   reset_metrics();
   EXPECT_EQ(c.value(), 0);
-  EXPECT_EQ(h.snapshot().count, 0);
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 0);
+  EXPECT_EQ(s.sum, 0.0);
+  EXPECT_TRUE(s.buckets.empty());
+  EXPECT_EQ(s.percentile(0.99), 0.0);
+  EXPECT_EQ(histogram("test.reset_phase").snapshot().count, 0);
   c.add(1);
   EXPECT_EQ(c.value(), 1);
+  h.record(2.0);
+  EXPECT_EQ(h.snapshot().min, 2.0);  // min/max restart with the next sample
+}
+
+TEST_F(ObsTest, PhaseOpensItsSpanAndRecordsItsSecondsOnce) {
+  set_tracing_enabled(true);
+  double seconds = 0.0;
+  {
+    Phase phase(
+        Phase::Parts().span("test/phase").histogram("test.phase_seconds"));
+    Span inner("test/phase/inner");
+    seconds = phase.close();
+    EXPECT_EQ(phase.close(), seconds);  // idempotent
+  }
+  // close() ends the measurement, not the span: the span still encloses
+  // what its scope holds.
+  const std::vector<SpanEvent> events = collect_trace();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].name, "test/phase");
+  EXPECT_EQ(events[1].name, "test/phase/inner");
+  EXPECT_EQ(events[1].depth, events[0].depth + 1);
+  // An unwinding phase records on destruction.
+  EXPECT_THROW(
+      {
+        Phase phase(Phase::Parts().histogram("test.phase_seconds"));
+        throw std::runtime_error("unwind");
+      },
+      std::runtime_error);
+#if defined(ORDO_OBS_ENABLED)
+  const Histogram::Snapshot s = histogram("test.phase_seconds").snapshot();
+  EXPECT_EQ(s.count, 2);
+  EXPECT_GE(s.max, seconds);
+#endif
+}
+
+// --- histogram buckets and percentiles -------------------------------------
+
+TEST(Histogram, BucketIndexRoundTripsThroughLowerBound) {
+  // Every bucket's lower bound must index back into that same bucket, and
+  // the bounds must strictly increase: together these pin the bucketing as
+  // a partition of [0, inf).
+  double previous = -1.0;
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    const double lower = histogram_bucket_lower(i);
+    EXPECT_EQ(histogram_bucket_index(lower), i) << "lower=" << lower;
+    EXPECT_GT(lower, previous) << "at index " << i;
+    previous = lower;
+  }
+  EXPECT_EQ(histogram_bucket_lower(1),
+            std::ldexp(1.0, kHistogramMinExponent));
+  // Zero, negatives (a clock that went backwards), values below the range
+  // and NaN share bucket 0; values past the range clamp into the last
+  // bucket instead of indexing out of range.
+  EXPECT_EQ(histogram_bucket_index(0.0), 0);
+  EXPECT_EQ(histogram_bucket_index(-5.0), 0);
+  EXPECT_EQ(histogram_bucket_index(std::ldexp(1.0, kHistogramMinExponent - 1)),
+            0);
+  EXPECT_EQ(histogram_bucket_index(std::nan("")), 0);
+  EXPECT_EQ(histogram_bucket_index(std::ldexp(1.0, kHistogramMaxExponent)),
+            kHistogramBuckets - 1);
+  EXPECT_EQ(histogram_bucket_index(std::numeric_limits<double>::infinity()),
+            kHistogramBuckets - 1);
+}
+
+TEST(Histogram, BucketWidthStaysWithinOneEighthOfLowerBound) {
+  // The relative-error contract: 8 sub-buckets per octave means a value is
+  // under-reported by at most 12.5% when quoted as its bucket's lower
+  // bound (the percentile convention).
+  for (int i = 1; i + 1 < kHistogramBuckets; ++i) {
+    const double lower = histogram_bucket_lower(i);
+    const double next = histogram_bucket_lower(i + 1);
+    EXPECT_LE((next - lower) * 8, lower) << "bucket " << i << " too wide";
+  }
+}
+
+TEST(Histogram, PercentilesAreMonotoneAndBracketTheSamples) {
+  Histogram h;
+  // A long-tailed sample in seconds: 90 fast, 9 medium, 1 slow.
+  double sum = 0.0;
+  for (int i = 0; i < 90; ++i) {
+    h.record(1e-6);
+    sum += 1e-6;
+  }
+  for (int i = 0; i < 9; ++i) {
+    h.record(1e-4);
+    sum += 1e-4;
+  }
+  h.record(5e-2);
+  sum += 5e-2;
+  const Histogram::Snapshot s = h.snapshot();
+
+  EXPECT_EQ(s.count, 100);
+  EXPECT_EQ(s.sum, sum);
+  EXPECT_EQ(s.min, 1e-6);
+  EXPECT_EQ(s.max, 5e-2);
+  const double p50 = s.percentile(0.50);
+  const double p90 = s.percentile(0.90);
+  const double p99 = s.percentile(0.99);
+  const double p999 = s.percentile(0.999);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  EXPECT_LE(p99, p999);
+  // Each quantile is its sample's bucket lower bound, clamped to
+  // [min, max]: 1e-6 is no bucket bound, so p50 clamps up to the minimum.
+  EXPECT_LT(histogram_bucket_lower(histogram_bucket_index(1e-6)), 1e-6);
+  EXPECT_EQ(p50, 1e-6);
+  EXPECT_EQ(p99, histogram_bucket_lower(histogram_bucket_index(1e-4)));
+  EXPECT_EQ(p999, histogram_bucket_lower(histogram_bucket_index(5e-2)));
+}
+
+TEST(Histogram, NonTimeValuesKeepTheWidthBoundAndExactSummaries) {
+  // Imbalance ratios, nonzero counts and hw counter totals share the one
+  // histogram type with wall times.
+  const double values[] = {0.0,     1.0,         1.37,          1.999,
+                           999'983, 1'048'576.0, 1e12,          1.3e12 + 7,
+                           2e-9,    4'096.0,     1'000'003.0,   1.5};
+  Histogram h;
+  double sum = 0.0;
+  for (const double v : values) {
+    h.record(v);
+    sum += v;
+    const int index = histogram_bucket_index(v);
+    if (v == 0.0) {
+      EXPECT_EQ(index, 0);
+      continue;
+    }
+    const double lower = histogram_bucket_lower(index);
+    const double next = histogram_bucket_lower(index + 1);
+    EXPECT_LE(lower, v) << v;
+    EXPECT_LT(v, next) << v;
+    EXPECT_LE((next - lower) * 8, lower) << v;
+  }
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, static_cast<std::int64_t>(std::size(values)));
+  EXPECT_EQ(s.sum, sum);
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, 1.3e12 + 7);
+  std::int64_t in_buckets = 0;
+  for (const auto& [index, n] : s.buckets) in_buckets += n;
+  EXPECT_EQ(in_buckets, s.count);
+  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_GE(s.percentile(q), s.min) << q;
+    EXPECT_LE(s.percentile(q), s.max) << q;
+  }
+}
+
+TEST(Histogram, EmptySnapshotIsAbsentNotZero) {
+  const Histogram::Snapshot empty = Histogram().snapshot();
+  EXPECT_EQ(empty.count, 0);
+  EXPECT_EQ(empty.min, 0.0);
+  EXPECT_EQ(empty.max, 0.0);
+  EXPECT_EQ(empty.percentile(0.99), 0.0);
+
+  // A named-but-never-recorded histogram must not appear in the dump:
+  // monitors render what exists, never "p99 0s".
+  histogram("test.hist.never_recorded");
+  std::ostringstream out;
+  write_metrics_json(out);
+  const JsonValue doc = parse_json(out.str());
+  EXPECT_EQ(doc.at("histograms").find("test.hist.never_recorded"), nullptr);
+}
+
+TEST(Histogram, JsonRoundTripPreservesBuckets) {
+  Histogram& h = histogram("test.hist.round_trip");
+  h.record(42e-9);
+  h.record(42e-9);
+  h.record(0.123456789);
+  const Histogram::Snapshot original = h.snapshot();
+
+  // The metrics document carries every summary field exactly and the sparse
+  // [index, count] pairs that rebuild the buckets.
+  std::ostringstream out;
+  write_metrics_json(out);
+  const JsonValue doc = parse_json(out.str());
+  EXPECT_EQ(doc.at("schema_version").as_int(), kMetricsSchemaVersion);
+  const JsonValue& entry = doc.at("histograms").at("test.hist.round_trip");
+  EXPECT_EQ(entry.at("count").as_int(), original.count);
+  EXPECT_EQ(entry.at("sum").as_double(), original.sum);
+  EXPECT_EQ(entry.at("min").as_double(), original.min);
+  EXPECT_EQ(entry.at("max").as_double(), original.max);
+  EXPECT_EQ(entry.at("mean").as_double(), original.mean());
+  EXPECT_EQ(entry.at("p50").as_double(), original.percentile(0.5));
+  EXPECT_EQ(entry.at("p999").as_double(), original.percentile(0.999));
+  std::vector<std::pair<int, std::int64_t>> parsed;
+  for (const JsonValue& pair : entry.at("buckets").items) {
+    ASSERT_EQ(pair.items.size(), 2u);
+    parsed.emplace_back(static_cast<int>(pair.items[0].as_int()),
+                        pair.items[1].as_int());
+  }
+  EXPECT_EQ(parsed, original.buckets);
+}
+
+// --- concurrency stress (re-run under TSan by the sanitizer CI job) --------
+
+TEST(TsanStressTest, HistogramConcurrentRecordAndSnapshot) {
+  Histogram h;
+  constexpr int kRecorders = 4;
+  constexpr int kSnapshotters = 2;
+  constexpr int kRecordsEach = 20'000;
+  std::atomic<bool> stop{false};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kRecorders + kSnapshotters);
+  for (int t = 0; t < kRecorders; ++t) {
+    threads.emplace_back([&h, t] {
+      // Whole numbers, so the sum is exact in any order.
+      for (int i = 0; i < kRecordsEach; ++i) {
+        h.record(static_cast<double>(t * kRecordsEach + i));
+      }
+    });
+  }
+  // Concurrent snapshots race the recorders on purpose: the histogram
+  // promises per-field coherence, not a consistent cut, so the only
+  // invariant mid-flight is "counts never exceed the final total".
+  for (int t = 0; t < kSnapshotters; ++t) {
+    threads.emplace_back([&h, &stop] {
+      // Relaxed: a stop flag; the joins below order everything else.
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Histogram::Snapshot s = h.snapshot();
+        if (s.count > kRecorders * kRecordsEach) std::abort();
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (int t = 0; t < kRecorders; ++t) {
+    threads[static_cast<std::size_t>(t)].join();
+  }
+  // Relaxed: see the snapshot loop.
+  stop.store(true, std::memory_order_relaxed);
+  for (int t = kRecorders; t < kRecorders + kSnapshotters; ++t) {
+    threads[static_cast<std::size_t>(t)].join();
+  }
+
+  constexpr std::int64_t kTotal = kRecorders * kRecordsEach;
+  const Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, kTotal);
+  EXPECT_EQ(s.sum, static_cast<double>(kTotal * (kTotal - 1) / 2));
+  EXPECT_EQ(s.min, 0.0);
+  EXPECT_EQ(s.max, static_cast<double>(kTotal - 1));
+  std::int64_t in_buckets = 0;
+  for (const auto& [index, n] : s.buckets) in_buckets += n;
+  EXPECT_EQ(in_buckets, s.count);
+}
+
+TEST(TsanStressTest, LatencyRegistryConcurrentNamedAccess) {
+  // Per-task and per-phase latencies are registry histograms looked up by
+  // name from every worker while snapshots read the whole registry.
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (int i = 0; i < 2'000; ++i) {
+        histogram("test.latency.stress." + std::to_string(t % 3))
+            .record(i * 1e-6);
+        if (i % 64 == 0) (void)sample_metrics();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::int64_t total = 0;
+  for (const MetricSample& sample : sample_metrics()) {
+    if (sample.name.rfind("test.latency.stress.", 0) == 0) {
+      total += sample.histogram.count;
+    }
+  }
+  EXPECT_EQ(total, kThreads * 2'000);
 }
 
 TEST_F(ObsTest, LogLevelParsingAndGating) {

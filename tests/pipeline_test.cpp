@@ -25,6 +25,7 @@
 
 #include "core/experiment.hpp"
 #include "corpus/corpus.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/cancel.hpp"
 #include "pipeline/fork_join.hpp"
@@ -648,6 +649,50 @@ TEST(Journal, RoundTripsRecordsBitExactly) {
   // As must a missing or truncated-to-garbage file.
   EXPECT_TRUE(pipeline::load_journal(dir + "/missing.jsonl", key).empty());
   fs::remove_all(dir);
+}
+
+TEST(Journal, ControlCharacterNameRoundTripsAndTraces) {
+  // \x01 has no short JSON escape: the journal and the Chrome trace both
+  // write it as \u0001, the journal replays it byte for byte, and the trace
+  // stays valid JSON naming the same span.
+  auto corpus = generate_corpus(tiny_corpus());
+  corpus.resize(1);
+  corpus[0].name = "ctl\x01" "name";
+  StudyOptions options;
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  const MatrixStudyRows rows = run_matrix_study(corpus[0], options);
+  obs::set_tracing_enabled(false);
+
+  const std::string dir = ::testing::TempDir() + "/ordo_journal_control";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path =
+      (fs::path(dir) / pipeline::kJournalFilename).string();
+  const pipeline::JournalKey key = pipeline::make_journal_key(corpus, options);
+  {
+    pipeline::JournalWriter writer(path, key);
+    writer.append({0, rows});
+  }
+  EXPECT_NE(slurp(path).find("ctl\\u0001name"), std::string::npos);
+  const auto records = pipeline::load_journal(path, key);
+  ASSERT_EQ(records.size(), 1u);
+  for (const auto& [machine_kernel, row] : records[0].rows) {
+    EXPECT_EQ(row.name, corpus[0].name);
+  }
+  fs::remove_all(dir);
+
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  obs::clear_trace();
+  const obs::JsonValue doc = obs::parse_json(trace.str());
+  int matrix_spans = 0;
+  for (const obs::JsonValue& event : doc.at("traceEvents").items) {
+    if (event.at("name").as_string() == "study/matrix/" + corpus[0].name) {
+      ++matrix_spans;
+    }
+  }
+  EXPECT_EQ(matrix_spans, 1);
 }
 
 }  // namespace

@@ -21,8 +21,8 @@
 #include <unistd.h>
 #include <vector>
 
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/status/heartbeat.hpp"
 #include "obs/status/listener.hpp"
 #include "obs/status/status.hpp"
@@ -117,19 +117,26 @@ TEST(StatusTest, RateAbsentNotZeroBeforeFirstCompletion) {
 }
 
 TEST(StatusTest, SnapshotCarriesBucketCompleteLatencySection) {
+  // Latencies are registry histograms: the snapshot's metrics.histograms
+  // group carries them, and no separate "latency" section exists.
   status::begin_run(/*total=*/1, /*workers=*/1, /*resumed=*/0);
-  obs::agg::latency("test.status.latency").record_ns(5'000);
+  obs::histogram("test.status.latency").record(5e-6);
 
   const obs::JsonValue doc = obs::parse_json(status::snapshot_json());
-  const obs::JsonValue* latency = doc.find("latency");
-  ASSERT_NE(latency, nullptr);
-  const obs::JsonValue* entry = latency->find("test.status.latency");
+  EXPECT_EQ(doc.find("latency"), nullptr);
+  const obs::JsonValue* entry =
+      doc.at("metrics").at("histograms").find("test.status.latency");
   ASSERT_NE(entry, nullptr);
   EXPECT_GE(entry->at("count").as_int(), 1);
   EXPECT_NE(entry->find("p99"), nullptr);
   // The snapshot carries the bucket detail, so a reader can recompute any
   // quantile, not just the emitted ones.
-  EXPECT_NE(entry->find("buckets"), nullptr);
+  ASSERT_NE(entry->find("buckets"), nullptr);
+  std::int64_t in_buckets = 0;
+  for (const obs::JsonValue& pair : entry->at("buckets").items) {
+    in_buckets += pair.items.at(1).as_int();
+  }
+  EXPECT_EQ(in_buckets, entry->at("count").as_int());
   status::end_run();
 }
 

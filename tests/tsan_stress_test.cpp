@@ -105,8 +105,13 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
   pipeline::TaskPool pool(kWorkers);
   std::atomic<int> cancelled{0};
   std::atomic<int> completed{0};
+  // A short-deadline task waits for the watchdog's cancel however long the
+  // scan thread waits for a core; this shared guard only stops a watchdog
+  // that never cancels from hanging the test.
+  const auto hang_guard =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&watchdog, &cancelled, &completed, i] {
+    pool.submit([&watchdog, &cancelled, &completed, hang_guard, i] {
       pipeline::CancelToken token;
       // Alternate between deadlines that fire mid-task and deadlines a
       // task outruns, so the watchdog's scan loop races both the polling
@@ -116,8 +121,11 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
           (i % 2 == 0 ? std::chrono::microseconds(50)
                       : std::chrono::seconds(60));
       watchdog.arm(&token, deadline);
+      // A long-deadline task polls for 20 ms and completes.
       const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+          i % 2 == 0 ? hang_guard
+                     : std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(20);
       while (!token.cancelled() &&
              std::chrono::steady_clock::now() < give_up) {
         std::this_thread::yield();
@@ -131,10 +139,10 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
     });
   }
   pool.wait_idle();
-  EXPECT_EQ(cancelled.load() + completed.load(), kTasks);
-  // The short-deadline half must actually have been cancelled by the
-  // watchdog (the 20ms give-up is 100x the 50us deadline).
-  EXPECT_GE(cancelled.load(), kTasks / 2);
+  // Exactly the short-deadline half is cancelled by the watchdog, and no
+  // long-deadline task is.
+  EXPECT_EQ(cancelled.load(), kTasks / 2);
+  EXPECT_EQ(completed.load(), kTasks / 2);
 }
 
 TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {

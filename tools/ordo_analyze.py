@@ -26,8 +26,10 @@ Rules (see docs/ARCHITECTURE.md "Static analysis" for rationale):
                   comment on the same line or within the 4 lines above it:
                   relaxed is only correct for reasons the code cannot show.
   timed-region    Inside a Stopwatch window (declaration to first
-                  .seconds()/.millis()/.micros() read) or a CounterScope
-                  window (construction to .stop()), flags logging, locking,
+                  .seconds()/.millis()/.micros() read), a CounterScope
+                  window (construction to .stop()) or an obs::Phase that
+                  opens one (.hw(...) on its declaration line, to
+                  .close()), flags logging, locking,
                   allocation and string construction — overhead that lands
                   inside the measured quantity.
   cancel-poll     Call-graph reachability: run_matrix_study must reach
@@ -520,6 +522,7 @@ def check_relaxed_note(f, violations):
 
 STOPWATCH_DECL_RE = re.compile(r"\b(?:obs::)?Stopwatch\s+(\w+)\s*;")
 SCOPE_DECL_RE = re.compile(r"\b(?:obs::hw::)?CounterScope\s+(\w+)\s*\(")
+PHASE_HW_DECL_RE = re.compile(r"\b(?:obs::)?Phase\s+(\w+)\s*\(.*\.hw\s*\(")
 TIMED_FLAGS = [
     ("logging", re.compile(r"\blogf\s*\(|\bf?printf\s*\(|std::cout\b|"
                            r"std::cerr\b")),
@@ -573,6 +576,11 @@ def check_timed_region(f, violations):
         if m:
             var = re.escape(m.group(1))
             end_re = re.compile(rf"\b{var}\s*\.\s*stop\s*\(")
+            scan_timed_region(f, idx, end_re, violations)
+        m = PHASE_HW_DECL_RE.search(code)
+        if m:
+            var = re.escape(m.group(1))
+            end_re = re.compile(rf"\b{var}\s*\.\s*close\s*\(")
             scan_timed_region(f, idx, end_re, violations)
 
 
@@ -943,6 +951,11 @@ void measure() {
   std::string label = make_label();
   record(watch.seconds());
 }
+void measure_phase() {
+  obs::Phase window(obs::Phase::Parts().hw("reorder.RCM"));
+  obs::logf(obs::LogLevel::kDebug, "inside the counter window");
+  window.close();
+}
 """,
     "src/core/ok_timed_region.cpp": """
 void measure() {
@@ -1043,6 +1056,10 @@ def self_test():
             failures.append(f"justified allow() was not honoured: {v}")
         if basename == "study.cpp" and "partition_hypergraph" in v.message:
             failures.append(f"cancel-poll allow() was not honoured: {v}")
+    # Both seeded windows fire: the Stopwatch and the Phase with an hw scope.
+    if len([v for v in violations if v.rule == "timed-region"
+            and "bad_timed_region" in v.path]) < 2:
+        failures.append("timed-region missed the Phase counter window")
     # The seeded bare allow must both fire bare-allow and fail to suppress.
     if not any(v.rule == "raw-mutex" and "bad_bare_allow" in v.path
                for v in violations):

@@ -13,7 +13,8 @@ tally, EWMA ETA, per-worker in-flight matrices with their current phase
 (reorder/profile/features/spmv/model/journal) and deadline margin, plan
 cache hit rate, the ordering selector's tally when the study runs with
 --auto-order (decisions, oracle hit rate, mean regret, per-ordering
-picks), tail-latency percentiles (p50/p90/p99/p999 per task and phase),
+picks), histogram percentiles (p50/p90/p99/p999: per task, per phase,
+per ordering),
 and — when the study runs with --hw — the latest counter window
 (IPC, LLC miss rate, achieved vs peak GB/s).
 
@@ -38,6 +39,7 @@ import urllib.request
 POLL_TIMEOUT_SECONDS = 5.0
 PHASES = ("reorder", "profile", "features", "spmv", "model", "journal")
 PERCENTILE_KEYS = ("p50", "p90", "p99", "p999")
+SCHEMA_VERSION = 3
 
 
 def fetch(args):
@@ -62,8 +64,9 @@ def validate(snap):
     _expect(errors, isinstance(snap, dict), "snapshot is not a JSON object")
     if not isinstance(snap, dict):
         return errors
-    _expect(errors, snap.get("schema_version") == 2,
-            f"schema_version != 2 (got {snap.get('schema_version')!r})")
+    _expect(errors, snap.get("schema_version") == SCHEMA_VERSION,
+            f"schema_version != {SCHEMA_VERSION} "
+            f"(got {snap.get('schema_version')!r})")
     for key, kind in (("pid", int), ("uptime_seconds", (int, float)),
                       ("run", dict), ("workers", list), ("metrics", dict)):
         _expect(errors, isinstance(snap.get(key), kind),
@@ -118,6 +121,11 @@ def validate(snap):
             _expect(errors, isinstance(entry, dict) and "value" in entry
                     and "delta" in entry,
                     f"metrics.counters[{name!r}] lacks value/delta")
+        histograms = metrics.get("histograms")
+        if isinstance(histograms, dict):
+            for name, entry in histograms.items():
+                errors.extend(validate_histogram(
+                    f"metrics.histograms[{name!r}]", entry))
 
     # hw is optional (only with a counter session), but when present the
     # derived fields follow the same absent-not-zero convention.
@@ -142,48 +150,36 @@ def validate(snap):
                 _expect(errors, key in sel, f"select.{key} missing")
             _expect(errors, isinstance(sel.get("picks"), dict),
                     "select.picks is not an object")
-
-    # latency (v2) is optional — a histogram appears only once something
-    # was recorded into it (absent-not-zero, like the EWMA fields).
-    latency = snap.get("latency")
-    if latency is not None:
-        _expect(errors, isinstance(latency, dict),
-                "latency present but not an object")
-        if isinstance(latency, dict):
-            for name, entry in latency.items():
-                errors.extend(validate_latency_entry(f"latency[{name!r}]",
-                                                     entry))
     return errors
 
 
-def validate_latency_entry(label, entry):
-    """Violations in one serialized latency histogram snapshot."""
+def validate_histogram(label, entry):
+    """Violations in one histogram entry: a positive count (empty
+    histograms are absent, not zero), monotone percentiles, and buckets
+    that sum to the count."""
     errors = []
     _expect(errors, isinstance(entry, dict), f"{label} is not an object")
     if not isinstance(entry, dict):
         return errors
-    for key in ("count", "sum_ns", "mean_seconds") + PERCENTILE_KEYS:
+    for key in ("count", "sum", "min", "max", "mean") + PERCENTILE_KEYS:
         _expect(errors, isinstance(entry.get(key), (int, float)),
                 f"{label}.{key} missing or mistyped")
     _expect(errors, isinstance(entry.get("count"), int)
             and entry.get("count", 0) > 0,
-            f"{label}.count is not a positive integer (empty histograms "
-            f"must be absent, not zero)")
+            f"{label}.count is not a positive integer")
     quantiles = [entry.get(key) for key in PERCENTILE_KEYS]
     if all(isinstance(q, (int, float)) for q in quantiles):
         _expect(errors, all(a <= b for a, b in zip(quantiles, quantiles[1:])),
                 f"{label} percentiles are not monotone "
                 f"(p50..p999 = {quantiles})")
-    if "buckets" in entry:
-        buckets = entry["buckets"]
-        _expect(errors, isinstance(buckets, list)
-                and all(isinstance(p, list) and len(p) == 2 for p in buckets),
-                f"{label}.buckets is not a list of [index, count] pairs")
-        if isinstance(buckets, list) \
-                and all(isinstance(p, list) and len(p) == 2 for p in buckets):
-            _expect(errors,
-                    sum(p[1] for p in buckets) == entry.get("count"),
-                    f"{label}.buckets do not sum to count")
+    buckets = entry.get("buckets")
+    if isinstance(buckets, list) \
+            and all(isinstance(p, list) and len(p) == 2 for p in buckets):
+        _expect(errors, sum(p[1] for p in buckets) == entry.get("count"),
+                f"{label}.buckets do not sum to count")
+    else:
+        errors.append(f"{label}.buckets is not a list of [index, count] "
+                      f"pairs")
     return errors
 
 
@@ -209,18 +205,23 @@ def format_latency(seconds):
     return f"{seconds * 1e6:.0f}us"
 
 
-def latency_lines(latency, header):
-    """Lines for one latency section ({name: {p50..p999, count}, ...})."""
-    if not isinstance(latency, dict) or not latency:
+def latency_lines(histograms):
+    """Percentile lines for the task and phase time histograms."""
+    if not isinstance(histograms, dict):
         return []
-    lines = [header]
-    for name, entry in sorted(latency.items()):
+    timed = sorted((name, entry) for name, entry in histograms.items()
+                   if name.startswith("phase.")
+                   or name == "pipeline.task.seconds")
+    if not timed:
+        return []
+    lines = ["latency:"]
+    for name, entry in timed:
         if not isinstance(entry, dict):
             continue
         quantiles = "  ".join(
             f"{key} {format_latency(entry[key])}"
             for key in PERCENTILE_KEYS if key in entry)
-        lines.append(f"  {name:<16.16} n={entry.get('count', 0):<7} "
+        lines.append(f"  {name:<21.21} n={entry.get('count', 0):<7} "
                      f"{quantiles}")
     return lines
 
@@ -286,7 +287,8 @@ def render(snap, width=78):
                          f"{hw['peak_gbps']:.1f} GB/s peak")
         lines.append("  ".join(parts))
 
-    lines.extend(latency_lines(snap.get("latency"), "latency:"))
+    lines.extend(latency_lines(
+        (snap.get("metrics") or {}).get("histograms")))
 
     workers = snap.get("workers") or []
     lines.append("")
@@ -377,7 +379,8 @@ def main():
             if not errors:
                 run = snap.get("run", {})
                 print(f"ordo_top --check: snapshot valid "
-                      f"(schema_version 2, {run.get('completed', 0)}/"
+                      f"(schema_version {SCHEMA_VERSION}, "
+                      f"{run.get('completed', 0)}/"
                       f"{run.get('total', 0)} completed)")
             return 1 if errors else 0
         if args.once:
