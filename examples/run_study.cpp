@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       corpus.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--jobs") {
-      study.jobs = std::atoi(next());
+      study.jobs = parse_jobs(next(), "run_study: --jobs");
     } else if (arg == "--task-timeout") {
       study.task_timeout_seconds = std::atof(next());
     } else if (arg == "--resume") {

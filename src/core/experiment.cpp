@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -368,6 +369,16 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   return rows;
 }
 
+int parse_jobs(const std::string& text, const std::string& source) {
+  int jobs = -1;
+  const char* const end = text.data() + text.size();
+  const auto [parsed_to, error] = std::from_chars(text.data(), end, jobs);
+  require(error == std::errc() && parsed_to == end && jobs >= 0,
+          source + ": expected a whole number >= 0 (0 = one per CPU), got '" +
+              text + "'");
+  return jobs;
+}
+
 StudyResults run_full_study(const std::vector<CorpusEntry>& corpus,
                             const StudyOptions& options) {
   ORDO_SCOPE("study/run");
@@ -598,7 +609,7 @@ StudyResults load_or_run_study(const std::string& dir,
     run_options.checkpoint_dir = dir;
   }
   if (const char* jobs = std::getenv("ORDO_JOBS")) {
-    run_options.jobs = std::atoi(jobs);
+    run_options.jobs = parse_jobs(jobs, "ORDO_JOBS");
   }
   results = run_full_study(corpus, run_options);
 

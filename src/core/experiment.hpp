@@ -169,6 +169,10 @@ using MatrixStudyRows =
 MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
                                  const StudyOptions& options);
 
+/// Parses a `--jobs` or ORDO_JOBS value (StudyOptions::jobs): a whole
+/// number >= 0, else throws invalid_argument_error naming `source`.
+int parse_jobs(const std::string& text, const std::string& source);
+
 /// Runs the full study over the corpus on the pipeline scheduler
 /// (options.jobs workers, per-task error isolation, optional soft deadlines
 /// and checkpoint journal — see src/pipeline/). Failed matrices are logged,

@@ -1,7 +1,6 @@
 #include "pipeline/study_pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -13,8 +12,8 @@
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/cancel.hpp"
+#include "pipeline/fork_join.hpp"
 #include "pipeline/journal.hpp"
-#include "pipeline/task_pool.hpp"
 
 namespace ordo::pipeline {
 namespace {
@@ -216,31 +215,13 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
   jobs = std::max(1, jobs);
 
   obs::status::begin_run(static_cast<std::int64_t>(n), jobs, report.resumed);
-  if (jobs == 1) {
-    // Sequential path: inline on the calling thread, in corpus order.
-    for (std::size_t i : todo) execute(i);
-  } else {
-    // Largest first from one shared cursor: each worker takes the next
-    // task as soon as it is free, so the small tasks fill in behind the
-    // large ones instead of one large task starting last.
-    const std::vector<std::size_t> order = dispatch_order(corpus, todo);
-    const int workers = std::min<int>(
-        jobs, static_cast<int>(std::max<std::size_t>(1, order.size())));
-    std::atomic<std::size_t> cursor{0};
-    TaskPool pool(workers);
-    for (int w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        // Relaxed: the cursor only hands out distinct indices; each task's
-        // slot is published to the merge by the pool's wait_idle.
-        for (std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-             k < order.size();
-             k = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          execute(order[k]);
-        }
-      });
-    }
-    pool.wait_idle();
-  }
+  // One job runs inline in corpus order. More take the largest first from
+  // one shared cursor: each thread takes the next task as soon as it is
+  // free, so the small tasks fill in behind the large ones instead of one
+  // large task starting last.
+  const std::vector<std::size_t> order =
+      jobs == 1 ? todo : dispatch_order(corpus, todo);
+  run_tasks(order.size(), jobs, [&](std::size_t k) { execute(order[k]); });
   obs::status::end_run();
 
   {

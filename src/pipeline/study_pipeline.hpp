@@ -1,6 +1,6 @@
 // The study scheduler: runs the per-matrix study tasks (orderings →
-// features → per-(machine, kernel) model evaluation) of a corpus sweep on a
-// thread pool, largest matrix first, with
+// features → per-(machine, kernel) model evaluation) of a corpus sweep on
+// the caller and pool workers (fork_join.hpp), largest matrix first, with
 //   (a) per-task error isolation — a matrix whose reordering throws becomes
 //       a structured StudyTaskFailure row, never an aborted sweep;
 //   (b) soft per-task deadlines with cooperative cancellation (the deadline
@@ -15,9 +15,8 @@
 //
 // Observability: `pipeline.tasks.{queued,completed,failed,timeout,resumed}`
 // counters, the `pipeline.task.seconds` (failed tasks included) and
-// `phase.journal` histograms, the
-// `pipeline.pool.{occupancy,steals}` instruments, and `pipeline/task/<name>`
-// spans (see src/obs).
+// `phase.journal` histograms, and `pipeline/task/<name>` spans (see
+// src/obs); the status board's `in_flight` counts the running tasks.
 #pragma once
 
 #include <string>
@@ -59,8 +58,9 @@ std::vector<std::size_t> dispatch_order(const std::vector<CorpusEntry>& corpus,
 /// Runs the sweep. Scheduling knobs (jobs, task_timeout_seconds,
 /// checkpoint_dir, resume) come from `options`; jobs == 1 executes tasks
 /// inline on the calling thread in corpus order (the sequential path), any
-/// other value starts `jobs` pool workers that take the tasks in
-/// dispatch_order from one shared cursor. Also writes
+/// other value runs them on `jobs` threads (the caller and pool workers,
+/// pipeline::run_tasks) that take the tasks in dispatch_order from one
+/// shared cursor. Also writes
 /// `<checkpoint_dir>/study_failures.jsonl` (one structured row per failure;
 /// removed again when a run has none) when checkpointing is enabled.
 StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,

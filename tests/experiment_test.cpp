@@ -181,6 +181,23 @@ TEST(ReorderingSpeedups, DividesByOriginal) {
   EXPECT_DOUBLE_EQ(speedups[5], 7.0);
 }
 
+TEST(ParseJobs, TakesOnlyWholeNumbersFromZero) {
+  EXPECT_EQ(parse_jobs("0", "--jobs"), 0);
+  EXPECT_EQ(parse_jobs("4", "--jobs"), 4);
+  EXPECT_EQ(parse_jobs("128", "ORDO_JOBS"), 128);
+  for (const char* bad : {"", "four", "x", "-3", "4x", " 4", "2.5", "+4",
+                          "99999999999"}) {
+    EXPECT_THROW(parse_jobs(bad, "ORDO_JOBS"), invalid_argument_error) << bad;
+  }
+  try {
+    parse_jobs("four", "ORDO_JOBS");
+    ADD_FAILURE() << "parse_jobs accepted 'four'";
+  } catch (const invalid_argument_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ORDO_JOBS"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'four'"), std::string::npos);
+  }
+}
+
 TEST(ResultsFile, RoundTrip) {
   const auto corpus = generate_corpus(tiny_corpus());
   StudyOptions options;

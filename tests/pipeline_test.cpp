@@ -1,7 +1,7 @@
 // Tests for the study pipeline scheduler (src/pipeline): parallel-vs-
 // sequential determinism, per-task failure isolation, checkpoint/resume
 // (including a forked study killed with SIGKILL mid-matrix), soft-deadline
-// cancellation, and the journal/pool/fork-join building blocks.
+// cancellation, and the journal and worker-pool building blocks.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -16,6 +16,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,13 +26,21 @@
 
 #include "core/experiment.hpp"
 #include "corpus/corpus.hpp"
+#include "corpus/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "pipeline/cancel.hpp"
 #include "pipeline/fork_join.hpp"
 #include "pipeline/journal.hpp"
 #include "pipeline/study_pipeline.hpp"
-#include "pipeline/task_pool.hpp"
+#include "reorder/reordering.hpp"
+
+// Read by ThreadSanitizer builds only. WorkerPool.ForkedChildStartsItsOwnPool
+// forks while pool workers are parked, and its child starts workers of its
+// own, which TSan refuses by default after a multi-threaded fork. Parked
+// workers hold no lock at the fork, so the child may run; no report is
+// suppressed.
+extern "C" const char* __tsan_default_options() { return "die_after_fork=0"; }
 
 namespace ordo {
 namespace {
@@ -139,19 +148,33 @@ TEST(DispatchOrder, LargestFirstThenCorpusIndex) {
   EXPECT_TRUE(pipeline::dispatch_order(corpus, {}).empty());
 }
 
-TEST(TaskPool, RunsEverySubmittedTask) {
-  std::atomic<int> ran{0};
-  pipeline::TaskPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
+  std::vector<std::atomic<int>> runs(100);
+  pipeline::run_tasks(runs.size(), 4, [&runs](std::size_t k) {
+    runs[k].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const std::atomic<int>& count : runs) {
+    EXPECT_EQ(count.load(std::memory_order_relaxed), 1);
   }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
-  // The pool stays usable after wait_idle().
-  pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 101);
+  // One thread runs the tasks inline, in order.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pipeline::run_tasks(5, 1, [&](std::size_t k) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(k);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  pipeline::run_tasks(0, 4, [](std::size_t) { ADD_FAILURE(); });
+  // A task's error reaches the caller once every thread has finished.
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pipeline::run_tasks(8, 4,
+                                   [&finished](std::size_t k) {
+                                     if (k == 3) throw std::runtime_error("3");
+                                     finished.fetch_add(
+                                         1, std::memory_order_relaxed);
+                                   }),
+               std::runtime_error);
+  EXPECT_GE(finished.load(std::memory_order_relaxed), 3);
 }
 
 TEST(DeadlineWatchdog, FlagsOnlyExpiredTokens) {
@@ -415,7 +438,7 @@ TEST(StudyPipeline, PopulatesSchedulerMetrics) {
 }
 #endif
 
-TEST(ForkJoin, BudgetIsAffinityCpusMinusBusyThreads) {
+TEST(ForkJoin, BudgetIsAffinityCpusMinusRunningJobs) {
   const int cpus = obs::affinity_cpu_count();
   ASSERT_GE(cpus, 1);
   // The test's own thread is the one busy thread.
@@ -423,28 +446,82 @@ TEST(ForkJoin, BudgetIsAffinityCpusMinusBusyThreads) {
   EXPECT_EQ(idle, cpus - 1);
   EXPECT_EQ(pipeline::acquire_idle_cores(1), 0);
   pipeline::release_cores(idle);
-  {
-    const pipeline::BusyThread worker;
-    const int left = pipeline::acquire_idle_cores(cpus);
-    EXPECT_EQ(left, std::max(0, cpus - 2));
-    pipeline::release_cores(left);
-  }
-  // A pool worker counts only while it runs a task.
-  {
-    pipeline::TaskPool pool(1);
-    std::atomic<int> during_task{-1};
-    pool.submit([&during_task, cpus] {
-      const int claimed = pipeline::acquire_idle_cores(cpus);
-      during_task.store(claimed, std::memory_order_relaxed);
-      pipeline::release_cores(claimed);
-    });
-    pool.wait_idle();
-    EXPECT_EQ(during_task.load(std::memory_order_relaxed),
-              std::max(0, cpus - 2));
-  }
+  // run_tasks' second thread is a worker that counts, idle core or not,
+  // only while it runs its job.
+  std::atomic<int> during_job{-1};
+  pipeline::run_tasks(2, 2, [&during_job, cpus](std::size_t k) {
+    if (k != 0) return;
+    const int claimed = pipeline::acquire_idle_cores(cpus);
+    during_job.store(claimed, std::memory_order_relaxed);
+    pipeline::release_cores(claimed);
+  });
+  EXPECT_EQ(during_job.load(std::memory_order_relaxed),
+            std::max(0, cpus - 2));
   const int again = pipeline::acquire_idle_cores(cpus);
   EXPECT_EQ(again, cpus - 1);
   pipeline::release_cores(again);
+}
+
+#if defined(ORDO_OBS_ENABLED)
+TEST(WorkerPool, ReusesParkedWorkers) {
+  // Two row loops and a GP ordering hand their jobs to parked workers, so
+  // their spans land on at most the budget's affinity CPUs - 1 threads.
+  obs::set_tracing_enabled(true);
+  obs::clear_trace();
+  const auto chunk = [](std::size_t, std::size_t) {};
+  pipeline::parallel_for(1000, 100, chunk);
+  pipeline::parallel_for(1000, 100, chunk);
+  (void)compute_ordering(gen_mesh2d(64, 64, 5), OrderingKind::kGp,
+                         ReorderOptions{});
+  std::set<int> workers;
+  for (const obs::SpanEvent& span : obs::collect_trace()) {
+    if (span.name == "partition/fork" || span.name == "parallel/for") {
+      workers.insert(span.thread_id);
+    }
+  }
+  obs::set_tracing_enabled(false);
+  obs::clear_trace();
+  const int cpus = obs::affinity_cpu_count();
+  EXPECT_LE(workers.size(), static_cast<std::size_t>(cpus - 1));
+  if (cpus > 1) {
+    EXPECT_GE(workers.size(), 1u);
+  }
+}
+#endif
+
+TEST(WorkerPool, ForkedChildStartsItsOwnPool) {
+  // Park some workers first. They do not exist in a child made by fork():
+  // a child that handed them jobs would wait forever.
+  pipeline::parallel_for(1000, 100, [](std::size_t, std::size_t) {});
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::atomic<std::size_t> ran{0};
+    pipeline::fork_join(
+        pipeline::kMinForkVertices,
+        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); },
+        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pipeline::parallel_for(1000, 100, [&ran](std::size_t b, std::size_t e) {
+      ran.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    ::_exit(ran.load(std::memory_order_relaxed) == 1002 ? 0 : 1);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int status = 0;
+  pid_t reaped = 0;
+  while ((reaped = ::waitpid(child, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (reaped == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &status, 0);
+    FAIL() << "the forked child hung handing jobs to its parent's workers";
+  }
+  ASSERT_EQ(reaped, child);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "wait status " << status;
 }
 
 TEST(ForkJoin, ForksOnlyBigBranchesOntoIdleCores) {

@@ -26,7 +26,7 @@
 #include "obs/status/heartbeat.hpp"
 #include "obs/status/listener.hpp"
 #include "obs/status/status.hpp"
-#include "pipeline/task_pool.hpp"
+#include "pipeline/fork_join.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo {
@@ -35,21 +35,21 @@ namespace {
 namespace fs = std::filesystem;
 namespace status = obs::status;
 
-// Runs `count` synthetic study tasks through a real TaskPool so the hooks
-// fire from genuine worker threads (slot claiming is per-thread).
+// Runs `count` synthetic study tasks on `workers` threads, as the study
+// does, so the hooks fire from pool workers (slot claiming is per-thread).
 void run_synthetic_tasks(int count, int workers, int fail_every = 0) {
-  pipeline::TaskPool pool(workers);
-  for (int i = 0; i < count; ++i) {
-    pool.submit([i, fail_every] {
-      status::task_started(i, "matrix_" + std::to_string(i),
-                           /*deadline_seconds=*/i % 2 == 0 ? 60.0 : 0.0);
-      status::set_phase("reorder");
-      status::set_phase("spmv");
-      const bool fail = fail_every > 0 && i % fail_every == 0;
-      status::task_finished(fail, /*timed_out=*/false, /*seconds=*/0.01);
-    });
-  }
-  pool.wait_idle();
+  pipeline::run_tasks(static_cast<std::size_t>(count), workers,
+                      [fail_every](std::size_t k) {
+                        const int i = static_cast<int>(k);
+                        status::task_started(
+                            i, "matrix_" + std::to_string(i),
+                            /*deadline_seconds=*/i % 2 == 0 ? 60.0 : 0.0);
+                        status::set_phase("reorder");
+                        status::set_phase("spmv");
+                        const bool fail = fail_every > 0 && i % fail_every == 0;
+                        status::task_finished(fail, /*timed_out=*/false,
+                                              /*seconds=*/0.01);
+                      });
 }
 
 TEST(StatusTest, SnapshotJsonParsesAndCarriesSchema) {
@@ -175,21 +175,26 @@ TEST(StatusTest, ProgressMonotonicAcrossConcurrentRun) {
 }
 
 TEST(StatusTest, InFlightWorkersCarryMatrixPhaseAndDeadline) {
-  status::begin_run(/*total=*/2, /*workers=*/1, /*resumed=*/0);
-  pipeline::TaskPool pool(1);
+  status::begin_run(/*total=*/2, /*workers=*/2, /*resumed=*/0);
   std::atomic<bool> ready{false};
   std::atomic<bool> release{false};
-  pool.submit([&ready, &release] {
-    status::task_started(7, "stalled_matrix", /*deadline_seconds=*/120.0);
-    status::set_phase("reorder");
-    ready.store(true);
-    while (!release.load()) std::this_thread::yield();
-    status::task_finished(false, false, 0.01);
+  std::vector<status::WorkerSnapshot> workers;
+  // Task 0 stalls mid-phase on one thread while task 1, on the other,
+  // samples the board.
+  pipeline::run_tasks(2, 2, [&](std::size_t k) {
+    if (k == 0) {
+      status::task_started(7, "stalled_matrix", /*deadline_seconds=*/120.0);
+      status::set_phase("reorder");
+      ready.store(true);
+      while (!release.load()) std::this_thread::yield();
+      status::task_finished(false, false, 0.01);
+      return;
+    }
+    while (!ready.load()) std::this_thread::yield();
+    workers = status::in_flight_workers();
+    release.store(true);
   });
-  while (!ready.load()) std::this_thread::yield();
 
-  const std::vector<status::WorkerSnapshot> workers =
-      status::in_flight_workers();
   ASSERT_EQ(workers.size(), 1u);
   EXPECT_EQ(workers[0].task_index, 7);
   EXPECT_EQ(workers[0].matrix, "stalled_matrix");
@@ -197,8 +202,6 @@ TEST(StatusTest, InFlightWorkersCarryMatrixPhaseAndDeadline) {
   EXPECT_TRUE(workers[0].has_deadline);
   EXPECT_GT(workers[0].deadline_margin_seconds, 0.0);
 
-  release.store(true);
-  pool.wait_idle();
   status::end_run();
   EXPECT_TRUE(status::in_flight_workers().empty());
 }

@@ -1,9 +1,9 @@
 // ThreadSanitizer stress suite (src/pipeline + src/obs concurrency).
 //
 // These tests exist to give TSan (-DORDO_SANITIZE=thread) dense interleaving
-// coverage of every concurrent structure in the repo: the work-stealing
-// TaskPool (steal-heavy loads, cross-thread submission, repeated drain
-// cycles), DeadlineWatchdog arm/disarm churn with cancellations landing
+// coverage of every concurrent structure in the repo: the worker pool
+// (handoffs from several outside threads at once, rounds that reuse parked
+// workers), DeadlineWatchdog arm/disarm churn with cancellations landing
 // mid-task, partitioner subtrees forked onto idle cores from pool workers,
 // row loops of applying orderings split onto idle cores from pool workers,
 // JournalWriter appends from many workers, the obs metrics registry, and
@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,7 +33,6 @@
 #include "pipeline/cancel.hpp"
 #include "pipeline/fork_join.hpp"
 #include "pipeline/journal.hpp"
-#include "pipeline/task_pool.hpp"
 #include "reorder/reordering.hpp"
 #include "select/select.hpp"
 #include "sparse/csr_ops.hpp"
@@ -41,68 +42,84 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Small enough to keep the suite fast, large enough that steals, wakeups
+// Small enough to keep the suite fast, large enough that handoffs, wakeups
 // and watchdog scans genuinely overlap.
 constexpr int kTasks = 400;
 constexpr int kWorkers = 4;
 
-TEST(TsanStressTest, TaskPoolStealHeavyMixedDurations) {
-  pipeline::TaskPool pool(kWorkers);
-  std::atomic<std::int64_t> sum{0};
-  // Mixed task durations force the fast workers to drain their round-robin
-  // share and steal the slow workers' backlog.
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&sum, i] {
-      if (i % 16 == 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      sum.fetch_add(i, std::memory_order_relaxed);
-    });
+void expect_each_ran_once(const std::vector<std::atomic<int>>& runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].load(std::memory_order_relaxed), 1) << "job " << i;
   }
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), static_cast<std::int64_t>(kTasks) * (kTasks - 1) / 2);
 }
 
-TEST(TsanStressTest, TaskPoolCrossThreadSubmission) {
-  pipeline::TaskPool pool(kWorkers);
-  std::atomic<int> executed{0};
-  // submit() from several external threads at once races the round-robin
-  // cursor, the wake counters and the per-worker queues against the
-  // workers' own pops and steals.
-  std::vector<std::thread> submitters;
-  for (int t = 0; t < 3; ++t) {
-    submitters.emplace_back([&pool, &executed] {
-      for (int i = 0; i < kTasks; ++i) {
-        pool.submit([&executed] {
-          executed.fetch_add(1, std::memory_order_relaxed);
-        });
+void expect_every_core_back() {
+  const int idle = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
+  EXPECT_EQ(idle, obs::affinity_cpu_count() - 1);
+  pipeline::release_cores(idle);
+}
+
+TEST(TsanStressTest, PoolHandoffsFromOutsideThreads) {
+  // Three outside threads hand jobs to the one pool at once through all
+  // three entry points, racing the parked list, the handoffs, the joins
+  // and the budget against each other.
+  constexpr int kOutside = 3;
+  constexpr std::size_t kPerRound = 20;
+  std::vector<std::atomic<int>> runs(kOutside * kTasks);
+  const auto run = [&runs](std::size_t i) {
+    runs[i].fetch_add(1, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> outside;
+  for (int t = 0; t < kOutside; ++t) {
+    outside.emplace_back([&run, t] {
+      for (std::size_t first = static_cast<std::size_t>(t) * kTasks;
+           first < static_cast<std::size_t>(t + 1) * kTasks;
+           first += kPerRound) {
+        pipeline::run_tasks(10, 2, [&](std::size_t k) { run(first + k); });
+        pipeline::fork_join(
+            pipeline::kMinForkVertices, [&] { run(first + 10); },
+            [&] { run(first + 11); });
+        pipeline::parallel_for(kPerRound - 12, 1,
+                               [&](std::size_t begin, std::size_t end) {
+                                 for (std::size_t k = begin; k < end; ++k) {
+                                   run(first + 12 + k);
+                                 }
+                               });
       }
     });
   }
-  for (std::thread& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(executed.load(), 3 * kTasks);
+  for (std::thread& t : outside) t.join();
+  expect_each_ran_once(runs);
+  expect_every_core_back();
 }
 
-TEST(TsanStressTest, TaskPoolRepeatedDrainCycles) {
-  pipeline::TaskPool pool(kWorkers);
-  std::atomic<int> executed{0};
-  // wait_idle() must be reusable: each cycle races the idle notification
-  // against the next cycle's submissions.
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.submit([&executed] {
-        executed.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
+TEST(TsanStressTest, PoolRoundsReuseParkedWorkers) {
+  // Each round hands its jobs to the workers the previous round parked,
+  // racing a worker's park against the next handoff and the caller's wake.
+  constexpr int kRounds = 50;
+  constexpr std::size_t kPerRound = 20;
+  std::vector<std::atomic<int>> runs(kRounds * kPerRound);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::set<std::thread::id> workers;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    pipeline::run_tasks(kPerRound, kWorkers, [&](std::size_t k) {
+      runs[round * kPerRound + k].fetch_add(1, std::memory_order_relaxed);
+      if (std::this_thread::get_id() != caller) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        workers.insert(std::this_thread::get_id());
+      }
+    });
   }
-  EXPECT_EQ(executed.load(), 50 * 20);
+  expect_each_ran_once(runs);
+  // A handoff takes the first parked worker in start order, so the rounds
+  // keep reusing the same kWorkers - 1 threads.
+  EXPECT_LE(workers.size(), static_cast<std::size_t>(kWorkers - 1));
+  expect_every_core_back();
 }
 
 TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
   pipeline::DeadlineWatchdog watchdog;
-  pipeline::TaskPool pool(kWorkers);
   std::atomic<int> cancelled{0};
   std::atomic<int> completed{0};
   // A short-deadline task waits for the watchdog's cancel however long the
@@ -110,35 +127,33 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
   // that never cancels from hanging the test.
   const auto hang_guard =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&watchdog, &cancelled, &completed, hang_guard, i] {
-      pipeline::CancelToken token;
-      // Alternate between deadlines that fire mid-task and deadlines a
-      // task outruns, so the watchdog's scan loop races both the polling
-      // below and the disarm on scope exit.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          (i % 2 == 0 ? std::chrono::microseconds(50)
-                      : std::chrono::seconds(60));
-      watchdog.arm(&token, deadline);
-      // A long-deadline task polls for 20 ms and completes.
-      const auto give_up =
-          i % 2 == 0 ? hang_guard
-                     : std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(20);
-      while (!token.cancelled() &&
-             std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::yield();
-      }
-      if (token.cancelled()) {
-        cancelled.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        completed.fetch_add(1, std::memory_order_relaxed);
-      }
-      watchdog.disarm(&token);
-    });
-  }
-  pool.wait_idle();
+  pipeline::run_tasks(kTasks, kWorkers, [&, hang_guard](std::size_t k) {
+    const int i = static_cast<int>(k);
+    pipeline::CancelToken token;
+    // Alternate between deadlines that fire mid-task and deadlines a
+    // task outruns, so the watchdog's scan loop races both the polling
+    // below and the disarm on scope exit.
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        (i % 2 == 0 ? std::chrono::microseconds(50)
+                    : std::chrono::seconds(60));
+    watchdog.arm(&token, deadline);
+    // A long-deadline task polls for 20 ms and completes.
+    const auto give_up =
+        i % 2 == 0 ? hang_guard
+                   : std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(20);
+    while (!token.cancelled() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    if (token.cancelled()) {
+      cancelled.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      completed.fetch_add(1, std::memory_order_relaxed);
+    }
+    watchdog.disarm(&token);
+  });
   // Exactly the short-deadline half is cancelled by the watchdog, and no
   // long-deadline task is.
   EXPECT_EQ(cancelled.load(), kTasks / 2);
@@ -146,12 +161,13 @@ TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
 }
 
 TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {
-  // Two workers leave the other cores idle, so GP, HP and ND running on
-  // both workers fork subtrees at once, while quick tasks finish around
-  // them and free cores mid-ordering. Three tasks (one per ordering) run on
-  // a larger mesh under a 2 ms deadline, so the watchdog cancels them
-  // partway; the cancellation must cross the fork/join back to the task,
-  // and every other ordering must match the serial one byte for byte.
+  // Two threads (the caller and a worker) leave the other cores idle, so
+  // GP, HP and ND running on both fork subtrees at once, while quick tasks
+  // finish around them and free cores mid-ordering. Three tasks (one per
+  // ordering) run on a larger mesh under a 2 ms deadline, so the watchdog
+  // cancels them partway; the cancellation must cross the fork/join back to
+  // the task, and every other ordering must match the serial one byte for
+  // byte.
   constexpr int kForkWorkers = 2;
   const CsrMatrix mesh = gen_mesh2d(64, 64, 5);
   const CsrMatrix big = gen_mesh2d(160, 160, 5);
@@ -176,33 +192,28 @@ TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {
   std::atomic<int> mismatches{0};
   std::atomic<int> cancelled{0};
   pipeline::DeadlineWatchdog watchdog;
-  {
-    pipeline::TaskPool pool(kForkWorkers);
-    for (int i = 0; i < 18; ++i) {
-      pool.submit([&, i] {
-        const OrderingKind kind = kinds[i % 3];
-        if (i % 6 == 1) {
-          (void)compute_ordering(small, kind, options);
-        } else if (i % 6 == 5) {
-          pipeline::CancelToken token;
-          ReorderOptions cancellable = options;
-          cancellable.cancel = token.flag();
-          watchdog.arm(&token, std::chrono::steady_clock::now() +
-                                   std::chrono::milliseconds(2));
-          try {
-            (void)compute_ordering(big, kinds[i / 6], cancellable);
-          } catch (const operation_cancelled_error&) {
-            cancelled.fetch_add(1, std::memory_order_relaxed);
-          }
-          watchdog.disarm(&token);
-        } else if (compute_ordering(mesh, kind, options).row_perm !=
-                   serial[static_cast<std::size_t>(i % 3)]) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  pipeline::run_tasks(18, kForkWorkers, [&](std::size_t k) {
+    const int i = static_cast<int>(k);
+    const OrderingKind kind = kinds[i % 3];
+    if (i % 6 == 1) {
+      (void)compute_ordering(small, kind, options);
+    } else if (i % 6 == 5) {
+      pipeline::CancelToken token;
+      ReorderOptions cancellable = options;
+      cancellable.cancel = token.flag();
+      watchdog.arm(&token, std::chrono::steady_clock::now() +
+                               std::chrono::milliseconds(2));
+      try {
+        (void)compute_ordering(big, kinds[i / 6], cancellable);
+      } catch (const operation_cancelled_error&) {
+        cancelled.fetch_add(1, std::memory_order_relaxed);
+      }
+      watchdog.disarm(&token);
+    } else if (compute_ordering(mesh, kind, options).row_perm !=
+               serial[static_cast<std::size_t>(i % 3)]) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
     }
-    pool.wait_idle();
-  }
+  });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(cancelled.load(), 3);
 #if defined(ORDO_OBS_ENABLED)
@@ -211,17 +222,16 @@ TEST(TsanStressTest, PartitionerForksOnPoolWorkersWithMidOrderingCancel) {
   }
 #endif
   // Every helper gave its core back.
-  const int idle = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
-  EXPECT_EQ(idle, obs::affinity_cpu_count() - 1);
-  pipeline::release_cores(idle);
+  expect_every_core_back();
 }
 
 TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
-  // Two workers leave the other cores idle, so the row loops of applying
-  // an ordering (the offsets scan, the row gather, Gray's keys and the
-  // graph build) run chunks on helpers from both workers at once, while
-  // quick tasks finish around them and free cores mid-loop. The mesh is
-  // over both parallel grains; every result must match the serial one.
+  // Two threads (the caller and a worker) leave the other cores idle, so
+  // the row loops of applying an ordering (the offsets scan, the row
+  // gather, Gray's keys and the graph build) run chunks on workers from
+  // both at once, while quick tasks finish around them and free cores
+  // mid-loop. The mesh is over both parallel grains; every result must
+  // match the serial one.
   constexpr int kApplyWorkers = 2;
   const CsrMatrix mesh = gen_mesh2d(370, 370, 9);
   const CsrMatrix small = gen_mesh2d(12, 12, 9);
@@ -256,20 +266,15 @@ TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
   [[maybe_unused]] const std::int64_t helpers_before =
       obs::counter("parallel.helpers").value();
   std::atomic<int> mismatches{0};
-  {
-    pipeline::TaskPool pool(kApplyWorkers);
-    for (int i = 0; i < 18; ++i) {
-      pool.submit([&, i] {
-        if (i % 3 == 1) {
-          (void)apply(small, i % 3);
-        } else if (!(apply(mesh, i % 3) ==
-                     serial[static_cast<std::size_t>(i % 3)])) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
+  pipeline::run_tasks(18, kApplyWorkers, [&](std::size_t k) {
+    const int i = static_cast<int>(k);
+    if (i % 3 == 1) {
+      (void)apply(small, i % 3);
+    } else if (!(apply(mesh, i % 3) ==
+                 serial[static_cast<std::size_t>(i % 3)])) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
     }
-    pool.wait_idle();
-  }
+  });
   EXPECT_EQ(mismatches.load(), 0);
 #if defined(ORDO_OBS_ENABLED)
   if (obs::affinity_cpu_count() > kApplyWorkers + 1) {
@@ -277,9 +282,7 @@ TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
   }
 #endif
   // Every helper gave its core back.
-  const int idle = pipeline::acquire_idle_cores(obs::affinity_cpu_count());
-  EXPECT_EQ(idle, obs::affinity_cpu_count() - 1);
-  pipeline::release_cores(idle);
+  expect_every_core_back();
 }
 
 TEST(TsanStressTest, JournalWriterConcurrentAppends) {
@@ -290,22 +293,19 @@ TEST(TsanStressTest, JournalWriterConcurrentAppends) {
   const pipeline::JournalKey key{kTasks, 0x5eedu};
   {
     pipeline::JournalWriter writer(path, key);
-    pipeline::TaskPool pool(kWorkers);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&writer, i] {
-        MeasurementRow row;
-        row.group = "tsan";
-        // No "m" prefix concatenation: every const char* copy spelling here
-        // trips a GCC 12 -Wrestrict false positive in this inlining context,
-        // and the journal only needs the name to be unique.
-        row.name = std::to_string(i);
-        row.orderings.resize(7);
-        MatrixStudyRows rows;
-        rows[{"machine", SpmvKernel::k1D}] = row;
-        writer.append({i, rows});
-      });
-    }
-    pool.wait_idle();
+    pipeline::run_tasks(kTasks, kWorkers, [&writer](std::size_t k) {
+      const int i = static_cast<int>(k);
+      MeasurementRow row;
+      row.group = "tsan";
+      // No "m" prefix concatenation: every const char* copy spelling here
+      // trips a GCC 12 -Wrestrict false positive in this inlining context,
+      // and the journal only needs the name to be unique.
+      row.name = std::to_string(i);
+      row.orderings.resize(7);
+      MatrixStudyRows rows;
+      rows[{"machine", SpmvKernel::k1D}] = row;
+      writer.append({i, rows});
+    });
   }
   // Every line must have landed whole: the loader stops at the first
   // corrupt record, so a torn interleaved write would truncate the replay.
@@ -316,22 +316,19 @@ TEST(TsanStressTest, JournalWriterConcurrentAppends) {
 }
 
 TEST(TsanStressTest, MetricsRegistryConcurrentRegistrationAndDumps) {
-  pipeline::TaskPool pool(kWorkers);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([i] {
-      // A handful of shared names (first-toucher registers, everyone else
-      // looks up) plus per-task histogram records and gauge stores.
-      obs::counter("tsan.counter." + std::to_string(i % 5)).increment();
-      obs::gauge("tsan.gauge").set(static_cast<double>(i));
-      obs::histogram("tsan.histogram").record(static_cast<double>(i));
-      if (i % 32 == 0) {
-        // Dumps walk the whole registry while other threads mutate it.
-        std::ostringstream sink;
-        obs::write_metrics_json(sink);
-      }
-    });
-  }
-  pool.wait_idle();
+  pipeline::run_tasks(kTasks, kWorkers, [](std::size_t k) {
+    const int i = static_cast<int>(k);
+    // A handful of shared names (first-toucher registers, everyone else
+    // looks up) plus per-task histogram records and gauge stores.
+    obs::counter("tsan.counter." + std::to_string(i % 5)).increment();
+    obs::gauge("tsan.gauge").set(static_cast<double>(i));
+    obs::histogram("tsan.histogram").record(static_cast<double>(i));
+    if (i % 32 == 0) {
+      // Dumps walk the whole registry while other threads mutate it.
+      std::ostringstream sink;
+      obs::write_metrics_json(sink);
+    }
+  });
   std::int64_t total = 0;
   for (int k = 0; k < 5; ++k) {
     total += obs::counter("tsan.counter." + std::to_string(k)).value();
@@ -355,20 +352,15 @@ TEST(TsanStressTest, StatusBoardSnapshotsDuringTaskChurn) {
       std::this_thread::yield();
     }
   });
-  {
-    pipeline::TaskPool pool(kWorkers);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([i] {
-        obs::status::task_started(i, "churn_" + std::to_string(i % 7),
-                                  /*deadline_seconds=*/i % 2 ? 60.0 : 0.0);
-        obs::status::set_phase("reorder");
-        obs::status::set_phase("spmv");
-        obs::status::task_finished(/*failed=*/i % 9 == 0,
-                                   /*timed_out=*/false, /*seconds=*/1e-4);
-      });
-    }
-    pool.wait_idle();
-  }
+  pipeline::run_tasks(kTasks, kWorkers, [](std::size_t k) {
+    const int i = static_cast<int>(k);
+    obs::status::task_started(i, "churn_" + std::to_string(i % 7),
+                              /*deadline_seconds=*/i % 2 ? 60.0 : 0.0);
+    obs::status::set_phase("reorder");
+    obs::status::set_phase("spmv");
+    obs::status::task_finished(/*failed=*/i % 9 == 0,
+                               /*timed_out=*/false, /*seconds=*/1e-4);
+  });
   stop.store(true, std::memory_order_relaxed);
   sampler.join();
   obs::status::end_run();
@@ -395,23 +387,18 @@ TEST(TsanStressTest, ConcurrentSelectorDecisionsAndSnapshots) {
       std::this_thread::yield();
     }
   });
-  {
-    pipeline::TaskPool pool(kWorkers);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([&entry, &f, i] {
-        select::SelectorOptions options;
-        options.spmv_budget = 1.0 + static_cast<double>(i % 5) * 5000.0;
-        const select::Decision decision = select::select_ordering(
-            f, /*baseline_seconds=*/1e-5, entry.matrix.num_rows(),
-            entry.matrix.num_nonzeros(), i % 2 ? "csr_1d" : "csr_2d",
-            options);
-        select::record_decision(decision.pick, /*oracle=*/i % 7,
-                                /*regret=*/1e-3 * static_cast<double>(i % 11),
-                                decision.predicted_amortize_calls);
-      });
-    }
-    pool.wait_idle();
-  }
+  pipeline::run_tasks(kTasks, kWorkers, [&entry, &f](std::size_t k) {
+    const int i = static_cast<int>(k);
+    select::SelectorOptions options;
+    options.spmv_budget = 1.0 + static_cast<double>(i % 5) * 5000.0;
+    const select::Decision decision = select::select_ordering(
+        f, /*baseline_seconds=*/1e-5, entry.matrix.num_rows(),
+        entry.matrix.num_nonzeros(), i % 2 ? "csr_1d" : "csr_2d",
+        options);
+    select::record_decision(decision.pick, /*oracle=*/i % 7,
+                            /*regret=*/1e-3 * static_cast<double>(i % 11),
+                            decision.predicted_amortize_calls);
+  });
   stop.store(true, std::memory_order_relaxed);
   sampler.join();
   const select::StatsSnapshot stats = select::stats_snapshot();
@@ -435,19 +422,14 @@ TEST(TsanStressTest, TraceSpansOverlappedWithCollection) {
       std::this_thread::yield();
     }
   });
-  {
-    pipeline::TaskPool pool(kWorkers);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.submit([i] {
-        obs::Span outer("tsan/outer/" + std::to_string(i % 7));
-        obs::Span inner("tsan/inner");
-      });
-    }
-    pool.wait_idle();
-  }
+  pipeline::run_tasks(kTasks, kWorkers, [](std::size_t k) {
+    const int i = static_cast<int>(k);
+    obs::Span outer("tsan/outer/" + std::to_string(i % 7));
+    obs::Span inner("tsan/inner");
+  });
   stop.store(true, std::memory_order_relaxed);
   collector.join();
-  // Workers joined, collector stopped: everything still buffered is visible.
+  // Tasks done, collector stopped: everything still buffered is visible.
   obs::set_tracing_enabled(false);
   obs::clear_trace();
 }

@@ -6,11 +6,13 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
   random         src/ only. No rand()/srand()/std::random_device: every
                  random choice in the library must flow through the seeded,
                  deterministic generators (reproducible studies).
-  thread         src/ only, src/pipeline/ and src/obs/status/ exempt. No
-                 naked std::thread: concurrency lives behind the pipeline
-                 scheduler so error isolation, cancellation and TSan
-                 coverage stay centralised (the status listener/heartbeat
-                 service threads are the deliberate exception).
+  thread         src/ only. No naked std::thread outside the worker pool
+                 (src/pipeline/fork_join.*), the deadline watchdog
+                 (src/pipeline/cancel.*) and src/obs/status/, and no
+                 pthread_create anywhere: concurrency lives behind the one
+                 pool so error isolation, cancellation and TSan coverage
+                 stay centralised (the watchdog and the status listener/
+                 heartbeat service threads are the deliberate exceptions).
   io             src/ only, src/obs/ and src/core/gnuplot.* exempt. No
                  printf/std::cout/std::cerr console output: the library
                  reports through ordo::obs (snprintf/vsnprintf formatting
@@ -127,6 +129,7 @@ def in_src(relpath):
 
 RANDOM_RE = re.compile(r"\bstd::random_device\b|(?<![\w:])s?rand\s*\(")
 THREAD_RE = re.compile(r"\bstd::thread\b")
+PTHREAD_CREATE_RE = re.compile(r"\bpthread_create\b")
 CHRONO_RE = re.compile(r"\bstd::chrono\b")
 IO_RE = re.compile(
     r"\bstd::c(?:out|err|log)\b|(?<![\w:])(?:f|v|vf)?printf\s*\(|(?<![\w:])f?puts\s*\(")
@@ -151,12 +154,14 @@ def omp_exempt(relpath):
 
 
 def thread_exempt(relpath):
-    # The pipeline scheduler owns worker threads; the status listener and
-    # heartbeat writer each need one detachable service thread (they cannot
-    # run on pool workers — they must keep serving while the pool is busy).
-    return relpath.startswith(
-        (os.path.join("src", "pipeline") + os.sep,
-         os.path.join("src", "obs", "status") + os.sep))
+    # The worker pool owns the threads that run ordo work; the deadline
+    # watchdog, the status listener and the heartbeat writer each need one
+    # service thread of their own (they cannot run on pool workers: they
+    # must keep running while every worker is busy).
+    pipeline = os.path.join("src", "pipeline") + os.sep
+    return (relpath.startswith(os.path.join("src", "obs", "status") + os.sep)
+            or relpath in {pipeline + name for name in (
+                "fork_join.hpp", "fork_join.cpp", "cancel.hpp", "cancel.cpp")})
 
 
 def socket_exempt(relpath):
@@ -281,9 +286,12 @@ def lint_file(path):
                   "generators (reproducible studies)")
             if not thread_exempt(relpath):
                 check(lineno, "thread", THREAD_RE.search(code),
-                      "naked std::thread outside src/pipeline/ and "
-                      "src/obs/status/ — run work through the pipeline "
-                      "scheduler")
+                      "naked std::thread outside the worker pool, the "
+                      "watchdog and src/obs/status/ — run work through "
+                      "the pool (pipeline/fork_join.hpp)")
+            check(lineno, "thread", PTHREAD_CREATE_RE.search(code),
+                  "pthread_create — threads that run ordo work come from "
+                  "the worker pool (pipeline/fork_join.hpp)")
             if not socket_exempt(relpath):
                 check(lineno, "socket", SOCKET_RE.search(code),
                       "raw socket call outside src/obs/status/ — the "
@@ -383,6 +391,24 @@ void* map_scratch(int fd, long n) {
 }
 """
 
+# The thread rule's exemption covers the pool's own files, nothing else in
+# src/pipeline/, and never pthread_create.
+SEEDED_SECOND_SCHEDULER = """\
+void spawn() {
+  std::thread helper([] {});
+}
+"""
+
+SEEDED_POOL = """\
+void start() {
+  std::thread worker([] {});
+}
+
+void start_raw(pthread_t* thread) {
+  pthread_create(thread, nullptr, nullptr, nullptr);
+}
+"""
+
 SEEDED_SUPPRESSED = """\
 #pragma once
 #include <vector>
@@ -408,6 +434,14 @@ def self_test():
         ok = os.path.join(srcdir, "seeded_suppressed.hpp")
         with open(ok, "w", encoding="utf-8") as f:
             f.write(SEEDED_SUPPRESSED)
+        pipeline = os.path.join(srcdir, "pipeline")
+        os.makedirs(pipeline)
+        second = os.path.join(pipeline, "seeded_scheduler.cpp")
+        with open(second, "w", encoding="utf-8") as f:
+            f.write(SEEDED_SECOND_SCHEDULER)
+        pool = os.path.join(pipeline, "fork_join.cpp")
+        with open(pool, "w", encoding="utf-8") as f:
+            f.write(SEEDED_POOL)
 
         global REPO_ROOT
         saved_root = REPO_ROOT
@@ -416,6 +450,8 @@ def self_test():
             bad_violations = lint_file(bad)
             hdr_violations = lint_file(hdr)
             ok_violations = lint_file(ok)
+            second_violations = lint_file(second)
+            pool_violations = lint_file(pool)
         finally:
             REPO_ROOT = saved_root
 
@@ -429,6 +465,12 @@ def self_test():
         if ok_violations:
             failures.extend(
                 f"suppression ignored: {v}" for v in ok_violations)
+        if [v.line for v in second_violations if v.rule == "thread"] != [2]:
+            failures.append("rule 'thread' did not fire on std::thread in "
+                            "src/pipeline/ outside the pool's files")
+        if [v.line for v in pool_violations if v.rule == "thread"] != [6]:
+            failures.append("rule 'thread' did not fire on pthread_create "
+                            "alone in the pool's file")
 
     if failures:
         for f in failures:
