@@ -168,7 +168,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--count") {
-      corpus.count = std::atoi(next());
+      corpus.count =
+          parse_whole_number<int>(next(), "run_study: --count", 1);
     } else if (arg == "--scale") {
       corpus.scale = std::atof(next());
     } else if (arg == "--out") {
@@ -193,7 +194,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--hw") {
       obs::hw::set_enabled(true);
     } else if (arg == "--status-port") {
-      status_port = std::atoi(next());
+      status_port = parse_whole_number<int>(next(), "run_study: --status-port",
+                                            0, 65535);
     } else if (arg == "--status-file") {
       status_file = next();
     } else if (arg == "--auto-order") {

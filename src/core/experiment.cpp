@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -370,13 +369,7 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
 }
 
 int parse_jobs(const std::string& text, const std::string& source) {
-  int jobs = -1;
-  const char* const end = text.data() + text.size();
-  const auto [parsed_to, error] = std::from_chars(text.data(), end, jobs);
-  require(error == std::errc() && parsed_to == end && jobs >= 0,
-          source + ": expected a whole number >= 0 (0 = one per CPU), got '" +
-              text + "'");
-  return jobs;
+  return parse_whole_number<int>(text, source, 0);
 }
 
 StudyResults run_full_study(const std::vector<CorpusEntry>& corpus,

@@ -170,7 +170,8 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
                                  const StudyOptions& options);
 
 /// Parses a `--jobs` or ORDO_JOBS value (StudyOptions::jobs): a whole
-/// number >= 0, else throws invalid_argument_error naming `source`.
+/// number >= 0 (0 = one per CPU), else throws invalid_argument_error naming
+/// `source`.
 int parse_jobs(const std::string& text, const std::string& source);
 
 /// Runs the full study over the corpus on the pipeline scheduler

@@ -82,7 +82,7 @@ CsrMatrix sprinkle(const CsrMatrix& a, double row_fraction, int extra,
 CorpusOptions corpus_options_from_env() {
   CorpusOptions options;
   if (const char* count = std::getenv("ORDO_CORPUS_COUNT")) {
-    options.count = std::max(1, std::atoi(count));
+    options.count = parse_whole_number<int>(count, "ORDO_CORPUS_COUNT", 1);
   }
   if (const char* scale = std::getenv("ORDO_CORPUS_SCALE")) {
     options.scale = std::max(0.01, std::atof(scale));

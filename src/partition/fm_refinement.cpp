@@ -1,10 +1,22 @@
 #include "partition/fm_refinement.hpp"
 
+#include <cmath>
+
 #include "obs/metrics.hpp"
 #include "partition/gain_queue.hpp"
 #include "partition/partitioning.hpp"
 
 namespace ordo {
+
+BisectionBalance make_balance(std::int64_t total_weight,
+                              double target_fraction, double tolerance) {
+  const double total = static_cast<double>(total_weight);
+  return BisectionBalance{
+      static_cast<std::int64_t>(
+          std::floor(total * target_fraction * (1.0 - tolerance))),
+      static_cast<std::int64_t>(
+          std::ceil(total * target_fraction * (1.0 + tolerance)))};
+}
 
 std::int64_t fm_move_gain(const Graph& g, const std::vector<index_t>& part,
                           index_t v) {

@@ -27,6 +27,11 @@ struct BisectionBalance {
   std::int64_t max_weight0 = 0;
 };
 
+/// The window both bisectors give FM: part 0 may weigh `target_fraction`
+/// of `total_weight`, give or take `tolerance` of that, rounded outward.
+BisectionBalance make_balance(std::int64_t total_weight,
+                              double target_fraction, double tolerance);
+
 /// State an FM refiner reuses across its passes and calls. `boundary` is
 /// the refiner's input and output: the boundary vertices of `part`, each
 /// once, in any order.

@@ -1,223 +1,14 @@
 #include "partition/graph_partitioner.hpp"
 
-#include <algorithm>
-#include <array>
-#include <cmath>
-#include <deque>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <utility>
 
-#include "check/check.hpp"
 #include "obs/obs.hpp"
 #include "partition/coarsening.hpp"
-#include "pipeline/fork_join.hpp"
 
 namespace ordo {
 namespace {
-
-BisectionBalance make_balance(const Graph& g, double target_fraction,
-                              double tolerance) {
-  const double total = static_cast<double>(g.total_vertex_weight());
-  BisectionBalance balance;
-  balance.min_weight0 = static_cast<std::int64_t>(
-      std::floor(total * target_fraction * (1.0 - tolerance)));
-  balance.max_weight0 = static_cast<std::int64_t>(
-      std::ceil(total * target_fraction * (1.0 + tolerance)));
-  return balance;
-}
-
-// A subgraph in the recursion: the graph, and the root id of each vertex.
-struct Subgraph {
-  Graph graph;
-  std::vector<index_t> to_root;
-};
-
-// Builds the subgraphs of `g` induced by part 0 and by part 1 into
-// sides[0] and sides[1], in one pass over g's adjacency, refilling their
-// storage. Vertices keep their relative order; `to_root` maps g's vertices
-// to root ids, and `to_sub` is scratch.
-void split_graph(const Graph& g, const std::vector<index_t>& part,
-                 const std::vector<index_t>& to_root,
-                 std::vector<index_t>& to_sub, std::array<Subgraph, 2>& sides) {
-  const index_t n = g.num_vertices();
-  std::array<GraphArrays, 2> arrays;
-  for (std::size_t s = 0; s < 2; ++s) {
-    arrays[s] = sides[s].graph.release();
-    arrays[s].adj_ptr.assign(1, 0);
-    arrays[s].adj.clear();
-    arrays[s].vertex_weights.clear();
-    arrays[s].edge_weights.clear();
-    sides[s].to_root.clear();
-  }
-  to_sub.resize(static_cast<std::size_t>(n));
-  for (index_t v = 0; v < n; ++v) {
-    const auto s = static_cast<std::size_t>(part[static_cast<std::size_t>(v)]);
-    to_sub[static_cast<std::size_t>(v)] =
-        static_cast<index_t>(sides[s].to_root.size());
-    sides[s].to_root.push_back(to_root[static_cast<std::size_t>(v)]);
-    arrays[s].vertex_weights.push_back(g.vertex_weight(v));
-  }
-  for (index_t v = 0; v < n; ++v) {
-    const index_t side = part[static_cast<std::size_t>(v)];
-    GraphArrays& out = arrays[static_cast<std::size_t>(side)];
-    const auto neighbors = g.neighbors(v);
-    const offset_t base = g.adj_ptr()[v];
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      const auto u = static_cast<std::size_t>(neighbors[k]);
-      if (part[u] == side) {
-        out.adj.push_back(to_sub[u]);
-        out.edge_weights.push_back(
-            g.edge_weight(base + static_cast<offset_t>(k)));
-      }
-    }
-    out.adj_ptr.push_back(static_cast<offset_t>(out.adj.size()));
-  }
-  for (std::size_t s = 0; s < 2; ++s) {
-    sides[s].graph = Graph(static_cast<index_t>(sides[s].to_root.size()),
-                           std::move(arrays[s]));
-  }
-}
-
-// One k-way partition in flight through the recursion: the result it
-// writes, and the part count and first part id of the current subtree.
-struct PartRequest {
-  std::size_t output = 0;
-  index_t num_parts = 0;
-  index_t first_part = 0;
-};
-
-// A request and the reduced fraction left_parts / num_parts of its next
-// bisection.
-struct KeyedRequest {
-  std::pair<index_t, index_t> fraction;
-  PartRequest request;
-};
-
-// What a node at one recursion depth keeps while its subtrees run.
-struct DepthScratch {
-  std::vector<KeyedRequest> keyed;
-  std::array<Subgraph, 2> sides;
-  std::array<std::vector<PartRequest>, 2> requests;
-};
-
-// One recursion thread's scratch. `depths` is a deque so that a node's
-// entry stays put while deeper nodes add theirs.
-struct RecursionScratch {
-  GraphBisector bisector;
-  std::vector<index_t> to_sub;
-  std::deque<DepthScratch> depths;
-
-  DepthScratch& at(std::size_t depth) {
-    while (depths.size() <= depth) depths.emplace_back();
-    return depths[depth];
-  }
-};
-
-// The result bisect_graph returns for `part`, checked against its
-// contracts.
-PartitionResult bisection_result(const Graph& g, std::vector<index_t> part,
-                                 [[maybe_unused]] double tolerance) {
-  PartitionResult result;
-  result.part = std::move(part);
-  result.num_parts = 2;
-  result.cut = compute_edge_cut(g, result.part);
-  result.imbalance = compute_partition_imbalance(g, result.part, 2);
-  ORDO_CHECK(validate_partition(g, result, 2, "bisect_graph"));
-  ORDO_CHECK(
-      validate_bisection_balance(g, result, tolerance, "bisect_graph"));
-  return result;
-}
-
-// Recursive bisection for several part counts at once. A bisection is a pure
-// function of the subgraph, the target fraction left_parts / num_parts and
-// the path-derived seed, none of which depends on k, so the requests whose
-// fractions agree at a node share one bisection and the subtree below it.
-// Requests are grouped by their reduced integer fraction: equal reduced
-// fractions divide to the same double, so the shared bisection is exactly the
-// one each request would have made alone. Each group writes only its own
-// requests' outputs, so the order groups run in changes no byte.
-void recursive_bisect(const Graph& g, const PartitionOptions& options,
-                      const std::vector<PartRequest>& requests,
-                      const std::vector<index_t>& to_root,
-                      std::vector<PartitionResult>& out, std::uint64_t seed,
-                      RecursionScratch& scratch, std::size_t depth) {
-  DepthScratch& here = scratch.at(depth);
-  std::vector<KeyedRequest>& keyed = here.keyed;
-  keyed.clear();
-  for (const PartRequest& request : requests) {
-    if (request.num_parts <= 1 || g.num_vertices() == 0) {
-      std::vector<index_t>& part = out[request.output].part;
-      for (index_t v = 0; v < g.num_vertices(); ++v) {
-        part[static_cast<std::size_t>(to_root[static_cast<std::size_t>(v)])] =
-            request.first_part;
-      }
-      continue;
-    }
-    const index_t left_parts = request.num_parts / 2;
-    const index_t divisor = std::gcd(left_parts, request.num_parts);
-    // Insertion by fraction, after equal ones: the few requests of a node
-    // stay in arrival order within a group.
-    KeyedRequest entry{{left_parts / divisor, request.num_parts / divisor},
-                       request};
-    keyed.push_back(entry);
-    for (std::size_t k = keyed.size() - 1;
-         k > 0 && entry.fraction < keyed[k - 1].fraction; --k) {
-      std::swap(keyed[k], keyed[k - 1]);
-    }
-  }
-
-  for (std::size_t first = 0, last = 0; first < keyed.size(); first = last) {
-    const std::pair<index_t, index_t> fraction = keyed[first].fraction;
-    for (last = first; last < keyed.size() && keyed[last].fraction == fraction;
-         ++last) {
-    }
-    poll_cancelled(options.cancel, "partition_graph");
-    {
-      PartitionOptions bisect_options = options;
-      bisect_options.seed = seed;
-      const std::vector<index_t>& part = scratch.bisector.bisect(
-          g,
-          static_cast<double>(fraction.first) /
-              static_cast<double>(fraction.second),
-          bisect_options);
-      if constexpr (check::invariant_checks_enabled()) {
-        bisection_result(g, part, options.imbalance_tolerance);
-      }
-      split_graph(g, part, to_root, scratch.to_sub, here.sides);
-      if (g.num_vertices() > kRetainedScratchVertices) {
-        scratch.bisector = GraphBisector();
-      }
-    }
-    for (std::vector<PartRequest>& side : here.requests) side.clear();
-    for (std::size_t k = first; k < last; ++k) {
-      const PartRequest& request = keyed[k].request;
-      const index_t left_parts = request.num_parts / 2;
-      here.requests[0].push_back(
-          {request.output, left_parts, request.first_part});
-      here.requests[1].push_back({request.output,
-                                  request.num_parts - left_parts,
-                                  request.first_part + left_parts});
-    }
-    // The subtrees write disjoint vertices of `out`, so either may run on
-    // an idle core, with scratch of its own.
-    pipeline::fork_join_with(
-        static_cast<std::size_t>(here.sides[0].graph.num_vertices()), scratch,
-        [&](RecursionScratch& mine) {
-          recursive_bisect(here.sides[0].graph, options, here.requests[0],
-                           here.sides[0].to_root, out,
-                           seed * 6364136223846793005ULL + 1, mine,
-                           &mine == &scratch ? depth + 1 : 0);
-        },
-        [&](RecursionScratch& mine) {
-          recursive_bisect(here.sides[1].graph, options, here.requests[1],
-                           here.sides[1].to_root, out,
-                           seed * 6364136223846793005ULL + 2, mine,
-                           depth + 1);
-        });
-  }
-}
 
 // Repairs a degenerate bisection (every vertex on one side). The FM balance
 // window permits this on tiny graphs — floor(total * fraction * (1 - tol))
@@ -286,7 +77,8 @@ const std::vector<index_t>& GraphBisector::bisect(
     collect_boundary(*current, part_, fm_.boundary);
     fm_refine_bisection(
         *current, part_,
-        make_balance(*current, target_fraction, options.imbalance_tolerance),
+        make_balance(current->total_vertex_weight(), target_fraction,
+                     options.imbalance_tolerance),
         options.refine_passes, fm_);
   }
 
@@ -318,55 +110,14 @@ const std::vector<index_t>& GraphBisector::bisect(
       }
       fm_refine_bisection(
           fine, part_,
-          make_balance(fine, target_fraction, options.imbalance_tolerance),
+          make_balance(fine.total_vertex_weight(), target_fraction,
+                       options.imbalance_tolerance),
           options.refine_passes, fm_);
     }
   }
 
   repair_degenerate_bisection(g, part_);
   return part_;
-}
-
-PartitionResult bisect_graph(const Graph& g, double target_fraction,
-                             const PartitionOptions& options) {
-  GraphBisector bisector;
-  return bisection_result(g, bisector.bisect(g, target_fraction, options),
-                          options.imbalance_tolerance);
-}
-
-std::vector<PartitionResult> partition_graph(
-    const Graph& g, const std::vector<index_t>& part_counts,
-    const PartitionOptions& options) {
-  ORDO_SCOPE("partition/graph_kway");
-  const index_t n = g.num_vertices();
-  std::vector<PartitionResult> results(part_counts.size());
-  std::vector<PartRequest> requests;
-  for (std::size_t i = 0; i < part_counts.size(); ++i) {
-    require(part_counts[i] >= 1, "partition_graph: num_parts must be >= 1");
-    results[i].part.assign(static_cast<std::size_t>(n), 0);
-    results[i].num_parts = part_counts[i];
-    requests.push_back({i, part_counts[i], 0});
-  }
-  if (n > 0) {
-    std::vector<index_t> to_root(static_cast<std::size_t>(n));
-    std::iota(to_root.begin(), to_root.end(), index_t{0});
-    RecursionScratch scratch;
-    recursive_bisect(g, options, requests, to_root, results, options.seed,
-                     scratch, 0);
-  }
-  for (PartitionResult& result : results) {
-    result.cut = compute_edge_cut(g, result.part);
-    result.imbalance =
-        compute_partition_imbalance(g, result.part, result.num_parts);
-    ORDO_CHECK(
-        validate_partition(g, result, result.num_parts, "partition_graph"));
-  }
-  return results;
-}
-
-PartitionResult partition_graph(const Graph& g,
-                                const PartitionOptions& options) {
-  return std::move(partition_graph(g, {options.num_parts}, options).front());
 }
 
 std::vector<bool> vertex_separator_from_bisection(

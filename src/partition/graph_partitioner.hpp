@@ -5,7 +5,9 @@
 // at every level while projecting back up. k-way partitions are produced by
 // recursive bisection with proportional weight targets, so k need not be a
 // power of two (the study partitions into 16, 32, 48, 64, 72 or 128 parts to
-// match core counts, all six from one shared bisection tree).
+// match core counts, all six from one shared bisection tree). The recursion
+// and the checked results are in kway.cpp, shared with the hypergraph
+// partitioner; this file's bisector is what it calls at every node.
 #pragma once
 
 #include "graph/graph.hpp"
@@ -41,16 +43,11 @@ class GraphBisector {
 PartitionResult bisect_graph(const Graph& g, double target_fraction,
                              const PartitionOptions& options);
 
-/// Partitions `g` into options.num_parts parts via recursive bisection,
-/// minimizing edge-cut under the balance constraint. The one-element case of
-/// the overload below.
-PartitionResult partition_graph(const Graph& g,
-                                const PartitionOptions& options);
-
-/// Partitions `g` once per entry of `part_counts` (options.num_parts is
-/// ignored), result i being exactly partition_graph with num_parts =
-/// part_counts[i]. The counts share one recursive-bisection tree: a node
-/// whose target fraction agrees across counts is bisected once, so the
+/// Partitions `g` once per entry of `part_counts` via recursive bisection,
+/// minimizing edge-cut under the balance constraint; result i has
+/// part_counts[i] parts and is exactly what the one-element list
+/// {part_counts[i]} gives. The counts share one recursive-bisection tree: a
+/// node whose target fraction agrees across counts is bisected once, so the
 /// study's six core counts {16, 32, 48, 64, 72, 128} cost 223 bisections
 /// instead of 354.
 std::vector<PartitionResult> partition_graph(

@@ -1,16 +1,10 @@
 #include "partition/hypergraph_partitioner.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <deque>
-#include <limits>
 #include <numeric>
 #include <random>
 
-#include "check/check.hpp"
 #include "obs/obs.hpp"
-#include "pipeline/fork_join.hpp"
 
 namespace ordo {
 namespace {
@@ -118,16 +112,6 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
 }
 
 namespace {
-
-BisectionBalance make_balance(const Hypergraph& h, double target_fraction,
-                              double tolerance) {
-  const double total = static_cast<double>(h.total_vertex_weight());
-  return BisectionBalance{
-      static_cast<std::int64_t>(
-          std::floor(total * target_fraction * (1.0 - tolerance))),
-      static_cast<std::int64_t>(
-          std::ceil(total * target_fraction * (1.0 + tolerance)))};
-}
 
 // Grows part 0 by hypergraph BFS from `start` until it reaches the target
 // weight, restarting from an unassigned vertex when the frontier empties.
@@ -371,155 +355,6 @@ FmTally hypergraph_fm_refine(const Hypergraph& h, std::vector<index_t>& part,
   return tally;
 }
 
-namespace {
-
-// A sub-hypergraph in the recursion: the hypergraph, and the root id of
-// each vertex.
-struct HgSubgraph {
-  Hypergraph hypergraph;
-  std::vector<index_t> to_root;
-};
-
-// Builds the sub-hypergraphs of `h` induced by part 0 and by part 1 into
-// sides[0] and sides[1], in one pass over the nets, refilling their
-// storage. A net keeps its pins on each side, and is dropped from a side
-// where fewer than two remain. `to_root` maps h's vertices to root ids,
-// and `to_sub` is scratch.
-void split_hypergraph(const Hypergraph& h, const std::vector<index_t>& part,
-                      const std::vector<index_t>& to_root,
-                      std::vector<index_t>& to_sub,
-                      std::array<HgSubgraph, 2>& sides) {
-  std::array<HypergraphArrays, 2> arrays;
-  for (std::size_t s = 0; s < 2; ++s) {
-    arrays[s] = sides[s].hypergraph.release();
-    arrays[s].net_ptr.assign(1, 0);
-    arrays[s].pins.clear();
-    arrays[s].vertex_weights.clear();
-    arrays[s].net_weights.clear();
-    sides[s].to_root.clear();
-  }
-  to_sub.resize(static_cast<std::size_t>(h.num_vertices()));
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    const auto s = static_cast<std::size_t>(part[static_cast<std::size_t>(v)]);
-    to_sub[static_cast<std::size_t>(v)] =
-        static_cast<index_t>(sides[s].to_root.size());
-    sides[s].to_root.push_back(to_root[static_cast<std::size_t>(v)]);
-    arrays[s].vertex_weights.push_back(h.vertex_weight(v));
-  }
-  for (index_t e = 0; e < h.num_nets(); ++e) {
-    const std::array<std::size_t, 2> begin = {arrays[0].pins.size(),
-                                              arrays[1].pins.size()};
-    for (index_t pin : h.net_pins(e)) {
-      arrays[static_cast<std::size_t>(part[static_cast<std::size_t>(pin)])]
-          .pins.push_back(to_sub[static_cast<std::size_t>(pin)]);
-    }
-    for (std::size_t s = 0; s < 2; ++s) {
-      std::vector<index_t>& pins = arrays[s].pins;
-      if (pins.size() - begin[s] < 2) {
-        pins.resize(begin[s]);
-      } else {
-        arrays[s].net_ptr.push_back(static_cast<offset_t>(pins.size()));
-        arrays[s].net_weights.push_back(h.net_weight(e));
-      }
-    }
-  }
-  for (std::size_t s = 0; s < 2; ++s) {
-    sides[s].hypergraph = Hypergraph(
-        static_cast<index_t>(sides[s].to_root.size()), std::move(arrays[s]));
-  }
-}
-
-// One recursion thread's scratch; `depths` is a deque so that a node's
-// subgraphs stay put while deeper nodes add theirs.
-struct HgRecursionScratch {
-  HypergraphBisector bisector;
-  std::vector<index_t> to_sub;
-  std::deque<std::array<HgSubgraph, 2>> depths;
-
-  std::array<HgSubgraph, 2>& at(std::size_t depth) {
-    while (depths.size() <= depth) depths.emplace_back();
-    return depths[depth];
-  }
-};
-
-// The result bisect_hypergraph returns for `part`, checked against its
-// contract.
-PartitionResult bisection_result(const Hypergraph& h,
-                                 std::vector<index_t> part) {
-  PartitionResult result;
-  result.part = std::move(part);
-  result.num_parts = 2;
-  result.cut = compute_cut_nets(h, result.part);
-  std::int64_t weight0 = 0;
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    if (result.part[static_cast<std::size_t>(v)] == 0) {
-      weight0 += h.vertex_weight(v);
-    }
-  }
-  const double average = static_cast<double>(h.total_vertex_weight()) / 2.0;
-  result.imbalance =
-      average > 0
-          ? std::max(static_cast<double>(weight0),
-                     static_cast<double>(h.total_vertex_weight() - weight0)) /
-                average
-          : 1.0;
-  ORDO_CHECK(
-      validate_hypergraph_partition(h, result, 2, "bisect_hypergraph"));
-  return result;
-}
-
-void recursive_bisect_hg(const Hypergraph& h, const PartitionOptions& options,
-                         index_t num_parts, index_t first_part,
-                         const std::vector<index_t>& to_root,
-                         std::vector<index_t>& out_part, std::uint64_t seed,
-                         HgRecursionScratch& scratch, std::size_t depth) {
-  if (num_parts <= 1 || h.num_vertices() == 0) {
-    for (index_t v = 0; v < h.num_vertices(); ++v) {
-      out_part[static_cast<std::size_t>(
-          to_root[static_cast<std::size_t>(v)])] = first_part;
-    }
-    return;
-  }
-  poll_cancelled(options.cancel, "partition_hypergraph");
-  const index_t left_parts = num_parts / 2;
-  const index_t right_parts = num_parts - left_parts;
-  const double target_fraction =
-      static_cast<double>(left_parts) / static_cast<double>(num_parts);
-
-  std::array<HgSubgraph, 2>& sides = scratch.at(depth);
-  {
-    PartitionOptions bisect_options = options;
-    bisect_options.seed = seed;
-    const std::vector<index_t>& part =
-        scratch.bisector.bisect(h, target_fraction, bisect_options);
-    if constexpr (check::invariant_checks_enabled()) {
-      bisection_result(h, part);
-    }
-    split_hypergraph(h, part, to_root, scratch.to_sub, sides);
-    if (h.num_vertices() > kRetainedScratchVertices) {
-      scratch.bisector = HypergraphBisector();
-    }
-  }
-  // The subtrees write disjoint vertices of `out_part`, so either may run
-  // on an idle core, with scratch of its own.
-  pipeline::fork_join_with(
-      static_cast<std::size_t>(sides[0].hypergraph.num_vertices()), scratch,
-      [&](HgRecursionScratch& mine) {
-        recursive_bisect_hg(sides[0].hypergraph, options, left_parts,
-                            first_part, sides[0].to_root, out_part,
-                            seed * 6364136223846793005ULL + 1, mine,
-                            &mine == &scratch ? depth + 1 : 0);
-      },
-      [&](HgRecursionScratch& mine) {
-        recursive_bisect_hg(sides[1].hypergraph, options, right_parts,
-                            first_part + left_parts, sides[1].to_root,
-                            out_part, seed * 6364136223846793005ULL + 2, mine,
-                            depth + 1);
-      });
-}
-
-}  // namespace
-
 const std::vector<index_t>& HypergraphBisector::bisect(
     const Hypergraph& h, double target_fraction,
     const PartitionOptions& options) {
@@ -556,7 +391,8 @@ const std::vector<index_t>& HypergraphBisector::bisect(
                    part_);
     hypergraph_fm_refine(
         *current, part_,
-        make_balance(*current, target_fraction, options.imbalance_tolerance),
+        make_balance(current->total_vertex_weight(), target_fraction,
+                     options.imbalance_tolerance),
         options.refine_passes, fm_);
   }
 
@@ -576,52 +412,12 @@ const std::vector<index_t>& HypergraphBisector::bisect(
       part_.swap(fine_part_);
       hypergraph_fm_refine(
           fine, part_,
-          make_balance(fine, target_fraction, options.imbalance_tolerance),
+          make_balance(fine.total_vertex_weight(), target_fraction,
+                       options.imbalance_tolerance),
           options.refine_passes, fm_);
     }
   }
   return part_;
-}
-
-PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
-                                  const PartitionOptions& options) {
-  HypergraphBisector bisector;
-  return bisection_result(h, bisector.bisect(h, target_fraction, options));
-}
-
-PartitionResult partition_hypergraph(const Hypergraph& h,
-                                     const PartitionOptions& options) {
-  require(options.num_parts >= 1,
-          "partition_hypergraph: num_parts must be >= 1");
-  ORDO_SCOPE("partition/hypergraph_kway");
-  PartitionResult result;
-  result.part.assign(static_cast<std::size_t>(h.num_vertices()), 0);
-  result.num_parts = options.num_parts;
-  if (options.num_parts > 1 && h.num_vertices() > 0) {
-    std::vector<index_t> to_root(static_cast<std::size_t>(h.num_vertices()));
-    std::iota(to_root.begin(), to_root.end(), index_t{0});
-    HgRecursionScratch scratch;
-    recursive_bisect_hg(h, options, options.num_parts, 0, to_root,
-                        result.part, options.seed, scratch, 0);
-  }
-  result.cut = compute_cut_nets(h, result.part);
-
-  std::vector<std::int64_t> weights(
-      static_cast<std::size_t>(options.num_parts), 0);
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    weights[static_cast<std::size_t>(
-        result.part[static_cast<std::size_t>(v)])] += h.vertex_weight(v);
-  }
-  const double average =
-      static_cast<double>(h.total_vertex_weight()) / options.num_parts;
-  result.imbalance =
-      average > 0 ? static_cast<double>(*std::max_element(weights.begin(),
-                                                          weights.end())) /
-                        average
-                  : 1.0;
-  ORDO_CHECK(validate_hypergraph_partition(h, result, options.num_parts,
-                                           "partition_hypergraph"));
-  return result;
 }
 
 }  // namespace ordo

@@ -4,7 +4,10 @@
 // heavy-connectivity matching for coarsening, BFS growing for the initial
 // bisection, and FM refinement under the **cut-net** metric (a net counts
 // toward the objective when its pins land in more than one part), which is
-// the PaToH objective the paper's HP ordering uses.
+// the PaToH objective the paper's HP ordering uses. k-way partitions come
+// from the same recursive-bisection driver as the graph partitioner's
+// (kway.cpp), with one part count where GP passes six: only the bisector
+// below, which it calls at every node, is the hypergraph's own.
 #pragma once
 
 #include <array>
@@ -73,8 +76,8 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
 PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
                                   const PartitionOptions& options);
 
-/// Partitions `h` into options.num_parts parts via recursive bisection.
-PartitionResult partition_hypergraph(const Hypergraph& h,
+/// Partitions `h` into `num_parts` parts via recursive bisection.
+PartitionResult partition_hypergraph(const Hypergraph& h, index_t num_parts,
                                      const PartitionOptions& options);
 
 }  // namespace ordo

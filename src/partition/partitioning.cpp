@@ -1,6 +1,6 @@
 #include "partition/partitioning.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 namespace ordo {
 
@@ -24,27 +24,20 @@ std::int64_t compute_edge_cut(const Graph& g,
   return cut / 2;
 }
 
-std::vector<std::int64_t> partition_weights(const Graph& g,
-                                            const std::vector<index_t>& part,
-                                            index_t num_parts) {
-  std::vector<std::int64_t> weights(static_cast<std::size_t>(num_parts), 0);
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    weights[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
-        g.vertex_weight(v);
+Permutation group_by_part(const PartitionResult& partition) {
+  std::vector<offset_t> part_begin(
+      static_cast<std::size_t>(partition.num_parts) + 1, 0);
+  for (index_t p : partition.part) {
+    part_begin[static_cast<std::size_t>(p) + 1]++;
   }
-  return weights;
-}
-
-double compute_partition_imbalance(const Graph& g,
-                                   const std::vector<index_t>& part,
-                                   index_t num_parts) {
-  if (num_parts <= 0 || g.num_vertices() == 0) return 1.0;
-  const auto weights = partition_weights(g, part, num_parts);
-  const double average =
-      static_cast<double>(g.total_vertex_weight()) / num_parts;
-  const std::int64_t max_weight =
-      *std::max_element(weights.begin(), weights.end());
-  return average > 0 ? static_cast<double>(max_weight) / average : 1.0;
+  std::partial_sum(part_begin.begin(), part_begin.end(), part_begin.begin());
+  Permutation perm(partition.part.size());
+  for (std::size_t v = 0; v < partition.part.size(); ++v) {
+    perm[static_cast<std::size_t>(
+        part_begin[static_cast<std::size_t>(partition.part[v])]++)] =
+        static_cast<index_t>(v);
+  }
+  return perm;
 }
 
 }  // namespace ordo

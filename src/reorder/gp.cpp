@@ -7,7 +7,6 @@
 // relative order within each part. Several part counts (the study's one per
 // machine core count) come from one shared recursive-bisection tree.
 #include <algorithm>
-#include <numeric>
 
 #include "graph/graph.hpp"
 #include "partition/graph_partitioner.hpp"
@@ -45,20 +44,7 @@ std::vector<Permutation> gp_orderings(const CsrMatrix& a,
 
   std::vector<Permutation> perms;
   for (const PartitionResult& partition : partition_graph(g, capped, popt)) {
-    // Stable counting sort of vertices by part id.
-    std::vector<offset_t> part_begin(
-        static_cast<std::size_t>(partition.num_parts) + 1, 0);
-    for (index_t p : partition.part) {
-      part_begin[static_cast<std::size_t>(p) + 1]++;
-    }
-    std::partial_sum(part_begin.begin(), part_begin.end(), part_begin.begin());
-    Permutation perm(static_cast<std::size_t>(g.num_vertices()));
-    for (index_t v = 0; v < g.num_vertices(); ++v) {
-      perm[static_cast<std::size_t>(
-          part_begin[static_cast<std::size_t>(
-              partition.part[static_cast<std::size_t>(v)])]++)] = v;
-    }
-    perms.push_back(std::move(perm));
+    perms.push_back(group_by_part(partition));
   }
   return perms;
 }

@@ -4,7 +4,7 @@
 // partitioned into 128 parts with the cut-net objective — the PaToH
 // configuration of Section 3.3 — and rows are grouped by part id. The same
 // permutation is applied to the columns, keeping the reordering symmetric.
-#include <numeric>
+#include <algorithm>
 
 #include "partition/hypergraph.hpp"
 #include "partition/hypergraph_partitioner.hpp"
@@ -16,26 +16,12 @@ Permutation hp_ordering(const CsrMatrix& a, const ReorderOptions& options) {
   require(a.is_square(), "hp_ordering: matrix must be square");
   const Hypergraph h = Hypergraph::column_net(a);
 
+  const index_t parts = std::min<index_t>(
+      options.hp_parts, std::max<index_t>(1, h.num_vertices()));
   PartitionOptions popt;
-  popt.num_parts = std::min<index_t>(options.hp_parts,
-                                     std::max<index_t>(1, h.num_vertices()));
   popt.seed = options.seed;
   popt.cancel = options.cancel;
-  const PartitionResult partition = partition_hypergraph(h, popt);
-
-  std::vector<offset_t> part_begin(
-      static_cast<std::size_t>(partition.num_parts) + 1, 0);
-  for (index_t p : partition.part) {
-    part_begin[static_cast<std::size_t>(p) + 1]++;
-  }
-  std::partial_sum(part_begin.begin(), part_begin.end(), part_begin.begin());
-  Permutation perm(static_cast<std::size_t>(a.num_rows()));
-  for (index_t v = 0; v < a.num_rows(); ++v) {
-    perm[static_cast<std::size_t>(
-        part_begin[static_cast<std::size_t>(
-            partition.part[static_cast<std::size_t>(v)])]++)] = v;
-  }
-  return perm;
+  return group_by_part(partition_hypergraph(h, parts, popt));
 }
 
 }  // namespace ordo

@@ -90,7 +90,6 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
   split.middle.clear();
   {
     PartitionOptions popt;
-    popt.num_parts = 2;
     popt.seed = seed;
     popt.cancel = options.cancel;
     const std::vector<index_t>& part = scratch.bisector.bisect(sub, 0.5, popt);
@@ -126,12 +125,12 @@ void dissect(const Graph& g, const std::vector<index_t>& vertices,
   pipeline::fork_join_with(
       split.left.size(), scratch,
       [&](DissectScratch& mine) {
-        dissect(g, split.left, options, seed * 6364136223846793005ULL + 1,
-                to_sub, out, mine, &mine == &scratch ? depth + 1 : 0);
+        dissect(g, split.left, options, subtree_seed(seed, 0), to_sub, out,
+                mine, &mine == &scratch ? depth + 1 : 0);
       },
       [&](DissectScratch& mine) {
-        dissect(g, split.right, options, seed * 6364136223846793005ULL + 2,
-                to_sub, right_out, mine, depth + 1);
+        dissect(g, split.right, options, subtree_seed(seed, 1), to_sub,
+                right_out, mine, depth + 1);
       });
   std::copy(split.middle.begin(), split.middle.end(),
             right_out + split.right.size());

@@ -83,7 +83,6 @@ void sbd_recurse(const CsrMatrix& a, const std::vector<index_t>& rows,
   const Hypergraph h(num_rows, std::move(net_ptr), std::move(pins), {}, {});
 
   PartitionOptions popt;
-  popt.num_parts = 2;
   popt.seed = ctx.seed;
   popt.cancel = ctx.options->cancel;
   ctx.seed = ctx.seed * 6364136223846793005ULL + 1;

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -73,6 +75,28 @@ inline void require(bool cond, const std::string& message) {
 /// fails, so per-element checks cost only the test.
 inline void require(bool cond, const char* message) {
   if (!cond) throw invalid_argument_error(message);
+}
+
+/// Parses `text`, the value of the flag or environment variable `source`,
+/// as a whole number in [min, max]: decimal digits with an optional leading
+/// '-' and nothing else. Anything else throws invalid_argument_error
+/// naming `source`, the range and `text`.
+template <typename Int>
+Int parse_whole_number(const std::string& text, const std::string& source,
+                       Int min, Int max = std::numeric_limits<Int>::max()) {
+  Int value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [parsed_to, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || parsed_to != end || value < min || value > max) {
+    throw invalid_argument_error(
+        source + ": expected a whole number " +
+        (max == std::numeric_limits<Int>::max()
+             ? ">= " + std::to_string(min)
+             : "in [" + std::to_string(min) + ", " + std::to_string(max) +
+                   "]") +
+        ", got '" + text + "'");
+  }
+  return value;
 }
 
 /// Exception thrown when a long-running computation observes its cooperative

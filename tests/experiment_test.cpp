@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <utility>
 
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
@@ -181,7 +184,10 @@ TEST(ReorderingSpeedups, DividesByOriginal) {
   EXPECT_DOUBLE_EQ(speedups[5], 7.0);
 }
 
-TEST(ParseJobs, TakesOnlyWholeNumbersFromZero) {
+// One parser reads --jobs/ORDO_JOBS (>= 0), --count/ORDO_CORPUS_COUNT
+// (>= 1) and --status-port (0-65535): whole numbers only, each held to its
+// range, and a refusal names the flag or variable and the text.
+TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
   EXPECT_EQ(parse_jobs("0", "--jobs"), 0);
   EXPECT_EQ(parse_jobs("4", "--jobs"), 4);
   EXPECT_EQ(parse_jobs("128", "ORDO_JOBS"), 128);
@@ -189,13 +195,47 @@ TEST(ParseJobs, TakesOnlyWholeNumbersFromZero) {
                           "99999999999"}) {
     EXPECT_THROW(parse_jobs(bad, "ORDO_JOBS"), invalid_argument_error) << bad;
   }
-  try {
-    parse_jobs("four", "ORDO_JOBS");
-    ADD_FAILURE() << "parse_jobs accepted 'four'";
-  } catch (const invalid_argument_error& e) {
-    EXPECT_NE(std::string(e.what()).find("ORDO_JOBS"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("'four'"), std::string::npos);
+  EXPECT_EQ(parse_whole_number<int>("1", "--count", 1), 1);
+  EXPECT_EQ(parse_whole_number<int>("2147483647", "--count", 1), 2147483647);
+  for (const char* bad : {"0", "-1", "one", "1.5"}) {
+    EXPECT_THROW(parse_whole_number<int>(bad, "--count", 1),
+                 invalid_argument_error)
+        << bad;
   }
+  EXPECT_EQ(parse_whole_number<int>("0", "--status-port", 0, 65535), 0);
+  EXPECT_EQ(parse_whole_number<int>("65535", "--status-port", 0, 65535),
+            65535);
+  for (const char* bad : {"65536", "-1", "80x", "", "x"}) {
+    EXPECT_THROW(parse_whole_number<int>(bad, "--status-port", 0, 65535),
+                 invalid_argument_error)
+        << bad;
+  }
+  const std::pair<std::function<void()>, const char*> refusals[] = {
+      {[] { parse_jobs("four", "ORDO_JOBS"); },
+       "ORDO_JOBS: expected a whole number >= 0, got 'four'"},
+      {[] { parse_whole_number<int>("x", "run_study: --count", 1); },
+       "run_study: --count: expected a whole number >= 1, got 'x'"},
+      {[] {
+         parse_whole_number<int>("70000", "run_study: --status-port", 0,
+                                 65535);
+       },
+       "run_study: --status-port: expected a whole number in [0, 65535], "
+       "got '70000'"},
+      {[] {
+         setenv("ORDO_CORPUS_COUNT", "0", 1);
+         corpus_options_from_env();
+       },
+       "ORDO_CORPUS_COUNT: expected a whole number >= 1, got '0'"},
+  };
+  for (const auto& [parse, message] : refusals) {
+    try {
+      parse();
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const invalid_argument_error& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+  unsetenv("ORDO_CORPUS_COUNT");
 }
 
 TEST(ResultsFile, RoundTrip) {

@@ -12,6 +12,7 @@
 #include <random>
 #include <string>
 
+#include "check/check.hpp"
 #include "corpus/generators.hpp"
 #include "obs/obs.hpp"
 #include "partition/coarsening.hpp"
@@ -414,9 +415,8 @@ TEST(Bisection, GridCutNearOptimal) {
 TEST(KwayPartition, BalancedForNonPowerOfTwoParts) {
   const Graph g = Graph::from_matrix(grid_laplacian_2d(30, 30));
   for (index_t parts : {3, 6, 12, 48, 72}) {
-    PartitionOptions options;
-    options.num_parts = parts;
-    const PartitionResult result = partition_graph(g, options);
+    const PartitionResult result =
+        partition_graph(g, {parts}, PartitionOptions{}).front();
     EXPECT_EQ(*std::max_element(result.part.begin(), result.part.end()) + 1,
               parts);
     EXPECT_LE(result.imbalance, 1.35) << parts << " parts";
@@ -427,9 +427,8 @@ TEST(KwayPartition, CutGrowsWithParts) {
   const Graph g = Graph::from_matrix(grid_laplacian_2d(24, 24));
   std::int64_t previous = 0;
   for (index_t parts : {2, 8, 32}) {
-    PartitionOptions options;
-    options.num_parts = parts;
-    const PartitionResult result = partition_graph(g, options);
+    const PartitionResult result =
+        partition_graph(g, {parts}, PartitionOptions{}).front();
     EXPECT_GT(result.cut, previous);
     previous = result.cut;
   }
@@ -441,13 +440,13 @@ const std::vector<index_t> kStudyPartCounts = {32, 72, 64, 16, 48, 128};
 // The shared recursion must reproduce every single-count partition exactly.
 void expect_shared_matches_separate(
     const Graph& g, const std::vector<index_t>& counts = kStudyPartCounts) {
-  PartitionOptions options;
+  const PartitionOptions options;
   const std::vector<PartitionResult> shared =
       partition_graph(g, counts, options);
   ASSERT_EQ(shared.size(), counts.size());
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    options.num_parts = counts[i];
-    const PartitionResult separate = partition_graph(g, options);
+    const PartitionResult separate =
+        partition_graph(g, {counts[i]}, options).front();
     EXPECT_EQ(shared[i].part, separate.part) << counts[i];
     EXPECT_EQ(shared[i].num_parts, separate.num_parts);
     EXPECT_EQ(shared[i].cut, separate.cut) << counts[i];
@@ -508,9 +507,7 @@ TEST(SharedKway, SharesBisectionsAcrossStudyCounts) {
 
   const std::int64_t before_separate = bisections.value();
   for (index_t parts : kStudyPartCounts) {
-    PartitionOptions options;
-    options.num_parts = parts;
-    partition_graph(g, options);
+    partition_graph(g, {parts}, PartitionOptions{});
   }
   EXPECT_EQ(bisections.value() - before_separate, 354);
 }
@@ -609,14 +606,63 @@ TEST(HypergraphBisection, BalancedAndBetterThanRandom) {
 TEST(HypergraphKway, PartitionsInto128Parts) {
   const CsrMatrix a = random_symmetric(1600, 5.0, 4);
   const Hypergraph h = Hypergraph::column_net(a);
-  PartitionOptions options;
-  options.num_parts = 128;
-  const PartitionResult result = partition_hypergraph(h, options);
+  const PartitionResult result =
+      partition_hypergraph(h, 128, PartitionOptions{});
   EXPECT_EQ(*std::max_element(result.part.begin(), result.part.end()) + 1,
             128);
   // Recursive bisection compounds the per-level tolerance (~1.05^7) plus
   // integer granularity at ~12 vertices per part.
   EXPECT_LE(result.imbalance, 1.7);
+}
+
+// HP's k-way driver on inputs at the edges of its recursion: every result
+// must satisfy the partition contract, with every part id in range and the
+// recorded imbalance a recount, at a count each side of the vertex count.
+void expect_valid_hypergraph_kway(const CsrMatrix& a) {
+  const Hypergraph h = Hypergraph::column_net(a);
+  for (const index_t parts : {2, 7, 128}) {
+    const PartitionResult result =
+        partition_hypergraph(h, parts, PartitionOptions{});
+    EXPECT_NO_THROW(check::validate_hypergraph_partition(
+        h, result, parts, "partition_hypergraph"))
+        << parts;
+    for (const index_t p : result.part) {
+      ASSERT_TRUE(p >= 0 && p < parts) << p << " of " << parts;
+    }
+    EXPECT_EQ(result.imbalance,
+              compute_partition_imbalance(h, result.part, parts))
+        << parts;
+  }
+}
+
+TEST(HypergraphKway, ValidOnOneVertex) {
+  expect_valid_hypergraph_kway(grid_laplacian_2d(1, 1));
+}
+
+TEST(HypergraphKway, ValidWithFewerVerticesThanParts) {
+  expect_valid_hypergraph_kway(grid_laplacian_2d(5, 6));
+}
+
+TEST(HypergraphKway, ValidWithNoNets) {
+  // A diagonal-only matrix: every column has one nonzero, so the
+  // column-net hypergraph keeps no net.
+  CooMatrix coo(300, 300);
+  for (index_t i = 0; i < 300; ++i) coo.add(i, i, 1.0);
+  const CsrMatrix diagonal = CsrMatrix::from_coo(coo);
+  ASSERT_EQ(Hypergraph::column_net(diagonal).num_nets(), 0);
+  expect_valid_hypergraph_kway(diagonal);
+}
+
+TEST(HypergraphKway, ValidOnTwoDisconnectedBlocks) {
+  const CsrMatrix grid = grid_laplacian_2d(12, 12);
+  CooMatrix coo(2 * grid.num_rows(), 2 * grid.num_rows());
+  for (index_t block = 0; block < 2; ++block) {
+    const index_t base = block * grid.num_rows();
+    for (index_t i = 0; i < grid.num_rows(); ++i) {
+      for (index_t j : grid.row_cols(i)) coo.add(base + i, base + j, 1.0);
+    }
+  }
+  expect_valid_hypergraph_kway(CsrMatrix::from_coo(coo));
 }
 
 TEST(GraphGrowing, HitsWeightTarget) {
@@ -1059,11 +1105,8 @@ TEST(NdRoot, EqualsGpRootBisection) {
     for (const std::uint64_t seed : {1, 2023}) {
       PartitionOptions gp;
       gp.seed = seed;
-      PartitionOptions nd;
-      nd.num_parts = 2;
-      nd.seed = seed;
       const PartitionResult gp_root = bisect_graph(g, 0.5, gp);
-      EXPECT_EQ(bisect_graph(nd_root, 0.5, nd).part, gp_root.part);
+      EXPECT_EQ(bisect_graph(nd_root, 0.5, gp).part, gp_root.part);
       // And it is the root of GP's shared tree: two parts are that split.
       EXPECT_EQ(partition_graph(g, {2}, gp).front().part, gp_root.part);
     }

@@ -128,6 +128,29 @@ TEST(OrderingBytes, SameWithAndWithoutIdleCores) {
   }
 }
 
+// A task's deadline can pass before its partitioners start. With the flag
+// already set, each must throw at its first poll, before any bisection,
+// whether its subtrees could fork (cores free) or not (every core claimed).
+TEST(PartitionerCancel, PresetFlagThrowsWithAndWithoutIdleCores) {
+  const CsrMatrix a = gen_mesh2d(48, 48, 5);
+  ASSERT_GT(static_cast<std::size_t>(a.num_rows()),
+            pipeline::kMinForkVertices);
+  const std::atomic<bool> cancelled{true};
+  ReorderOptions options;
+  options.cancel = &cancelled;
+  for (const bool claim_every_core : {false, true}) {
+    SCOPED_TRACE(claim_every_core ? "every core claimed" : "cores free");
+    const int held = claim_every_core ? pipeline::acquire_idle_cores(
+                                            obs::affinity_cpu_count())
+                                      : 0;
+    EXPECT_THROW(gp_orderings(a, {32, 72, 64, 16, 48, 128}, options),
+                 operation_cancelled_error);
+    EXPECT_THROW(hp_ordering(a, options), operation_cancelled_error);
+    EXPECT_THROW(nd_ordering(a, options), operation_cancelled_error);
+    pipeline::release_cores(held);
+  }
+}
+
 // The apply path runs its row loops on idle cores (pipeline::parallel_for):
 // each output row's slot is known before it is written, so permuting,
 // building a graph and computing Gray must give the same arrays with the
