@@ -1,4 +1,4 @@
-// google-benchmark microbenchmarks for the real (OpenMP) SpMV kernels on the
+// google-benchmark microbenchmarks for the real threaded SpMV kernels on the
 // host machine: serial vs the engine's registered kernels (1D, 2D,
 // merge-path) across matrix families, plus the plan-preparation cost that
 // Section 3.1 argues is amortisable, the engine's cached-plan lookup, and

@@ -2,7 +2,7 @@
 // in CSR (the paper uses 96000x4000 and measures ~53 Gflop/s = 317 GB/s on
 // Milan B, about 77% of peak bandwidth). The modelled run should likewise
 // land at a large fraction of the machine's bandwidth, since the x vector
-// fits in cache and the matrix streams from DRAM. A real (OpenMP) kernel run
+// fits in cache and the matrix streams from DRAM. A real (threaded) kernel run
 // on the host machine is printed alongside for reference.
 #include <vector>
 

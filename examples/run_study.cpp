@@ -171,15 +171,17 @@ int main(int argc, char** argv) {
       corpus.count =
           parse_whole_number<int>(next(), "run_study: --count", 1);
     } else if (arg == "--scale") {
-      corpus.scale = std::atof(next());
+      corpus.scale = parse_real_number(next(), "run_study: --scale", 0.01);
     } else if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--seed") {
-      corpus.seed = std::strtoull(next(), nullptr, 10);
+      corpus.seed = parse_whole_number<std::uint64_t>(
+          next(), "run_study: --seed", 0);
     } else if (arg == "--jobs") {
       study.jobs = parse_jobs(next(), "run_study: --jobs");
     } else if (arg == "--task-timeout") {
-      study.task_timeout_seconds = std::atof(next());
+      study.task_timeout_seconds =
+          parse_real_number(next(), "run_study: --task-timeout", 0.0);
     } else if (arg == "--resume") {
       study.resume = true;
     } else if (arg == "--no-resume") {
@@ -201,7 +203,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--auto-order") {
       study.auto_order = true;
     } else if (arg == "--spmv-budget") {
-      study.spmv_budget = std::atof(next());
+      study.spmv_budget =
+          parse_real_number(next(), "run_study: --spmv-budget", 1.0);
     } else if (arg == "--export-features") {
       features_file = next();
     } else if (arg == "--verbose") {

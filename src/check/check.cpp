@@ -134,6 +134,14 @@ void validate_hypergraph_partition(const Hypergraph& h,
                      "recorded cut-net count " + std::to_string(result.cut) +
                          " does not match recount " + std::to_string(cut));
   }
+  const double imbalance =
+      compute_partition_imbalance(h, result.part, num_parts);
+  // Exact comparison is intended, as in validate_partition: the recount
+  // runs the identical arithmetic on the identical assignment.
+  if (imbalance != result.imbalance) {  // ordo-lint: allow(float-eq)
+    report_violation(kind, where,
+                     "recorded imbalance does not match recount");
+  }
 }
 
 void validate_reordering_result(const CsrMatrix& a, const Ordering& ordering,

@@ -85,7 +85,8 @@ CorpusOptions corpus_options_from_env() {
     options.count = parse_whole_number<int>(count, "ORDO_CORPUS_COUNT", 1);
   }
   if (const char* scale = std::getenv("ORDO_CORPUS_SCALE")) {
-    options.scale = std::max(0.01, std::atof(scale));
+    options.scale =
+        std::max(0.01, parse_real_number(scale, "ORDO_CORPUS_SCALE", 0.0));
   }
   return options;
 }

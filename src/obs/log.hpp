@@ -9,7 +9,7 @@
 //
 // The level comes from `ORDO_LOG=quiet|progress|debug` (see
 // obs::init_from_env) or set_log_level(). Lines go to stderr under a mutex
-// so OpenMP regions cannot interleave partial lines.
+// so concurrent threads cannot interleave partial lines.
 #pragma once
 
 #include <string>

@@ -1,8 +1,8 @@
-// The process's one scheduler: parked worker threads that run the study
-// sweep's `--jobs` loops (run_tasks), the partitioners' recursions
-// (fork_join) and the row loops that build and permute CSR arrays
-// (parallel_for). All three hand jobs to parked workers, run the caller's
-// own share, then wait for the rest.
+// The process's one scheduler: pool worker threads that run the study
+// sweep's `--jobs` loops and the SpMV kernels' launches (run_tasks), the
+// partitioners' recursions (fork_join) and the row loops that build and
+// permute CSR arrays (parallel_for). All three hand jobs to free workers,
+// run the caller's own share, then wait for the rest.
 //
 // A process-wide budget counts the threads running ordo work: the process's
 // own thread (always) and each worker while it runs a job. A core is idle
@@ -15,10 +15,15 @@
 // threads' cores idle or not, so a `--jobs 4` sweep on 4 CPUs forks only at
 // its tail, when its loops run out of tasks, and `taskset -c 0` never forks.
 //
-// A claimed core always gets a worker: when none is parked the pool starts
+// A claimed core always gets a worker: when none is free the pool starts
 // one, so it grows only to the peak concurrency reached, at most
-// max(jobs, affinity CPUs) - 1 threads. Parked workers sleep on a condition
-// variable and never spin: libgomp's kernel threads share these cores. A
+// max(jobs, affinity CPUs) - 1 threads. A worker whose job ended spins up
+// to 1 ms for its next one, but only while the busy threads leave a core
+// idle for it, and a caller as long for its jobs while the busy threads
+// fit on the affinity CPUs; both yield the core between checks, then
+// sleep on a condition variable. So back-to-back kernel launches hand off
+// in about 2 us, `taskset -c 0` or an oversubscribed `--jobs` never
+// spins, and another process's thread waiting for a core gets it. A
 // worker never starts a job inside another and a caller only waits, so no
 // thread-local state (status slot, trace depth) crosses from one job to
 // another. The pool starts at the first handoff and lives as long as the

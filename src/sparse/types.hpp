@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -95,6 +96,27 @@ Int parse_whole_number(const std::string& text, const std::string& source,
              : "in [" + std::to_string(min) + ", " + std::to_string(max) +
                    "]") +
         ", got '" + text + "'");
+  }
+  return value;
+}
+
+/// Parses `text`, the value of the flag or environment variable `source`,
+/// as a finite real number >= min, in std::from_chars' general format
+/// ("0.5", "2e-3") and nothing else. Anything else throws
+/// invalid_argument_error naming `source`, the minimum and `text`.
+inline double parse_real_number(const std::string& text,
+                                const std::string& source, double min) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [parsed_to, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || parsed_to != end || !std::isfinite(value) ||
+      value < min) {
+    char shortest[32];
+    const auto written =
+        std::to_chars(shortest, shortest + sizeof(shortest), min).ptr;
+    throw invalid_argument_error(source + ": expected a real number >= " +
+                                 std::string(shortest, written) + ", got '" +
+                                 text + "'");
   }
   return value;
 }

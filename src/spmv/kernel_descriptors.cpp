@@ -144,7 +144,7 @@ void register_builtin_kernels() {
   register_kernel({
       .id = "csr_1d",
       .display_name = "1D",
-      .summary = "even row blocks, one per thread (omp schedule(static))",
+      .summary = "even row blocks, one per thread (partition_rows_even)",
       .caps = {},
       .prepare = prepare_csr_1d,
       .execute = execute_csr_1d,

@@ -1,9 +1,9 @@
 #include "spmv/kernels_extra.hpp"
 
 #include <algorithm>
+#include <atomic>
 
-#include <omp.h>
-
+#include "pipeline/fork_join.hpp"
 #include "spmv/spmv.hpp"
 
 namespace ordo {
@@ -102,29 +102,28 @@ void spmv_transpose_parallel(const CsrMatrix& a, std::span<const value_t> x,
   require(x.size() == static_cast<std::size_t>(a.num_rows()) &&
               y.size() == static_cast<std::size_t>(a.num_cols()),
           "spmv_transpose: size mismatch");
-  const index_t m = a.num_rows();
-  const index_t n = a.num_cols();
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
-#pragma omp parallel num_threads(num_threads)
-  {
-#pragma omp for schedule(static)
-    for (index_t j = 0; j < n; ++j) {
-      y[static_cast<std::size_t>(j)] = 0.0;
-    }
-#pragma omp for schedule(static)
-    for (index_t i = 0; i < m; ++i) {
-      const value_t xi = x[static_cast<std::size_t>(i)];
-      for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
-           k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-        const std::size_t j =
-            static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]);
-#pragma omp atomic
-        y[j] += values[static_cast<std::size_t>(k)] * xi;
-      }
-    }
-  }
+  const std::vector<index_t> blocks =
+      partition_rows_even(a.num_rows(), num_threads);
+  std::fill(y.begin(), y.end(), 0.0);
+  pipeline::run_tasks(
+      static_cast<std::size_t>(num_threads), num_threads, [&](std::size_t t) {
+        for (index_t i = blocks[t]; i < blocks[t + 1]; ++i) {
+          const value_t xi = x[static_cast<std::size_t>(i)];
+          for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
+               k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+            const std::size_t j =
+                static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)]);
+            // Relaxed: each add is whole on its own; the pool's join
+            // publishes y to the caller.
+            std::atomic_ref<value_t>(y[j]).fetch_add(
+                values[static_cast<std::size_t>(k)] * xi,
+                std::memory_order_relaxed);
+          }
+        }
+      });
 }
 
 }  // namespace ordo

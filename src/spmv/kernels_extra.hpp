@@ -8,8 +8,8 @@
 //  * symmetric SpMV: processes a symmetric matrix from its lower triangle,
 //    halving the matrix traffic (the optimisation studied by Gkountouvas et
 //    al., cited in Section 5); serial reference implementation.
-//  * transpose products y = Aᵀx, serial and OpenMP row-parallel with atomic
-//    scatter.
+//  * transpose products y = Aᵀx, serial and row-parallel on the pool with
+//    atomic scatter (std::atomic_ref).
 #pragma once
 
 #include <span>
@@ -45,7 +45,8 @@ void spmv_symmetric_lower_serial(const CsrMatrix& lower,
 void spmv_transpose_serial(const CsrMatrix& a, std::span<const value_t> x,
                            std::span<value_t> y);
 
-/// y = Aᵀ·x, OpenMP-parallel over rows with atomic scatter into y.
+/// y = Aᵀ·x, one pool thread per row block of partition_rows_even, with
+/// atomic scatter into y.
 void spmv_transpose_parallel(const CsrMatrix& a, std::span<const value_t> x,
                              std::span<value_t> y, int num_threads);
 

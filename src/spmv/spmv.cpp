@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include <omp.h>
-
 #include "obs/obs.hpp"
+#include "obs/stopwatch.hpp"
+#include "pipeline/fork_join.hpp"
 
 namespace ordo {
 namespace {
@@ -41,6 +41,33 @@ void record_thread_profile(const char* kernel,
 #endif
 }
 
+// One kernel launch: chunk(0), ..., chunk(threads - 1) on `threads` pool
+// threads (pipeline::run_tasks), one chunk per thread. Under ORDO_PROFILE=1
+// each chunk is timed and the launch recorded as spmv.<kernel>.*, with the
+// chunks' nonzeros from chunk_nnz().
+template <class Chunk, class ChunkNnz>
+void launch(const char* kernel, int threads, const Chunk& chunk,
+            const ChunkNnz& chunk_nnz) {
+  const auto count = static_cast<std::size_t>(threads);
+  if (!obs::profiling_enabled()) {
+    pipeline::run_tasks(count, threads, chunk);
+    return;
+  }
+  std::vector<double> chunk_seconds(count, 0.0);
+  pipeline::run_tasks(count, threads, [&](std::size_t t) {
+    const obs::Stopwatch watch;
+    chunk(t);
+    chunk_seconds[t] = watch.seconds();
+  });
+  record_thread_profile(kernel, chunk_seconds, chunk_nnz());
+}
+
+// Row boundary t of the even split of `num_rows` rows into `threads` blocks.
+index_t even_row_bound(index_t num_rows, std::int64_t t, int threads) {
+  return static_cast<index_t>((static_cast<std::int64_t>(num_rows) * t) /
+                              threads);
+}
+
 }  // namespace
 
 void spmv_serial(const CsrMatrix& a, std::span<const value_t> x,
@@ -67,8 +94,8 @@ std::vector<index_t> partition_rows_even(index_t num_rows, int num_threads) {
   require(num_threads >= 1, "partition_rows_even: need at least one thread");
   std::vector<index_t> boundaries(static_cast<std::size_t>(num_threads) + 1);
   for (int t = 0; t <= num_threads; ++t) {
-    boundaries[static_cast<std::size_t>(t)] = static_cast<index_t>(
-        (static_cast<std::int64_t>(num_rows) * t) / num_threads);
+    boundaries[static_cast<std::size_t>(t)] =
+        even_row_bound(num_rows, t, num_threads);
   }
   return boundaries;
 }
@@ -125,25 +152,19 @@ void spmv_1d(const CsrMatrix& a, std::span<const value_t> x,
           "spmv_1d: x size mismatch");
   require(y.size() == static_cast<std::size_t>(a.num_rows()),
           "spmv_1d: y size mismatch");
+  require(num_threads >= 1, "spmv_1d: need at least one thread");
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
   const index_t m = a.num_rows();
-
-  if (obs::profiling_enabled()) {
-    // Profiled launch: same even contiguous row split, but with explicit
-    // boundaries so each thread can time its own block. This path is taken
-    // only under ORDO_PROFILE=1; the default path below is untouched.
-    const std::vector<index_t> bounds = partition_rows_even(m, num_threads);
-    std::vector<double> thread_seconds(
-        static_cast<std::size_t>(num_threads), 0.0);
-#pragma omp parallel num_threads(num_threads)
-    {
-      const int t = omp_get_thread_num();
-      if (t < num_threads) {
-        const double start = omp_get_wtime();
-        for (index_t i = bounds[static_cast<std::size_t>(t)];
-             i < bounds[static_cast<std::size_t>(t) + 1]; ++i) {
+  // Chunk t is row block t of partition_rows_even, the split the plan
+  // records and the model prices.
+  launch(
+      "1d", num_threads,
+      [&](std::size_t t) {
+        const auto block = static_cast<std::int64_t>(t);
+        const index_t end = even_row_bound(m, block + 1, num_threads);
+        for (index_t i = even_row_bound(m, block, num_threads); i < end; ++i) {
           value_t sum = 0.0;
           for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
                k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
@@ -153,27 +174,8 @@ void spmv_1d(const CsrMatrix& a, std::span<const value_t> x,
           }
           y[static_cast<std::size_t>(i)] = sum;
         }
-        thread_seconds[static_cast<std::size_t>(t)] =
-            omp_get_wtime() - start;
-      }
-    }
-    record_thread_profile("1d", thread_seconds,
-                          nnz_per_thread_1d(a, num_threads));
-    return;
-  }
-
-  // schedule(static) with the default chunking yields the even contiguous
-  // row split of the paper's 1D algorithm.
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (index_t i = 0; i < m; ++i) {
-    value_t sum = 0.0;
-    for (offset_t k = row_ptr[static_cast<std::size_t>(i)];
-         k < row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      sum += values[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(col_idx[static_cast<std::size_t>(k)])];
-    }
-    y[static_cast<std::size_t>(i)] = sum;
-  }
+      },
+      [&] { return nnz_per_thread_1d(a, num_threads); });
 }
 
 void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
@@ -188,8 +190,9 @@ void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
   const auto row_ptr = a.row_ptr();
   const auto col_idx = a.col_idx();
   const auto values = a.values();
+  const index_t m = a.num_rows();
 
-  if (a.num_rows() == 0) return;
+  if (m == 0) return;
 
   // Partial sums of boundary rows: carry[t] is thread t's contribution to
   // its first row when that row *starts* in an earlier thread's range. The
@@ -197,71 +200,58 @@ void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,
   // fix-up adds the carries, so no two threads ever write the same element.
   std::vector<value_t> carry(static_cast<std::size_t>(num_threads), 0.0);
 
-  const bool profiled = obs::profiling_enabled();
-  std::vector<double> thread_seconds(
-      profiled ? static_cast<std::size_t>(num_threads) : 0, 0.0);
-
-#pragma omp parallel num_threads(num_threads)
-  {
-    // Zero-fill the output first: rows whose nonzeros lie entirely outside a
-    // thread's range (empty rows at partition boundaries) are never visited
-    // by the sweep below.
-    const index_t m = a.num_rows();
-#pragma omp for schedule(static)
-    for (index_t i = 0; i < m; ++i) {
-      y[static_cast<std::size_t>(i)] = 0.0;
-    }
-
-    const int t = omp_get_thread_num();
-    if (t < num_threads) {
-      const double profile_start = profiled ? omp_get_wtime() : 0.0;
-      const offset_t begin = partition.nnz_begin[static_cast<std::size_t>(t)];
-      const offset_t end = partition.nnz_begin[static_cast<std::size_t>(t) + 1];
-      if (begin < end) {
-        const index_t first_row = partition.row_of[static_cast<std::size_t>(t)];
+  const std::vector<offset_t>& nnz_begin = partition.nnz_begin;
+  const std::vector<index_t>& row_of = partition.row_of;
+  launch(
+      "2d", num_threads,
+      [&](std::size_t t) {
+        const offset_t begin = nnz_begin[t];
+        const offset_t end = nnz_begin[t + 1];
+        const index_t first_row = row_of[t];
         const bool first_row_shared =
             begin > row_ptr[static_cast<std::size_t>(first_row)];
+        // The sweep: one partial or whole row per step, in order. After
+        // it, rows [first_row, row) are the ones this range wrote.
         index_t row = first_row;
-        offset_t k = begin;
-        value_t sum = 0.0;
-        while (k < end) {
-          const offset_t row_end = row_ptr[static_cast<std::size_t>(row) + 1];
-          const offset_t stop = std::min(row_end, end);
+        for (offset_t k = begin; k < end; ++row) {
+          const offset_t stop =
+              std::min(row_ptr[static_cast<std::size_t>(row) + 1], end);
+          value_t sum = 0.0;
           for (; k < stop; ++k) {
             sum += values[static_cast<std::size_t>(k)] *
                    x[static_cast<std::size_t>(
                        col_idx[static_cast<std::size_t>(k)])];
           }
-          const bool row_complete = (k == row_end);
-          if (row_complete || k == end) {
-            if (row == first_row && first_row_shared) {
-              carry[static_cast<std::size_t>(t)] = sum;
-            } else {
-              y[static_cast<std::size_t>(row)] = sum;
-            }
-          }
-          if (row_complete) {
-            sum = 0.0;
-            ++row;
+          if (row == first_row && first_row_shared) {
+            carry[t] = sum;
+          } else {
+            y[static_cast<std::size_t>(row)] = sum;
           }
         }
-      }
-      if (profiled) {
-        thread_seconds[static_cast<std::size_t>(t)] =
-            omp_get_wtime() - profile_start;
-      }
-    }
-  }
-
-  if (profiled) {
-    std::vector<offset_t> thread_nnz(static_cast<std::size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) {
-      thread_nnz[static_cast<std::size_t>(t)] =
-          partition.nnz_begin[static_cast<std::size_t>(t) + 1] -
-          partition.nnz_begin[static_cast<std::size_t>(t)];
-    }
-    record_thread_profile("2d", thread_seconds, thread_nnz);
-  }
+        // Zero the rows of this thread's share that no range's sweep
+        // writes: empty rows at range boundaries and at either end. The
+        // shares are [row_of[t], row_of[t + 1]), the first from row 0 and
+        // the last to m. A range's sweep stays within rows
+        // [row_of[t], row_of[t + 1]], so inside its share only this range
+        // writes, except its first row when shared: an earlier range
+        // started that row and writes it.
+        const auto zero = [&](index_t from, index_t to) {
+          for (index_t i = from; i < to; ++i) {
+            y[static_cast<std::size_t>(i)] = 0.0;
+          }
+        };
+        const std::size_t last = static_cast<std::size_t>(num_threads) - 1;
+        if (t == 0) zero(0, first_row);
+        zero(std::max<index_t>(row, first_row + (first_row_shared ? 1 : 0)),
+             t == last ? m : row_of[t + 1]);
+      },
+      [&] {
+        std::vector<offset_t> chunk_nnz(static_cast<std::size_t>(num_threads));
+        for (std::size_t t = 0; t < chunk_nnz.size(); ++t) {
+          chunk_nnz[t] = nnz_begin[t + 1] - nnz_begin[t];
+        }
+        return chunk_nnz;
+      });
 
   // Serial fix-up: add carried partial sums into their rows.
   for (int t = 0; t < num_threads; ++t) {

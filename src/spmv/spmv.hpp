@@ -2,15 +2,17 @@
 //
 // Two kernels are studied:
 //  * the **1D algorithm**: rows are split into equal-sized contiguous blocks,
-//    one per thread (what `#pragma omp for schedule(static)` produces) — it
-//    is simple but load-imbalanced when nonzeros are unevenly distributed;
+//    one per thread (partition_rows_even) — it is simple but
+//    load-imbalanced when nonzeros are unevenly distributed;
 //  * the **2D algorithm**: the *nonzeros* are split evenly; each thread
 //    processes a contiguous nonzero range, handling its first and last
 //    (possibly shared) rows with a separate fix-up pass so no two threads
 //    race on an output element. This is a simplified merge-based kernel
 //    (Merrill & Garland 2016).
 //
-// Both kernels compute y = A·x.
+// Both kernels compute y = A·x. A launch on T threads runs chunk t of its
+// split as task t of pipeline::run_tasks(T, T, ...), on the caller and
+// T - 1 pool workers.
 #pragma once
 
 #include <span>
@@ -49,11 +51,11 @@ NnzPartition partition_nonzeros_even(const CsrMatrix& a, int num_threads);
 /// one; the 2D imbalance factor is 1 by construction).
 std::vector<offset_t> nnz_per_thread_2d(const CsrMatrix& a, int num_threads);
 
-/// 1D kernel: OpenMP-parallel over even row blocks.
+/// 1D kernel: one pool thread per row block of partition_rows_even.
 void spmv_1d(const CsrMatrix& a, std::span<const value_t> x,
              std::span<value_t> y, int num_threads);
 
-/// 2D kernel: OpenMP-parallel over the given nonzero partition. The
+/// 2D kernel: one pool thread per range of the given nonzero partition. The
 /// partition is a reusable preprocessing product, amortised over iterations
 /// exactly as in the paper.
 void spmv_2d(const CsrMatrix& a, std::span<const value_t> x,

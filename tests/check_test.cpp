@@ -306,6 +306,21 @@ TEST(CheckInvariants, HypergraphPartitionRejectsMisreportedCut) {
                    ViolationKind::kPartition);
 }
 
+TEST(CheckInvariants, HypergraphPartitionRejectsMisreportedImbalance) {
+  // Four unit-weight vertices split 3 / 1: the heaviest part is 1.5 times
+  // the average.
+  Hypergraph h(4, {0, 2, 4}, {0, 1, 1, 2}, {}, {});
+  PartitionResult result;
+  result.num_parts = 2;
+  result.part = {0, 0, 0, 1};
+  result.cut = compute_cut_nets(h, result.part);
+  result.imbalance = compute_partition_imbalance(h, result.part, 2);
+  EXPECT_NO_THROW(check::validate_hypergraph_partition(h, result, 2, "test"));
+  result.imbalance = 1.0;
+  EXPECT_VIOLATION(check::validate_hypergraph_partition(h, result, 2, "test"),
+                   ViolationKind::kPartition);
+}
+
 // --- Ordering --------------------------------------------------------------
 
 TEST(CheckInvariants, ReorderingResultRejectsNonBijectiveRowPerm) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "core/experiment.hpp"
@@ -210,6 +212,33 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
                  invalid_argument_error)
         << bad;
   }
+  EXPECT_EQ(parse_whole_number<std::uint64_t>("18446744073709551615",
+                                              "--seed", 0),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"abc", "-1", "18446744073709551616", "7.0", ""}) {
+    EXPECT_THROW(parse_whole_number<std::uint64_t>(bad, "--seed", 0),
+                 invalid_argument_error)
+        << bad;
+  }
+  // The real-valued flags: --scale (>= 0.01), --task-timeout (>= 0) and
+  // --spmv-budget (>= 1) share one checked parse.
+  EXPECT_DOUBLE_EQ(parse_real_number("0.05", "--scale", 0.01), 0.05);
+  EXPECT_DOUBLE_EQ(parse_real_number("2e-2", "--scale", 0.01), 0.02);
+  EXPECT_DOUBLE_EQ(parse_real_number("0", "--task-timeout", 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(parse_real_number("1", "--spmv-budget", 1.0), 1.0);
+  for (const char* bad : {"x", "", "0.005", "-1", "inf", "nan", "1e999",
+                          "0.5x", " 0.5", "+0.5", "0,5"}) {
+    EXPECT_THROW(parse_real_number(bad, "--scale", 0.01),
+                 invalid_argument_error)
+        << bad;
+  }
+  EXPECT_THROW(parse_real_number("0.5", "--spmv-budget", 1.0),
+               invalid_argument_error);
+  EXPECT_THROW(parse_real_number("-0.1", "--task-timeout", 0.0),
+               invalid_argument_error);
+  // ORDO_CORPUS_SCALE keeps its floor: a number below 0.01 means 0.01.
+  setenv("ORDO_CORPUS_SCALE", "0.001", 1);
+  EXPECT_DOUBLE_EQ(corpus_options_from_env().scale, 0.01);
   const std::pair<std::function<void()>, const char*> refusals[] = {
       {[] { parse_jobs("four", "ORDO_JOBS"); },
        "ORDO_JOBS: expected a whole number >= 0, got 'four'"},
@@ -226,6 +255,18 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
          corpus_options_from_env();
        },
        "ORDO_CORPUS_COUNT: expected a whole number >= 1, got '0'"},
+      {[] { parse_real_number("x", "run_study: --scale", 0.01); },
+       "run_study: --scale: expected a real number >= 0.01, got 'x'"},
+      {[] {
+         parse_whole_number<std::uint64_t>("abc", "run_study: --seed", 0);
+       },
+       "run_study: --seed: expected a whole number >= 0, got 'abc'"},
+      {[] {
+         unsetenv("ORDO_CORPUS_COUNT");
+         setenv("ORDO_CORPUS_SCALE", "x", 1);
+         corpus_options_from_env();
+       },
+       "ORDO_CORPUS_SCALE: expected a real number >= 0, got 'x'"},
   };
   for (const auto& [parse, message] : refusals) {
     try {
@@ -236,6 +277,7 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
     }
   }
   unsetenv("ORDO_CORPUS_COUNT");
+  unsetenv("ORDO_CORPUS_SCALE");
 }
 
 TEST(ResultsFile, RoundTrip) {

@@ -447,12 +447,18 @@ TEST(ForkJoin, BudgetIsAffinityCpusMinusRunningJobs) {
   EXPECT_EQ(pipeline::acquire_idle_cores(1), 0);
   pipeline::release_cores(idle);
   // run_tasks' second thread is a worker that counts, idle core or not,
-  // only while it runs its job.
+  // only while it runs its job. Task 1 (the worker's) ends only after task
+  // 0 (the caller's) has counted, so the worker is still on its job then.
   std::atomic<int> during_job{-1};
   pipeline::run_tasks(2, 2, [&during_job, cpus](std::size_t k) {
-    if (k != 0) return;
+    if (k != 0) {
+      while (during_job.load(std::memory_order_acquire) < 0) {
+        std::this_thread::yield();
+      }
+      return;
+    }
     const int claimed = pipeline::acquire_idle_cores(cpus);
-    during_job.store(claimed, std::memory_order_relaxed);
+    during_job.store(claimed, std::memory_order_release);
     pipeline::release_cores(claimed);
   });
   EXPECT_EQ(during_job.load(std::memory_order_relaxed),

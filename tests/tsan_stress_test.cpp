@@ -6,7 +6,7 @@
 // workers), DeadlineWatchdog arm/disarm churn with cancellations landing
 // mid-task, partitioner subtrees forked onto idle cores from pool workers,
 // row loops of applying orderings split onto idle cores from pool workers,
-// JournalWriter appends from many workers, the obs metrics registry, and
+// SpMV kernel launches nested inside pool jobs, JournalWriter appends from many workers, the obs metrics registry, and
 // trace-span recording overlapped with snapshot collection.
 // They run (and must pass) in ordinary builds too — they are plain
 // functional tests with assertions — but their interleavings only become
@@ -16,7 +16,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -27,6 +29,7 @@
 
 #include "corpus/corpus.hpp"
 #include "corpus/generators.hpp"
+#include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
@@ -36,6 +39,7 @@
 #include "reorder/reordering.hpp"
 #include "select/select.hpp"
 #include "sparse/csr_ops.hpp"
+#include "spmv/spmv.hpp"
 
 namespace ordo {
 namespace {
@@ -282,6 +286,54 @@ TEST(TsanStressTest, ApplyOrderingRowLoopsOnPoolWorkersWhileCoresFree) {
   }
 #endif
   // Every helper gave its core back.
+  expect_every_core_back();
+}
+
+TEST(TsanStressTest, NestedKernelLaunchesOnPoolWorkers) {
+  // Four tasks each launch csr_1d, csr_2d and merge 50 times at four
+  // threads through shared prepared plans, so every launch hands its
+  // chunks out from inside a pool job, as --hw study tasks do, and the
+  // launches race each other's handoffs, spins and joins. The power-law
+  // matrix has rows split across the nonzero and merge-path ranges; its
+  // values and x are small integers, so every summation order is exact and
+  // each y must equal spmv_serial's bytes.
+  constexpr int kLaunchThreads = 4;
+  constexpr int kRounds = 50;
+  const CsrMatrix pattern = gen_rmat(9, 8, 0.57, 0.19, 0.19, 11);
+  CsrArray<value_t> values(static_cast<std::size_t>(pattern.num_nonzeros()));
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    values[k] = static_cast<value_t>(1 + k % 7);
+  }
+  const CsrMatrix a(
+      pattern.num_rows(), pattern.num_cols(),
+      CsrArray<offset_t>(pattern.row_ptr().begin(), pattern.row_ptr().end()),
+      CsrArray<index_t>(pattern.col_idx().begin(), pattern.col_idx().end()),
+      std::move(values));
+  std::vector<value_t> x(static_cast<std::size_t>(a.num_cols()));
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    x[j] = static_cast<value_t>(static_cast<int>(j % 5) - 2);
+  }
+  std::vector<value_t> expected(static_cast<std::size_t>(a.num_rows()));
+  spmv_serial(a, x, expected);
+  std::vector<std::shared_ptr<const engine::Plan>> plans;
+  for (const char* kernel : {"csr_1d", "csr_2d", "merge"}) {
+    plans.push_back(engine::prepare_plan(a, kernel, kLaunchThreads));
+  }
+  std::atomic<int> mismatches{0};
+  pipeline::run_tasks(4, 4, [&](std::size_t) {
+    std::vector<value_t> y(expected.size());
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto& plan : plans) {
+        std::fill(y.begin(), y.end(), std::nan(""));
+        engine::spmv(*plan, a, x, y);
+        if (std::memcmp(y.data(), expected.data(),
+                        y.size() * sizeof(value_t)) != 0) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
   expect_every_core_back();
 }
 

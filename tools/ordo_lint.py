@@ -17,10 +17,10 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
                  printf/std::cout/std::cerr console output: the library
                  reports through ordo::obs (snprintf/vsnprintf formatting
                  into buffers is fine).
-  omp            src/ only, src/engine/ and src/spmv/ exempt. No
-                 #pragma omp: OpenMP parallelism lives behind the engine's
-                 registered kernels — other layers consume prepared plans
-                 (engine::prepare_plan / engine::spmv), never raw threads.
+  omp            src/ only, no exemption. No #pragma omp: every parallel
+                 loop, the SpMV kernels' included, runs on the one worker
+                 pool (pipeline/fork_join.hpp), so the library has one
+                 thread system for the budget, TSan and the traces to see.
   socket         src/ only, src/obs/status/ exempt. No raw POSIX sockets
                  (::socket/::bind/::listen/::accept/::connect or the
                  <sys/socket.h> family): the loopback-only status listener
@@ -145,12 +145,6 @@ def io_exempt(relpath):
     if relpath.startswith(os.path.join("src", "obs") + os.sep):
         return True
     return os.path.basename(relpath).startswith("gnuplot.")
-
-
-def omp_exempt(relpath):
-    return relpath.startswith(
-        (os.path.join("src", "engine") + os.sep,
-         os.path.join("src", "spmv") + os.sep))
 
 
 def thread_exempt(relpath):
@@ -304,11 +298,9 @@ def lint_file(path):
                 check(lineno, "io", IO_RE.search(code),
                       "console I/O in library code — report through "
                       "ordo::obs (logf/metrics)")
-            if not omp_exempt(relpath):
-                check(lineno, "omp", OMP_RE.search(code),
-                      "#pragma omp outside src/engine/ and src/spmv/ — "
-                      "consume a prepared engine plan instead of spawning "
-                      "threads")
+            check(lineno, "omp", OMP_RE.search(code),
+                  "#pragma omp — run parallel loops on the worker pool "
+                  "(pipeline/fork_join.hpp)")
             if not chrono_exempt(relpath):
                 check(lineno, "chrono", CHRONO_RE.search(code),
                       "raw std::chrono outside src/obs/ and src/pipeline/ — "
@@ -409,6 +401,14 @@ void start_raw(pthread_t* thread) {
 }
 """
 
+# The omp rule has no exemption: the kernels' own directory included.
+SEEDED_KERNEL = """\
+void spmv_rows(double* y, int n) {
+#pragma omp parallel for
+  for (int i = 0; i < n; ++i) y[i] = 0.0;
+}
+"""
+
 SEEDED_SUPPRESSED = """\
 #pragma once
 #include <vector>
@@ -443,6 +443,12 @@ def self_test():
         with open(pool, "w", encoding="utf-8") as f:
             f.write(SEEDED_POOL)
 
+        spmv = os.path.join(srcdir, "spmv")
+        os.makedirs(spmv)
+        kernel = os.path.join(spmv, "seeded_kernel.cpp")
+        with open(kernel, "w", encoding="utf-8") as f:
+            f.write(SEEDED_KERNEL)
+
         global REPO_ROOT
         saved_root = REPO_ROOT
         REPO_ROOT = tmp
@@ -452,6 +458,7 @@ def self_test():
             ok_violations = lint_file(ok)
             second_violations = lint_file(second)
             pool_violations = lint_file(pool)
+            kernel_violations = lint_file(kernel)
         finally:
             REPO_ROOT = saved_root
 
@@ -471,6 +478,9 @@ def self_test():
         if [v.line for v in pool_violations if v.rule == "thread"] != [6]:
             failures.append("rule 'thread' did not fire on pthread_create "
                             "alone in the pool's file")
+        if [v.line for v in kernel_violations if v.rule == "omp"] != [2]:
+            failures.append("rule 'omp' did not fire on #pragma omp in "
+                            "src/spmv/")
 
     if failures:
         for f in failures:
