@@ -7,7 +7,7 @@
 //               [--task-timeout S] [--resume|--no-resume]
 //               [--verbose] [--log quiet|progress|debug] [--kernels id,...]
 //               [--list-kernels] [--allow-nondeterministic] [--hw]
-//               [--status-port P] [--status-file PATH] [--auto-order]
+//               [--status-file PATH] [--auto-order]
 //               [--spmv-budget N] [--export-features FILE]
 //
 // Auto-order (the learned selector, src/select/): --auto-order runs the
@@ -17,10 +17,8 @@
 // --export-features writes the schema-versioned selector feature vectors
 // (one JSON line per matrix × thread count) for tools/ordo_train_selector.py.
 //
-// Live telemetry: --status-port serves GET /stats + /healthz on loopback
-// (poll it with tools/ordo_top.py) and mirrors snapshots to
-// <out>/ordo_status.json; --status-file points the heartbeat elsewhere
-// (and works alone, for hosts where opening a socket is not an option).
+// Live telemetry: --status-file PATH rewrites a status snapshot to PATH
+// every second (atomic rename); watch it with tools/ordo_top.py --file PATH.
 //
 // The kernel set defaults to the studied csr_1d/csr_2d pair; --kernels
 // extends it with any ids registered in ordo::engine (--list-kernels shows
@@ -119,15 +117,10 @@ void print_usage(std::FILE* out, const char* argv0) {
                "columns to every row;\n"
                "                     degrades gracefully when perf_event is "
                "unavailable\n"
-               "  --status-port P    serve live study status on loopback "
-               "(GET /stats, /healthz;\n"
-               "                     = ORDO_STATUS_PORT) and mirror snapshots "
-               "to <out>/ordo_status.json;\n"
-               "                     watch with tools/ordo_top.py --port P\n"
-               "  --status-file PATH write the atomically-renamed status "
-               "heartbeat JSON to PATH\n"
-               "                     instead (= ORDO_STATUS_FILE; usable "
-               "without --status-port)\n"
+               "  --status-file PATH rewrite the live study status JSON to "
+               "PATH every second\n"
+               "                     (= ORDO_STATUS_FILE); watch with "
+               "tools/ordo_top.py --file PATH\n"
                "  --auto-order       run the learned ordering selector "
                "(src/select/) over every\n"
                "                     row: appends per-matrix pick / oracle / "
@@ -157,7 +150,6 @@ int main(int argc, char** argv) {
   StudyOptions study;
   study.model = model_options_from_env();
   std::string out_dir = default_results_dir();
-  int status_port = -1;        // -1 = not requested (0 = ephemeral)
   std::string status_file;
   std::string features_file;
 
@@ -195,9 +187,6 @@ int main(int argc, char** argv) {
       study.allow_nondeterministic = true;
     } else if (arg == "--hw") {
       obs::hw::set_enabled(true);
-    } else if (arg == "--status-port") {
-      status_port = parse_whole_number<int>(next(), "run_study: --status-port",
-                                            0, 65535);
     } else if (arg == "--status-file") {
       status_file = next();
     } else if (arg == "--auto-order") {
@@ -221,17 +210,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Live telemetry (in addition to any ORDO_STATUS_* environment wiring):
-  // the listener serves /stats on loopback; the heartbeat mirrors the same
-  // snapshots to a file so socketless hosts can still be monitored.
-  if (status_port >= 0) {
-    obs::status::start_listener(status_port);
-    std::printf("status: http://127.0.0.1:%d/stats (ordo_top.py --port %d)\n",
-                obs::status::listener_port(), obs::status::listener_port());
-  }
-  if (status_port >= 0 && status_file.empty()) {
-    status_file = (std::filesystem::path(out_dir) / "ordo_status.json").string();
-  }
+  // Live telemetry (in addition to any ORDO_STATUS_FILE wiring).
   if (!status_file.empty()) {
     // A bare filename has an empty parent_path, which create_directories
     // rejects as an invalid argument.

@@ -7,7 +7,6 @@
 
 #include "check/invariants.hpp"
 #include "core/thread_safety.hpp"
-#include "obs/hw/hw_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status/status.hpp"
 
@@ -131,18 +130,9 @@ void execute(const Plan& plan, const CsrMatrix& a, std::span<const value_t> x,
   // hand-built plans (tests) pay the lookup.
   const KernelDesc& desc =
       plan.desc != nullptr ? *plan.desc : kernel(plan.kernel);
-  // Phase marker for the live status board, gated like the hw launch scope
-  // so the disabled cost stays one relaxed load per launch.
+  // Phase marker for the live status board, gated so the disabled cost
+  // stays one relaxed load per launch.
   if (obs::status::consumers_active()) obs::status::set_phase("spmv");
-  // Per-launch counter windows (ORDO_HW_LAUNCH=1) are opt-in separately from
-  // the session: a scope is two fd reads per counter per launch, cheap
-  // against a kernel launch but not against the one-branch budget every
-  // launch otherwise pays.
-  if (obs::hw::per_launch_enabled()) {
-    obs::hw::CounterScope scope("spmv." + plan.kernel);
-    desc.execute(plan, a, x, y);
-    return;
-  }
   desc.execute(plan, a, x, y);
 }
 

@@ -45,8 +45,8 @@ SelectorFeatures make_selector_features(std::int64_t rows, std::int64_t nnz,
                                         double imbalance_1d, int threads);
 
 /// Computes the vector directly from a matrix (bandwidth/profile/off-diagonal
-/// count/1D imbalance via compute_features) — the path a serving layer takes
-/// when no study row exists yet.
+/// count/1D imbalance via compute_features) — the path for a matrix with no
+/// study row yet (reorder_explorer --auto).
 SelectorFeatures compute_selector_features(const CsrMatrix& a, int threads);
 
 /// One JSON object (single line, no trailing newline) describing the schema

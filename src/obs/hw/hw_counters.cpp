@@ -1,6 +1,5 @@
 #include "obs/hw/hw_counters.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -97,11 +96,6 @@ Session& session() {
   static Session* s = new Session;  // leaked: scopes may close during atexit
   return *s;
 }
-
-// Read on every execute() launch, flipped by init_from_env/tests: atomic so
-// the unsynchronized read is defined; relaxed because the flag gates an
-// optional measurement window, not any data another thread publishes.
-std::atomic<bool> g_per_launch{false};
 
 #if ORDO_HW_HAVE_PERF
 
@@ -276,9 +270,6 @@ void init_from_env() {
   if (const char* hw = std::getenv("ORDO_HW")) {
     if (std::strcmp(hw, "0") != 0) set_enabled(true);
   }
-  if (const char* launch = std::getenv("ORDO_HW_LAUNCH")) {
-    set_per_launch_enabled(std::strcmp(launch, "0") != 0);
-  }
 }
 
 bool enabled() {
@@ -326,16 +317,6 @@ std::string config_fingerprint() {
     fp += ',';
   }
   return fp;
-}
-
-bool per_launch_enabled() {
-  // Relaxed: an on/off flag polled per launch; the scope it gates does its
-  // own synchronisation.
-  return g_per_launch.load(std::memory_order_relaxed);
-}
-void set_per_launch_enabled(bool enabled) {
-  // Relaxed: see per_launch_enabled().
-  g_per_launch.store(enabled, std::memory_order_relaxed);
 }
 
 CounterSet session_totals() {

@@ -28,11 +28,11 @@
 //
 // Environment knobs:
 //   ORDO_HW=1         open the counter session at obs::init_from_env()
-//   ORDO_HW_LAUNCH=1  additionally record counters around every engine
-//                     kernel launch (one scope per launch; off by default
-//                     so the disabled launch cost stays a relaxed load)
 //   ORDO_PEAK_GBPS=X  take X as the machine's peak memory bandwidth instead
 //                     of measuring it (see membw.hpp)
+//
+// A --hw study times and counts each kernel through its own CounterScope
+// (core/experiment.cpp); engine launches carry no counter window.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +131,7 @@ std::int64_t cache_line_bytes();
 
 // --- the process-wide session ----------------------------------------------
 
-/// Reads ORDO_HW / ORDO_HW_LAUNCH and opens the session when requested.
+/// Reads ORDO_HW and opens the session when requested.
 /// Idempotent; called from obs::init_from_env().
 void init_from_env();
 
@@ -157,11 +157,6 @@ std::string backend_detail();
 /// "off" when disabled, else backend + the opened counter list. Resumed
 /// runs must not silently mix counter-on and counter-off rows.
 std::string config_fingerprint();
-
-/// True when engine kernel launches should each record a counter scope
-/// (ORDO_HW_LAUNCH=1; implies nothing about enabled()).
-bool per_launch_enabled();
-void set_per_launch_enabled(bool enabled);
 
 /// Reads the session totals since the session opened (process-lifetime
 /// counters); available == false on the null backend.

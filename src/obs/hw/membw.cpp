@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
+#include "sparse/types.hpp"
 
 namespace ordo::obs::hw {
 namespace {
@@ -63,15 +65,18 @@ MembwKernelResult run_kernel(const char* name, double bytes, int reps,
 MembwOptions membw_options_from_env() {
   MembwOptions options;
   if (const char* mib = std::getenv("ORDO_MEMBW_MIB")) {
-    const long value = std::atol(mib);
-    if (value > 0) options.array_bytes = static_cast<std::size_t>(value) << 20;
+    // Capped so the shift to bytes cannot wrap.
+    options.array_bytes =
+        parse_whole_number<std::size_t>(
+            mib, "ORDO_MEMBW_MIB", 1,
+            std::numeric_limits<std::size_t>::max() >> 20)
+        << 20;
   }
   if (const char* reps = std::getenv("ORDO_MEMBW_REPS")) {
-    const int value = std::atoi(reps);
-    if (value > 0) options.reps = value;
+    options.reps = parse_whole_number<int>(reps, "ORDO_MEMBW_REPS", 1);
   }
   if (const char* threads = std::getenv("ORDO_MEMBW_THREADS")) {
-    options.threads = std::atoi(threads);
+    options.threads = parse_whole_number<int>(threads, "ORDO_MEMBW_THREADS", 0);
   }
   return options;
 }
@@ -124,7 +129,8 @@ MembwResult measure_membw(const MembwOptions& options) {
 
 double measured_peak_gbps() {
   if (const char* peak = std::getenv("ORDO_PEAK_GBPS")) {
-    const double value = std::atof(peak);
+    // 0 keeps the measured value, as if the variable were unset.
+    const double value = parse_real_number(peak, "ORDO_PEAK_GBPS", 0.0);
     if (value > 0.0) return value;
   }
   return g_measured_peak_gbps;

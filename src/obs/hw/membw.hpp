@@ -26,7 +26,9 @@ struct MembwOptions {
   int threads = 0;
 };
 
-/// Reads ORDO_MEMBW_MIB / ORDO_MEMBW_REPS / ORDO_MEMBW_THREADS.
+/// Reads ORDO_MEMBW_MIB (>= 1) / ORDO_MEMBW_REPS (>= 1) /
+/// ORDO_MEMBW_THREADS (>= 0); anything but a whole number in range throws
+/// invalid_argument_error naming the variable.
 MembwOptions membw_options_from_env();
 
 struct MembwKernelResult {
@@ -48,8 +50,9 @@ struct MembwResult {
 /// measured_peak_gbps().
 MembwResult measure_membw(const MembwOptions& options = {});
 
-/// The peak GB/s this process knows: ORDO_PEAK_GBPS when set (an operator
-/// relaying a previous micro_membw run), else the last measure_membw()
+/// The peak GB/s this process knows: ORDO_PEAK_GBPS when set above 0 (an
+/// operator relaying a previous micro_membw run; a value that is not a real
+/// number >= 0 throws invalid_argument_error), else the last measure_membw()
 /// result, else 0 (unknown).
 double measured_peak_gbps();
 

@@ -17,7 +17,7 @@
 // is a handful of lock-free relaxed atomics.
 //
 // Dump: one machine-readable JSON document (what the benches write to
-// ordo_metrics.json); the live /stats snapshot carries the same histogram
+// ordo_metrics.json); the live status snapshot carries the same histogram
 // entries.
 #pragma once
 

@@ -121,7 +121,7 @@ double Phase::close() {
 }
 
 void finalize() {
-  // Stop the status consumers first: the heartbeat writer flushes one final
+  // Stop the status heartbeat first: the writer flushes one final
   // snapshot, so an orderly exit (or SIGTERM-to-exit path) leaves a fresh
   // complete document behind.
   try {

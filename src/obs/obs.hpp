@@ -15,8 +15,9 @@
 //   ORDO_HW=1          open the hardware performance-counter session
 //                      (obs/hw/hw_counters.hpp); degrades to a null backend
 //                      when perf_event is unavailable, never a hard failure
-//   ORDO_HW_LAUNCH=1   additionally record a counter scope around every
-//                      engine kernel launch
+//   ORDO_STATUS_FILE=path
+//                      rewrite a live status snapshot to `path` every
+//                      ORDO_STATUS_INTERVAL seconds (obs/status/status.hpp)
 //
 // Design constraints (see DESIGN.md "Observability"):
 //  * zero overhead in kernel inner loops — instrumentation sits at phase
@@ -37,11 +38,11 @@
 
 namespace ordo::obs {
 
-/// Reads ORDO_TRACE / ORDO_LOG / ORDO_METRICS / ORDO_PROFILE / ORDO_HW and
-/// applies them (idempotent; later calls re-read the environment). Also
-/// registers the exit-time flush (see finalize), so configured outputs are
-/// written even when a main exits early or a failure path unwinds past the
-/// explicit dump.
+/// Reads ORDO_TRACE / ORDO_LOG / ORDO_METRICS / ORDO_PROFILE / ORDO_HW /
+/// ORDO_STATUS_FILE and applies them (idempotent; later calls re-read the
+/// environment). Also registers the exit-time flush (see finalize), so
+/// configured outputs are written even when a main exits early or a failure
+/// path unwinds past the explicit dump.
 void init_from_env();
 
 /// Output path for the Chrome trace, empty when tracing is not being
@@ -70,8 +71,8 @@ void flush_metrics();
 /// Writes the configured trace, metrics and bench-report outputs (no-op for
 /// unset paths). Registered via std::atexit by init_from_env (and by any
 /// output-path setter), so every configured output survives an early exit;
-/// long-lived embedders may also call it repeatedly. Also stops the live
-/// status consumers (status::stop()), flushing one final heartbeat.
+/// long-lived embedders may also call it repeatedly. Also stops the status
+/// heartbeat (status::stop()), flushing one final snapshot.
 void finalize();
 
 /// One timed phase of a run: the single RAII object for a site that would

@@ -1,4 +1,4 @@
-// Heartbeat file writer — /stats for socketless hosts: every interval the
+// Heartbeat file writer — the live-status transport: every interval the
 // current StatusBoard snapshot is written to `path` via write-temp-then-
 // rename, so any reader (ordo_top --file, a cron job, an NFS-mounted
 // dashboard) always sees a complete JSON document — either the previous

@@ -12,7 +12,6 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/heartbeat.hpp"
-#include "obs/status/listener.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo::obs::status {
@@ -286,7 +285,6 @@ void append_hw_section(std::string& out, Board& b, std::int64_t now_us)
 // --- process-wide consumers ------------------------------------------------
 
 Mutex g_consumer_mutex;
-std::unique_ptr<StatusListener> g_listener ORDO_GUARDED_BY(g_consumer_mutex);
 std::unique_ptr<HeartbeatWriter> g_heartbeat
     ORDO_GUARDED_BY(g_consumer_mutex);
 std::atomic<bool> g_consumers{false};
@@ -508,64 +506,43 @@ std::string snapshot_json() {
 }
 
 void init_from_env() {
-  if (const char* port = std::getenv("ORDO_STATUS_PORT")) {
-    if (*port != '\0' && listener_port() == 0) {
-      start_listener(std::atoi(port));
-    }
-  }
   if (const char* path = std::getenv("ORDO_STATUS_FILE")) {
     if (*path != '\0') {
       double interval = 1.0;
       if (const char* raw = std::getenv("ORDO_STATUS_INTERVAL")) {
-        if (*raw != '\0') interval = std::atof(raw);
+        interval = parse_real_number(raw, "ORDO_STATUS_INTERVAL", 0.0);
       }
       start_heartbeat(path, interval);
     }
   }
 }
 
-void start_listener(int port) {
-  auto listener = std::make_unique<StatusListener>("127.0.0.1", port);
-  MutexLock lock(g_consumer_mutex);
-  g_listener = std::move(listener);
-  // Relaxed: a hook racing the flip merely skips (or takes) one phase
-  // marker; the consumer objects themselves are guarded by the mutex.
-  g_consumers.store(true, std::memory_order_relaxed);
-}
-
-int listener_port() {
-  MutexLock lock(g_consumer_mutex);
-  return g_listener ? g_listener->port() : 0;
-}
-
 void start_heartbeat(const std::string& path, double interval_seconds) {
   auto writer = std::make_unique<HeartbeatWriter>(path, interval_seconds);
   MutexLock lock(g_consumer_mutex);
   g_heartbeat = std::move(writer);
-  // Relaxed: same reasoning as start_listener.
+  // Relaxed: a hook racing the flip merely skips (or takes) one phase
+  // marker; the writer itself is guarded by the mutex.
   g_consumers.store(true, std::memory_order_relaxed);
 }
 
 bool consumers_active() {
-  // Relaxed: same reasoning as start_listener.
+  // Relaxed: same reasoning as start_heartbeat.
   return g_consumers.load(std::memory_order_relaxed);
 }
 
 void stop() {
-  std::unique_ptr<StatusListener> listener;
   std::unique_ptr<HeartbeatWriter> heartbeat;
   {
     MutexLock lock(g_consumer_mutex);
-    listener = std::move(g_listener);
     heartbeat = std::move(g_heartbeat);
-    // Relaxed: same reasoning as start_listener.
+    // Relaxed: same reasoning as start_heartbeat.
     g_consumers.store(false, std::memory_order_relaxed);
   }
-  // Destructors join the service threads; the heartbeat's writes its final
-  // snapshot first. Both run outside the consumer mutex so a slow join
-  // cannot deadlock a concurrent start_*.
+  // The destructor writes the final snapshot and joins the writer thread,
+  // outside the consumer mutex so a slow join cannot deadlock a concurrent
+  // start_heartbeat.
   heartbeat.reset();
-  listener.reset();
 }
 
 }  // namespace ordo::obs::status

@@ -11,11 +11,10 @@
 // stats), and the latest hardware-counter window (IPC, LLC miss rate,
 // achieved-vs-peak GB/s) when an ORDO_HW session is live.
 //
-// Consumers (src/obs/status/listener.hpp, heartbeat.hpp, tools/ordo_top.py):
-//  * a minimal loopback-only HTTP/1.0 listener serving GET /stats and
-//    GET /healthz (ORDO_STATUS_PORT / run_study --status-port);
-//  * an atomically-renamed ordo_status.json heartbeat file for hosts where
-//    opening a socket is not an option (ORDO_STATUS_FILE).
+// The one out-of-process consumer is the heartbeat file (heartbeat.hpp):
+// an atomically-renamed ordo_status.json rewritten every interval
+// (ORDO_STATUS_FILE / run_study --status-file), which tools/ordo_top.py
+// --file renders and validates.
 //
 // Consistency model (DESIGN.md §11): the board is lock-light on the write
 // side — task hooks touch only per-slot atomics plus a per-slot mutex for
@@ -23,8 +22,9 @@
 // telemetry. A snapshot is *read-coherent per field*, not a global atomic
 // cut: counts are monotonic, but a snapshot taken mid-transition may see a
 // task already counted completed while its worker slot still reads active.
-// Snapshots themselves serialize on one snapshot mutex (they also carry
-// since-last-snapshot deltas, which need a linear snapshot history).
+// Snapshots themselves serialize on one snapshot mutex, so the heartbeat
+// and in-process callers of snapshot_json() take turns (each snapshot also
+// carries since-last-snapshot deltas, which need a linear history).
 //
 // Every hook is a no-op (one thread-local read) on threads that never
 // registered a task, so benches and library code call set_phase freely.
@@ -37,7 +37,7 @@
 
 namespace ordo::obs::status {
 
-/// Layout version of the /stats and heartbeat documents; bumped whenever a
+/// Layout version of the heartbeat document; bumped whenever a
 /// field changes meaning so ordo_top and CI checkers can detect drift.
 /// v2: adds the "latency" section (tail-latency histograms with their
 /// buckets) and run.rate_tasks_per_second.
@@ -124,19 +124,10 @@ std::vector<WorkerSnapshot> in_flight_workers();
 
 // --- process-wide consumers ------------------------------------------------
 
-/// Reads ORDO_STATUS_PORT (loopback HTTP listener) and ORDO_STATUS_FILE /
-/// ORDO_STATUS_INTERVAL (heartbeat file, default 1s cadence) and starts the
-/// requested consumers. Idempotent per consumer; called from
-/// obs::init_from_env().
+/// Reads ORDO_STATUS_FILE / ORDO_STATUS_INTERVAL (heartbeat file, default
+/// 1s cadence; a malformed interval throws invalid_argument_error) and
+/// starts the heartbeat writer. Called from obs::init_from_env().
 void init_from_env();
-
-/// Starts the loopback /stats listener on `port` (0 = ephemeral). Throws
-/// invalid_argument_error when the port cannot be bound. Replaces a
-/// previously started listener.
-void start_listener(int port);
-
-/// Bound listener port, 0 when no listener is running.
-int listener_port();
 
 /// Starts (or re-points) the heartbeat writer: every `interval_seconds` it
 /// writes a snapshot to `path` via write-temp-then-rename, so readers never
@@ -144,12 +135,12 @@ int listener_port();
 /// snapshot behind.
 void start_heartbeat(const std::string& path, double interval_seconds = 1.0);
 
-/// True when a listener or heartbeat writer is running — the gate hot call
-/// sites (engine kernel launches) check before tagging phases.
+/// True when the heartbeat writer is running — the gate hot call sites
+/// (engine kernel launches) check before tagging phases.
 bool consumers_active();
 
-/// Stops the listener and heartbeat writer; the heartbeat writes one final
-/// snapshot on the way out (a SIGTERM-to-exit path leaves a fresh file).
+/// Stops the heartbeat writer, which writes one final snapshot on the way
+/// out (a SIGTERM-to-exit path leaves a fresh file).
 /// Idempotent; called from obs::finalize().
 void stop();
 

@@ -24,10 +24,11 @@ index_t scaled_capacity_lines(double bytes, double scale) {
 ModelOptions model_options_from_env() {
   ModelOptions options;
   if (const char* scale = std::getenv("ORDO_CACHE_SCALE")) {
-    options.cache_scale = std::max(1.0, std::atof(scale));
+    options.cache_scale =
+        std::max(1.0, parse_real_number(scale, "ORDO_CACHE_SCALE", 0.0));
   }
   if (const char* sync = std::getenv("ORDO_SYNC_US")) {
-    options.sync_overhead_us = std::max(0.0, std::atof(sync));
+    options.sync_overhead_us = parse_real_number(sync, "ORDO_SYNC_US", 0.0);
   }
   return options;
 }

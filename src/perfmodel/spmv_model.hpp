@@ -42,8 +42,9 @@ struct ModelOptions {
   double sync_overhead_us = 0.5;
 };
 
-/// Reads ModelOptions overrides from the ORDO_CACHE_SCALE and ORDO_SYNC_US
-/// environment variables; returns defaults otherwise.
+/// Reads ModelOptions overrides from the ORDO_CACHE_SCALE (floored at 1) and
+/// ORDO_SYNC_US environment variables; returns defaults otherwise. A value
+/// that is not a real number >= 0 throws invalid_argument_error.
 ModelOptions model_options_from_env();
 
 /// One simulated SpMV measurement — the quantities the paper's artifact

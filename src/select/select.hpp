@@ -4,15 +4,11 @@
 // reordering work has been spent*, "which of the seven orderings should this
 // matrix get, if any, and does it pay off within N SpMV calls?". It is the
 // decision problem two of the retrieved papers frame (selection of
-// reordering algorithms; is reordering effective for SpMV?) and what turns
-// the study harness into a policy engine a serving layer can use.
+// reordering algorithms; is reordering effective for SpMV?).
 //
 //   features::SelectorFeatures f = features::compute_selector_features(a, t);
 //   select::Decision d = select::select_ordering(f, baseline_seconds,
-//                                                kernel.id(), {});
-//   // or go straight to an executable plan for the pick:
-//   select::PreparedPick pp = select::prepare_pick(a, kernel, t, baseline);
-//   engine::spmv(*pp.plan, pp.matrix, x, y);
+//                                                rows, nnz, kernel.id());
 //
 // Inference is dependency-free C++ over coefficient tables committed in
 // model_coeffs.inc and regenerated offline by tools/ordo_train_selector.py

@@ -61,20 +61,4 @@ Decision select_ordering(const CsrMatrix& a, const SpmvKernel& kernel,
                          kernel.id(), options);
 }
 
-PreparedPick prepare_pick(const CsrMatrix& a, const SpmvKernel& kernel,
-                          int threads, double baseline_seconds,
-                          const SelectorOptions& options,
-                          const ReorderOptions& reorder) {
-  PreparedPick pp;
-  pp.decision = select_ordering(a, kernel, threads, baseline_seconds, options);
-  pp.kind = study_orderings()[static_cast<std::size_t>(pp.decision.pick)];
-  ReorderOptions opts = reorder;
-  opts.gp_parts = threads;  // the study matches GP's parts to the cores
-  pp.matrix = pp.kind == OrderingKind::kOriginal
-                  ? a
-                  : apply_ordering(a, compute_ordering(a, pp.kind, opts));
-  pp.plan = engine::prepare_plan(pp.matrix, kernel, threads);
-  return pp;
-}
-
 }  // namespace ordo::select

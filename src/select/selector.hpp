@@ -1,13 +1,10 @@
 // The selection policy: score all seven orderings from the feature vector
 // alone (predicted speedup from the committed model, predicted one-off
 // reorder cost amortized over the caller's SpMV budget) and pick the one
-// with the lowest predicted net per-call time. prepare_pick() carries the
-// decision through to an executable engine plan — the policy→execution
-// handoff a serving layer needs.
+// with the lowest predicted net per-call time.
 #pragma once
 
 #include <array>
-#include <memory>
 #include <string>
 
 #include "engine/engine.hpp"
@@ -53,21 +50,5 @@ Decision select_ordering(const features::SelectorFeatures& f,
 Decision select_ordering(const CsrMatrix& a, const SpmvKernel& kernel,
                          int threads, double baseline_seconds,
                          const SelectorOptions& options = {});
-
-/// A decision carried through to execution: the picked ordering applied and
-/// the engine plan prepared (through the shared plan cache).
-struct PreparedPick {
-  Decision decision;
-  OrderingKind kind = OrderingKind::kOriginal;
-  CsrMatrix matrix;  ///< the reordered matrix (a copy of `a` for Original)
-  std::shared_ptr<const engine::Plan> plan;
-};
-
-/// select_ordering + compute/apply the picked ordering + prepare_plan.
-/// GP's part count is matched to `threads`, as in the study.
-PreparedPick prepare_pick(const CsrMatrix& a, const SpmvKernel& kernel,
-                          int threads, double baseline_seconds,
-                          const SelectorOptions& options = {},
-                          const ReorderOptions& reorder = {});
 
 }  // namespace ordo::select

@@ -2,8 +2,8 @@
 // regret, amortization point) lands in lock-free atomics here, and the first
 // recording registers a "select" section with the live StatusBoard — so a
 // running --auto-order sweep exposes its pick distribution, hit rate vs the
-// oracle, and an amortization histogram on GET /stats, next to the engine's
-// plan-cache section.
+// oracle, and an amortization histogram in the status heartbeat, next to
+// the engine's plan-cache section.
 #pragma once
 
 #include <array>

@@ -11,7 +11,9 @@
 #include <utility>
 
 #include "core/experiment.hpp"
+#include "obs/hw/membw.hpp"
 #include "obs/obs.hpp"
+#include "obs/status/status.hpp"
 
 namespace ordo {
 namespace {
@@ -187,8 +189,9 @@ TEST(ReorderingSpeedups, DividesByOriginal) {
 }
 
 // One parser reads --jobs/ORDO_JOBS (>= 0), --count/ORDO_CORPUS_COUNT
-// (>= 1) and --status-port (0-65535): whole numbers only, each held to its
-// range, and a refusal names the flag or variable and the text.
+// (>= 1), the ORDO_MEMBW_* knobs and the real-valued flags and knobs:
+// numbers only, each held to its range, and a refusal names the flag or
+// variable and the text.
 TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
   EXPECT_EQ(parse_jobs("0", "--jobs"), 0);
   EXPECT_EQ(parse_jobs("4", "--jobs"), 4);
@@ -204,11 +207,18 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
                  invalid_argument_error)
         << bad;
   }
-  EXPECT_EQ(parse_whole_number<int>("0", "--status-port", 0, 65535), 0);
-  EXPECT_EQ(parse_whole_number<int>("65535", "--status-port", 0, 65535),
-            65535);
-  for (const char* bad : {"65536", "-1", "80x", "", "x"}) {
-    EXPECT_THROW(parse_whole_number<int>(bad, "--status-port", 0, 65535),
+  // ORDO_MEMBW_MIB is capped so its shift to bytes cannot wrap.
+  constexpr std::size_t kMaxMib = std::numeric_limits<std::size_t>::max() >> 20;
+  EXPECT_EQ(parse_whole_number<std::size_t>("1", "ORDO_MEMBW_MIB", 1, kMaxMib),
+            1u);
+  EXPECT_EQ(parse_whole_number<std::size_t>(std::to_string(kMaxMib),
+                                            "ORDO_MEMBW_MIB", 1, kMaxMib),
+            kMaxMib);
+  for (const std::string& bad :
+       {std::string("0"), std::to_string(kMaxMib + 1), std::string("8MiB"),
+        std::string("")}) {
+    EXPECT_THROW(parse_whole_number<std::size_t>(bad, "ORDO_MEMBW_MIB", 1,
+                                                 kMaxMib),
                  invalid_argument_error)
         << bad;
   }
@@ -236,20 +246,59 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
                invalid_argument_error);
   EXPECT_THROW(parse_real_number("-0.1", "--task-timeout", 0.0),
                invalid_argument_error);
-  // ORDO_CORPUS_SCALE keeps its floor: a number below 0.01 means 0.01.
+  // ORDO_CORPUS_SCALE and ORDO_CACHE_SCALE keep their floors: a number
+  // below 0.01 (below 1) means 0.01 (1).
   setenv("ORDO_CORPUS_SCALE", "0.001", 1);
   EXPECT_DOUBLE_EQ(corpus_options_from_env().scale, 0.01);
+  setenv("ORDO_CACHE_SCALE", "0.5", 1);
+  EXPECT_DOUBLE_EQ(model_options_from_env().cache_scale, 1.0);
+  unsetenv("ORDO_CACHE_SCALE");
   const std::pair<std::function<void()>, const char*> refusals[] = {
       {[] { parse_jobs("four", "ORDO_JOBS"); },
        "ORDO_JOBS: expected a whole number >= 0, got 'four'"},
       {[] { parse_whole_number<int>("x", "run_study: --count", 1); },
        "run_study: --count: expected a whole number >= 1, got 'x'"},
       {[] {
-         parse_whole_number<int>("70000", "run_study: --status-port", 0,
-                                 65535);
+         setenv("ORDO_MEMBW_MIB", "0", 1);
+         obs::hw::membw_options_from_env();
        },
-       "run_study: --status-port: expected a whole number in [0, 65535], "
-       "got '70000'"},
+       "ORDO_MEMBW_MIB: expected a whole number in [1, 17592186044415], "
+       "got '0'"},
+      {[] {
+         unsetenv("ORDO_MEMBW_MIB");
+         setenv("ORDO_MEMBW_REPS", "two", 1);
+         obs::hw::membw_options_from_env();
+       },
+       "ORDO_MEMBW_REPS: expected a whole number >= 1, got 'two'"},
+      {[] {
+         unsetenv("ORDO_MEMBW_REPS");
+         setenv("ORDO_MEMBW_THREADS", "-1", 1);
+         obs::hw::membw_options_from_env();
+       },
+       "ORDO_MEMBW_THREADS: expected a whole number >= 0, got '-1'"},
+      {[] {
+         setenv("ORDO_PEAK_GBPS", "fast", 1);
+         obs::hw::measured_peak_gbps();
+       },
+       "ORDO_PEAK_GBPS: expected a real number >= 0, got 'fast'"},
+      {[] {
+         setenv("ORDO_CACHE_SCALE", "64x", 1);
+         model_options_from_env();
+       },
+       "ORDO_CACHE_SCALE: expected a real number >= 0, got '64x'"},
+      {[] {
+         unsetenv("ORDO_CACHE_SCALE");
+         setenv("ORDO_SYNC_US", "-0.5", 1);
+         model_options_from_env();
+       },
+       "ORDO_SYNC_US: expected a real number >= 0, got '-0.5'"},
+      {[] {
+         // Refused before the heartbeat writer would touch the file.
+         setenv("ORDO_STATUS_FILE", "ordo_status_never_written.json", 1);
+         setenv("ORDO_STATUS_INTERVAL", "1s", 1);
+         obs::status::init_from_env();
+       },
+       "ORDO_STATUS_INTERVAL: expected a real number >= 0, got '1s'"},
       {[] {
          setenv("ORDO_CORPUS_COUNT", "0", 1);
          corpus_options_from_env();
@@ -276,8 +325,12 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
       EXPECT_STREQ(e.what(), message);
     }
   }
-  unsetenv("ORDO_CORPUS_COUNT");
-  unsetenv("ORDO_CORPUS_SCALE");
+  for (const char* name :
+       {"ORDO_CORPUS_COUNT", "ORDO_CORPUS_SCALE", "ORDO_MEMBW_THREADS",
+        "ORDO_PEAK_GBPS", "ORDO_SYNC_US", "ORDO_STATUS_FILE",
+        "ORDO_STATUS_INTERVAL"}) {
+    unsetenv(name);
+  }
 }
 
 TEST(ResultsFile, RoundTrip) {

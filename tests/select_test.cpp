@@ -191,18 +191,6 @@ TEST(SelectorDecision, TinyBudgetPricesOutEveryReordering) {
   }
 }
 
-TEST(SelectorDecision, PreparePickProducesExecutablePlan) {
-  const CorpusEntry entry = generate_named("333SP", 0.05);
-  const select::PreparedPick prepared = select::prepare_pick(
-      entry.matrix, SpmvKernel::k1D, 16, /*baseline_seconds=*/1e-5);
-  ASSERT_NE(prepared.plan, nullptr);
-  EXPECT_EQ(prepared.matrix.num_rows(), entry.matrix.num_rows());
-  EXPECT_EQ(prepared.matrix.num_nonzeros(), entry.matrix.num_nonzeros());
-  EXPECT_EQ(prepared.kind,
-            study_orderings()[static_cast<std::size_t>(
-                prepared.decision.pick)]);
-}
-
 // ---------------------------------------------------------------------------
 // Study annotation: regret invariant, journal round-trip, determinism.
 // ---------------------------------------------------------------------------

@@ -1,30 +1,24 @@
-// Live-telemetry suite: the StatusBoard's snapshots, the loopback /stats
-// listener and the heartbeat writer (src/obs/status/).
+// Live-telemetry suite: the StatusBoard's snapshots and the heartbeat
+// writer (src/obs/status/).
 //
 // The board is a process-wide singleton, so each test drives a fresh
 // begin_run/end_run cycle (begin_run resets every count) and tears its
-// consumers down with status::stop(). The HTTP round-trip speaks raw
-// sockets on purpose — it is the same client a curl in CI is, and tests
-// are outside the lint `socket` rule's src/ scope.
+// heartbeat down with status::stop().
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <netinet/in.h>
 #include <string>
-#include <sys/socket.h>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status/heartbeat.hpp"
-#include "obs/status/listener.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/fork_join.hpp"
 #include "sparse/types.hpp"
@@ -206,74 +200,11 @@ TEST(StatusTest, InFlightWorkersCarryMatrixPhaseAndDeadline) {
   EXPECT_TRUE(status::in_flight_workers().empty());
 }
 
-TEST(StatusTest, ListenerRejectsNonLoopbackBinds) {
-  // Loopback-only is a contract, not a default: any attempt to open the
-  // status surface to the network must throw, never silently bind.
-  EXPECT_THROW(status::StatusListener("0.0.0.0", 0), invalid_argument_error);
-  EXPECT_THROW(status::StatusListener("192.168.1.10", 0),
-               invalid_argument_error);
-  EXPECT_THROW(status::StatusListener("example.com", 0),
-               invalid_argument_error);
-}
-
-// Minimal HTTP/1.0 client: sends one GET and returns the whole response
-// (headers + body) — the same exchange CI's curl performs.
-std::string http_get(int port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t got = ::recv(fd, buffer, sizeof buffer, 0);
-    if (got <= 0) break;
-    response.append(buffer, static_cast<std::size_t>(got));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string body_of(const std::string& response) {
-  const std::size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? std::string()
-                                    : response.substr(split + 4);
-}
-
-TEST(StatusTest, HttpStatsRoundTrip) {
-  status::start_listener(/*port=*/0);  // ephemeral: no fixed-port collisions
-  const int port = status::listener_port();
-  ASSERT_GT(port, 0);
-  EXPECT_TRUE(status::consumers_active());
-
-  status::begin_run(/*total=*/3, /*workers=*/1, /*resumed=*/0);
-  run_synthetic_tasks(/*count=*/3, /*workers=*/1);
-
-  const std::string stats = http_get(port, "/stats");
-  EXPECT_NE(stats.find("200 OK"), std::string::npos);
-  const obs::JsonValue doc = obs::parse_json(body_of(stats));
-  EXPECT_EQ(doc.at("schema_version").as_int(), status::kStatusSchemaVersion);
-  EXPECT_EQ(doc.at("run").at("completed").as_int(), 3);
-
-  const std::string healthz = http_get(port, "/healthz");
-  EXPECT_NE(healthz.find("200 OK"), std::string::npos);
-  EXPECT_TRUE(obs::parse_json(body_of(healthz)).at("ok").boolean);
-
-  EXPECT_NE(http_get(port, "/nope").find("404"), std::string::npos);
-
-  status::end_run();
-  status::stop();
-  EXPECT_EQ(status::listener_port(), 0);
-  EXPECT_FALSE(status::consumers_active());
+// The whole text of the heartbeat file, empty when it cannot be read.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(StatusTest, HeartbeatFileIsValidJsonAndSurvivesStop) {
@@ -285,17 +216,28 @@ TEST(StatusTest, HeartbeatFileIsValidJsonAndSurvivesStop) {
   status::start_heartbeat(path, /*interval_seconds=*/0.1);
   EXPECT_TRUE(status::consumers_active());
   run_synthetic_tasks(/*count=*/2, /*workers=*/1);
+
+  // Read back while the run is live: the writer's next tick must publish
+  // the two completions as a complete schema-stamped document. The file is
+  // renamed into place, so every read parses.
+  std::int64_t live_completed = -1;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(10);
+  while (live_completed != 2 && std::chrono::steady_clock::now() < give_up) {
+    const obs::JsonValue live = obs::parse_json(read_file(path));
+    EXPECT_EQ(live.at("schema_version").as_int(),
+              status::kStatusSchemaVersion);
+    EXPECT_TRUE(live.at("run").at("running").boolean);
+    live_completed = live.at("run").at("completed").as_int();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(live_completed, 2);
+
   status::end_run();
   status::stop();  // writes one final snapshot on the way out
+  EXPECT_FALSE(status::consumers_active());
 
-  std::string text;
-  {
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  const obs::JsonValue doc = obs::parse_json(text);
+  const obs::JsonValue doc = obs::parse_json(read_file(path));
   EXPECT_EQ(doc.at("schema_version").as_int(), status::kStatusSchemaVersion);
   // The final snapshot postdates end_run: the parked run must read idle
   // with its counts intact.

@@ -368,6 +368,18 @@ TEST(TsanStressTest, JournalWriterConcurrentAppends) {
 }
 
 TEST(TsanStressTest, MetricsRegistryConcurrentRegistrationAndDumps) {
+  // The registry is process-wide, so an earlier run in this process (say
+  // --gtest_repeat) has left its counts behind: check deltas, not totals.
+  auto counter_total = [] {
+    std::int64_t total = 0;
+    for (int k = 0; k < 5; ++k) {
+      total += obs::counter("tsan.counter." + std::to_string(k)).value();
+    }
+    return total;
+  };
+  const std::int64_t counters_before = counter_total();
+  const std::int64_t records_before =
+      obs::histogram("tsan.histogram").snapshot().count;
   pipeline::run_tasks(kTasks, kWorkers, [](std::size_t k) {
     const int i = static_cast<int>(k);
     // A handful of shared names (first-toucher registers, everyone else
@@ -381,12 +393,9 @@ TEST(TsanStressTest, MetricsRegistryConcurrentRegistrationAndDumps) {
       obs::write_metrics_json(sink);
     }
   });
-  std::int64_t total = 0;
-  for (int k = 0; k < 5; ++k) {
-    total += obs::counter("tsan.counter." + std::to_string(k)).value();
-  }
-  EXPECT_EQ(total, kTasks);
-  EXPECT_EQ(obs::histogram("tsan.histogram").snapshot().count, kTasks);
+  EXPECT_EQ(counter_total() - counters_before, kTasks);
+  EXPECT_EQ(obs::histogram("tsan.histogram").snapshot().count - records_before,
+            kTasks);
 }
 
 TEST(TsanStressTest, StatusBoardSnapshotsDuringTaskChurn) {

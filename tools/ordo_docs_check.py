@@ -206,7 +206,7 @@ def check_help_coverage(root, rel="examples/run_study.cpp",
     """run_study's usage text and its argument parser must agree exactly.
 
     The usage text may also *mention* flags of other in-repo tools (e.g.
-    `tools/ordo_top.py --port`); those count as documented-elsewhere, not as
+    `tools/ordo_top.py --file`); those count as documented-elsewhere, not as
     phantom run_study flags, as long as something in the tree parses them.
     """
     path = os.path.join(root, rel)

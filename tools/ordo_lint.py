@@ -8,11 +8,12 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
                  deterministic generators (reproducible studies).
   thread         src/ only. No naked std::thread outside the worker pool
                  (src/pipeline/fork_join.*), the deadline watchdog
-                 (src/pipeline/cancel.*) and src/obs/status/, and no
-                 pthread_create anywhere: concurrency lives behind the one
-                 pool so error isolation, cancellation and TSan coverage
-                 stay centralised (the watchdog and the status listener/
-                 heartbeat service threads are the deliberate exceptions).
+                 (src/pipeline/cancel.*) and the status heartbeat writer
+                 (src/obs/status/heartbeat.*), and no pthread_create
+                 anywhere: concurrency lives behind the one pool so error
+                 isolation, cancellation and TSan coverage stay centralised
+                 (the watchdog and heartbeat service threads are the
+                 deliberate exceptions).
   io             src/ only, src/obs/ and src/core/gnuplot.* exempt. No
                  printf/std::cout/std::cerr console output: the library
                  reports through ordo::obs (snprintf/vsnprintf formatting
@@ -21,10 +22,11 @@ Rules (see docs/ARCHITECTURE.md "Correctness tooling" for rationale):
                  loop, the SpMV kernels' included, runs on the one worker
                  pool (pipeline/fork_join.hpp), so the library has one
                  thread system for the budget, TSan and the traces to see.
-  socket         src/ only, src/obs/status/ exempt. No raw POSIX sockets
+  socket         src/ only, no exemption. No raw POSIX sockets
                  (::socket/::bind/::listen/::accept/::connect or the
-                 <sys/socket.h> family): the loopback-only status listener
-                 is the single sanctioned network surface in the library.
+                 <sys/socket.h> family): the library serves nothing over a
+                 network; live status leaves the process only through the
+                 heartbeat file.
   mmap           src/ only. No raw memory mapping (::mmap/::munmap/
                  ::ftruncate or <sys/mman.h>): every matrix lives in RAM
                  as CsrMatrix arrays, so the library maps no memory.
@@ -149,18 +151,14 @@ def io_exempt(relpath):
 
 def thread_exempt(relpath):
     # The worker pool owns the threads that run ordo work; the deadline
-    # watchdog, the status listener and the heartbeat writer each need one
-    # service thread of their own (they cannot run on pool workers: they
-    # must keep running while every worker is busy).
+    # watchdog and the heartbeat writer each need one service thread of
+    # their own (they cannot run on pool workers: they must keep running
+    # while every worker is busy).
     pipeline = os.path.join("src", "pipeline") + os.sep
-    return (relpath.startswith(os.path.join("src", "obs", "status") + os.sep)
-            or relpath in {pipeline + name for name in (
-                "fork_join.hpp", "fork_join.cpp", "cancel.hpp", "cancel.cpp")})
-
-
-def socket_exempt(relpath):
-    return relpath.startswith(
-        os.path.join("src", "obs", "status") + os.sep)
+    status = os.path.join("src", "obs", "status") + os.sep
+    return relpath in {pipeline + name for name in (
+        "fork_join.hpp", "fork_join.cpp", "cancel.hpp", "cancel.cpp")} | {
+        status + name for name in ("heartbeat.hpp", "heartbeat.cpp")}
 
 
 def chrono_exempt(relpath):
@@ -281,16 +279,14 @@ def lint_file(path):
             if not thread_exempt(relpath):
                 check(lineno, "thread", THREAD_RE.search(code),
                       "naked std::thread outside the worker pool, the "
-                      "watchdog and src/obs/status/ — run work through "
-                      "the pool (pipeline/fork_join.hpp)")
+                      "watchdog and the heartbeat writer — run work "
+                      "through the pool (pipeline/fork_join.hpp)")
             check(lineno, "thread", PTHREAD_CREATE_RE.search(code),
                   "pthread_create — threads that run ordo work come from "
                   "the worker pool (pipeline/fork_join.hpp)")
-            if not socket_exempt(relpath):
-                check(lineno, "socket", SOCKET_RE.search(code),
-                      "raw socket call outside src/obs/status/ — the "
-                      "loopback status listener is the only sanctioned "
-                      "network surface")
+            check(lineno, "socket", SOCKET_RE.search(code),
+                  "raw socket call — the library serves nothing over a "
+                  "network; live status goes through the heartbeat file")
             check(lineno, "mmap", MMAP_RE.search(code),
                   "raw memory mapping — matrices live in RAM as "
                   "CsrMatrix arrays")
@@ -401,6 +397,15 @@ void start_raw(pthread_t* thread) {
 }
 """
 
+# Neither does the socket rule, src/obs/status/ included; there the thread
+# rule exempts only the heartbeat writer's files.
+SEEDED_STATUS = """\
+int serve() {
+  std::thread acceptor([] {});
+  return ::socket(2, 1, 0);
+}
+"""
+
 # The omp rule has no exemption: the kernels' own directory included.
 SEEDED_KERNEL = """\
 void spmv_rows(double* y, int n) {
@@ -443,6 +448,12 @@ def self_test():
         with open(pool, "w", encoding="utf-8") as f:
             f.write(SEEDED_POOL)
 
+        status_dir = os.path.join(srcdir, "obs", "status")
+        os.makedirs(status_dir)
+        listener = os.path.join(status_dir, "seeded_listener.cpp")
+        with open(listener, "w", encoding="utf-8") as f:
+            f.write(SEEDED_STATUS)
+
         spmv = os.path.join(srcdir, "spmv")
         os.makedirs(spmv)
         kernel = os.path.join(spmv, "seeded_kernel.cpp")
@@ -459,6 +470,7 @@ def self_test():
             second_violations = lint_file(second)
             pool_violations = lint_file(pool)
             kernel_violations = lint_file(kernel)
+            status_violations = lint_file(listener)
         finally:
             REPO_ROOT = saved_root
 
@@ -478,6 +490,10 @@ def self_test():
         if [v.line for v in pool_violations if v.rule == "thread"] != [6]:
             failures.append("rule 'thread' did not fire on pthread_create "
                             "alone in the pool's file")
+        if [(v.line, v.rule) for v in status_violations] != [
+                (2, "thread"), (3, "socket")]:
+            failures.append("rules 'thread' and 'socket' did not fire in "
+                            "src/obs/status/ outside the heartbeat writer")
         if [v.line for v in kernel_violations if v.rule == "omp"] != [2]:
             failures.append("rule 'omp' did not fire on #pragma omp in "
                             "src/spmv/")

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """ordo_top: live terminal monitor for a running ordo study.
 
-Polls the status snapshots a study publishes (schema in
-docs/ARCHITECTURE.md "Live telemetry") from either source:
+Reads the status snapshots a study publishes (schema in
+docs/ARCHITECTURE.md "Live telemetry") from its heartbeat file:
 
-  --port P / --url U   GET /stats from run_study --status-port P
-  --file PATH          read the atomically-renamed heartbeat JSON
-                       (run_study --status-file, works without a socket)
+  --file PATH   the atomically-renamed heartbeat JSON written by
+                run_study --status-file PATH (or ORDO_STATUS_FILE=PATH)
 
 and renders a top-style view: progress bar, completed/failed/timeout
 tally, EWMA ETA, per-worker in-flight matrices with their current phase
@@ -26,17 +25,14 @@ Modes:
                 schema (types, required keys, absent-not-zero rules),
                 print PASS/FAIL details, exit 0/1 — CI's schema gate
 
-Stdlib only; exit status: 0 ok, 1 validation failure, 2 unreachable.
+Stdlib only; exit status: 0 ok, 1 validation failure, 2 unreadable file.
 """
 
 import argparse
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 
-POLL_TIMEOUT_SECONDS = 5.0
 PHASES = ("reorder", "profile", "features", "spmv", "model", "journal")
 PERCENTILE_KEYS = ("p50", "p90", "p99", "p999")
 SCHEMA_VERSION = 3
@@ -44,11 +40,8 @@ SCHEMA_VERSION = 3
 
 def fetch(args):
     """Returns the parsed snapshot dict, or raises OSError/ValueError."""
-    if args.file:
-        with open(args.file, encoding="utf-8") as f:
-            return json.load(f)
-    with urllib.request.urlopen(args.url, timeout=POLL_TIMEOUT_SECONDS) as r:
-        return json.load(r)
+    with open(args.file, encoding="utf-8") as f:
+        return json.load(f)
 
 
 # --- schema validation (--check) -------------------------------------------
@@ -350,11 +343,8 @@ def watch_curses(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--port", type=int,
-                        help="poll http://127.0.0.1:PORT/stats")
-    source.add_argument("--url", help="poll this /stats URL directly")
-    source.add_argument("--file", help="read the heartbeat JSON at PATH")
+    parser.add_argument("--file", required=True, metavar="PATH",
+                        help="read the heartbeat JSON at PATH")
     parser.add_argument("--interval", type=float, default=1.0,
                         help="refresh period in seconds (default 1.0)")
     parser.add_argument("--once", action="store_true",
@@ -365,10 +355,6 @@ def main():
     parser.add_argument("--plain", action="store_true",
                         help="scrolling frames instead of curses")
     args = parser.parse_args()
-    if args.port is not None:
-        args.url = f"http://127.0.0.1:{args.port}/stats"
-    if not args.url and not args.file:
-        args.url = "http://127.0.0.1:8787/stats"
 
     try:
         if args.check:
@@ -394,9 +380,6 @@ def main():
         except ImportError:
             watch_plain(args)
         return 0
-    except urllib.error.URLError as e:
-        print(f"ordo_top: cannot reach {args.url}: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"ordo_top: cannot read snapshot: {e}", file=sys.stderr)
         return 2
