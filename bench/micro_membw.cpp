@@ -5,7 +5,8 @@
 // reuse across runs without re-measuring.
 //
 // Knobs: ORDO_MEMBW_MIB (array MiB, default 64), ORDO_MEMBW_REPS (default
-// 5), ORDO_MEMBW_THREADS (default: all logical CPUs).
+// 5), ORDO_MEMBW_THREADS (default and upper bound: the CPUs in the
+// affinity mask).
 #include <cstdio>
 
 #include "bench_common.hpp"

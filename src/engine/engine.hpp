@@ -11,6 +11,10 @@
 //
 //   const auto plan = engine::prepare_plan(a, "csr_2d", threads);
 //   engine::spmv(*plan, a, x, y);   // repeat; partition already amortised
+//
+// Telemetry: the cache counts engine.plan_cache.{hits,misses,evictions}
+// and sets the engine.plan_cache.size gauge in the metrics registry, which
+// is where the live heartbeat reads them (its "metrics" section).
 #pragma once
 
 #include "engine/plan.hpp"        // IWYU pragma: export

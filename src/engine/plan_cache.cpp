@@ -1,8 +1,6 @@
 #include "engine/plan_cache.hpp"
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/status/status.hpp"
 
 namespace ordo::engine {
 namespace {
@@ -87,25 +85,6 @@ PlanCache::Stats PlanCache::stats() const {
 
 PlanCache& plan_cache() {
   static PlanCache cache;
-  // The engine contributes its cache stats to every live-status snapshot.
-  // Registered here (not in the board) so obs stays below the engine in the
-  // layer order; runs once, on the first prepare_plan of the process.
-  static const bool registered = [] {
-    obs::status::register_section("plan_cache", [](std::string& out) {
-      const PlanCache& c = plan_cache();
-      const PlanCache::Stats s = c.stats();
-      out += "{\"hits\":" + std::to_string(s.hits);
-      out += ",\"misses\":" + std::to_string(s.misses);
-      out += ",\"evictions\":" + std::to_string(s.evictions);
-      out += ",\"size\":" + std::to_string(c.size());
-      out += ",\"capacity\":" + std::to_string(c.capacity());
-      out += ",\"hit_rate\":";
-      obs::append_json_double(out, s.hit_rate());
-      out += '}';
-    });
-    return true;
-  }();
-  (void)registered;
   return cache;
 }
 

@@ -18,9 +18,11 @@
 // would silently hand a plan to the wrong matrix.
 //
 // Hit/miss/eviction counts are exported through the internal Stats struct
-// (always available) and mirrored to the obs counters
-// engine.plan_cache.{hits,misses,evictions} plus the gauge
-// engine.plan_cache.size when observability is compiled in.
+// (always available; the benchmark harness reads it) and mirrored to the
+// obs counters engine.plan_cache.{hits,misses,evictions} plus the gauge
+// engine.plan_cache.size when observability is compiled in. The live
+// heartbeat shows the cache through those instruments in its "metrics"
+// section; the cache adds no section of its own.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "core/thread_safety.hpp"
+#include "obs/hw/membw.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -267,6 +268,7 @@ DerivedMetrics derive_metrics(const CounterSet& counters, double seconds) {
 }
 
 void init_from_env() {
+  read_peak_override_from_env();
   if (const char* hw = std::getenv("ORDO_HW")) {
     if (std::strcmp(hw, "0") != 0) set_enabled(true);
   }

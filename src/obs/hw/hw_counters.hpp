@@ -131,7 +131,8 @@ std::int64_t cache_line_bytes();
 
 // --- the process-wide session ----------------------------------------------
 
-/// Reads ORDO_HW and opens the session when requested.
+/// Reads ORDO_PEAK_GBPS (membw.hpp; a malformed value throws) and ORDO_HW,
+/// and opens the session when requested.
 /// Idempotent; called from obs::init_from_env().
 void init_from_env();
 

@@ -1,44 +1,34 @@
-// ordo-lint: allow-file(thread)
-// std::thread is used directly here (not the pipeline scheduler): obs sits
-// below src/pipeline in the layering, and a bandwidth probe needs plain
-// fork/join over array slices, not work stealing, deadlines or journaling.
 #include "obs/hw/membw.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/fork_join.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo::obs::hw {
 namespace {
 
-double g_measured_peak_gbps = 0.0;
+// ORDO_PEAK_GBPS as read_peak_override_from_env parsed it; 0 = unset.
+std::atomic<double> g_peak_override{0.0};
 
 // One fork/join pass of `fn(begin, end)` over [0, n) split into contiguous
-// per-thread slices. Thread spawn cost is amortised by the array size (a
-// 64 MiB pass is tens of milliseconds; a thread spawn ~0.1 ms).
+// per-thread slices, one pool task each (pipeline::run_tasks, which runs a
+// one-thread pass inline).
 template <typename Fn>
 void parallel_slices(std::size_t n, int threads, Fn fn) {
-  if (threads <= 1) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  const std::size_t chunk = (n + static_cast<std::size_t>(threads) - 1) /
-                            static_cast<std::size_t>(threads);
-  for (int t = 0; t < threads; ++t) {
-    const std::size_t begin = std::min(n, static_cast<std::size_t>(t) * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    workers.emplace_back([=] { fn(begin, end); });
-  }
-  for (std::thread& w : workers) w.join();
+  const auto slices = static_cast<std::size_t>(threads);
+  const std::size_t chunk = (n + slices - 1) / slices;
+  pipeline::run_tasks(slices, threads, [&](std::size_t t) {
+    const std::size_t begin = std::min(n, t * chunk);
+    fn(begin, std::min(n, begin + chunk));
+  });
 }
 
 template <typename Fn>
@@ -76,7 +66,8 @@ MembwOptions membw_options_from_env() {
     options.reps = parse_whole_number<int>(reps, "ORDO_MEMBW_REPS", 1);
   }
   if (const char* threads = std::getenv("ORDO_MEMBW_THREADS")) {
-    options.threads = parse_whole_number<int>(threads, "ORDO_MEMBW_THREADS", 0);
+    options.threads = parse_whole_number<int>(threads, "ORDO_MEMBW_THREADS",
+                                              0, affinity_cpu_count());
   }
   return options;
 }
@@ -122,18 +113,27 @@ MembwResult measure_membw(const MembwOptions& options) {
   for (const MembwKernelResult& k : result.kernels) {
     result.peak_gbps = std::max(result.peak_gbps, k.gbps);
   }
-  g_measured_peak_gbps = result.peak_gbps;
   gauge("hw.peak_gbps").set(result.peak_gbps);
   return result;
 }
 
+void read_peak_override_from_env() {
+  const char* peak = std::getenv("ORDO_PEAK_GBPS");
+  // Relaxed: set at start-up, before the heartbeat thread reads it, and a
+  // lone double with no other state to publish.
+  g_peak_override.store(
+      peak != nullptr ? parse_real_number(peak, "ORDO_PEAK_GBPS", 0.0) : 0.0,
+      std::memory_order_relaxed);
+}
+
 double measured_peak_gbps() {
-  if (const char* peak = std::getenv("ORDO_PEAK_GBPS")) {
-    // 0 keeps the measured value, as if the variable were unset.
-    const double value = parse_real_number(peak, "ORDO_PEAK_GBPS", 0.0);
-    if (value > 0.0) return value;
-  }
-  return g_measured_peak_gbps;
+  // Relaxed: see read_peak_override_from_env. 0 keeps the measured value,
+  // as if the variable were unset.
+  const double override_gbps = g_peak_override.load(std::memory_order_relaxed);
+  if (override_gbps > 0.0) return override_gbps;
+  // Looked up only when present, so a process that never measured shows no
+  // zero hw.peak_gbps gauge.
+  return has_metric("hw.peak_gbps") ? gauge("hw.peak_gbps").value() : 0.0;
 }
 
 }  // namespace ordo::obs::hw

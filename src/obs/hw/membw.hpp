@@ -6,7 +6,8 @@
 // classic STREAM set), each timed over several repetitions with every CPU
 // in the affinity mask driving its own contiguous slice; the best rate across
 // kernels is the peak. Arrays are sized well past LLC capacity so the
-// traffic is DRAM traffic.
+// traffic is DRAM traffic. The slices run on the process's one worker pool
+// (pipeline::run_tasks), like the SpMV kernels' launches.
 #pragma once
 
 #include <cstddef>
@@ -22,13 +23,15 @@ struct MembwOptions {
   /// Timed repetitions per kernel; the best (minimum-time) rep is reported,
   /// matching STREAM's methodology.
   int reps = 5;
-  /// Worker threads; 0 = one per CPU in the affinity mask.
+  /// Threads (the caller plus pool workers, pipeline::run_tasks); 0 = one
+  /// per CPU in the affinity mask.
   int threads = 0;
 };
 
 /// Reads ORDO_MEMBW_MIB (>= 1) / ORDO_MEMBW_REPS (>= 1) /
-/// ORDO_MEMBW_THREADS (>= 0); anything but a whole number in range throws
-/// invalid_argument_error naming the variable.
+/// ORDO_MEMBW_THREADS (0 up to the CPUs in the affinity mask); anything but
+/// a whole number in range throws invalid_argument_error naming the
+/// variable.
 MembwOptions membw_options_from_env();
 
 struct MembwKernelResult {
@@ -46,14 +49,19 @@ struct MembwResult {
 };
 
 /// Runs the sweep (takes a few seconds at the default size). Also stores
-/// the peak in the `hw.peak_gbps` gauge and the process-wide slot read by
-/// measured_peak_gbps().
+/// the peak in the `hw.peak_gbps` gauge, the one place measured_peak_gbps()
+/// reads a measurement from.
 MembwResult measure_membw(const MembwOptions& options = {});
 
-/// The peak GB/s this process knows: ORDO_PEAK_GBPS when set above 0 (an
-/// operator relaying a previous micro_membw run; a value that is not a real
-/// number >= 0 throws invalid_argument_error), else the last measure_membw()
-/// result, else 0 (unknown).
+/// Parses ORDO_PEAK_GBPS once (an operator relaying a previous micro_membw
+/// run; unset counts as 0). A value that is not a real number >= 0 throws
+/// invalid_argument_error naming the variable, so a typo aborts a run
+/// before any result is written. Called from init_from_env().
+void read_peak_override_from_env();
+
+/// The peak GB/s this process knows: ORDO_PEAK_GBPS as last read by
+/// read_peak_override_from_env when above 0, else the `hw.peak_gbps` gauge
+/// (the last measure_membw() result), else 0 (unknown).
 double measured_peak_gbps();
 
 }  // namespace ordo::obs::hw

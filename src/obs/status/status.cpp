@@ -62,10 +62,6 @@ struct Board {
   double ewma_task_seconds ORDO_GUARDED_BY(ewma_mutex) = 0.0;
   std::int64_t ewma_count ORDO_GUARDED_BY(ewma_mutex) = 0;
 
-  // Registered subsystem sections.
-  Mutex section_mutex;
-  std::map<std::string, SectionFn> sections ORDO_GUARDED_BY(section_mutex);
-
   // Snapshot-serial state: per-counter values of the previous snapshot (for
   // deltas) and the previous hw sample (for the counter window).
   Mutex snapshot_mutex;
@@ -291,12 +287,6 @@ std::atomic<bool> g_consumers{false};
 
 }  // namespace
 
-void register_section(const std::string& key, SectionFn fn) {
-  Board& b = board();
-  MutexLock lock(b.section_mutex);
-  b.sections[key] = std::move(fn);
-}
-
 void begin_run(std::int64_t total, int workers, std::int64_t resumed) {
   Board& b = board();
   {
@@ -488,15 +478,6 @@ std::string snapshot_json() {
   append_workers_section(out, in_flight_workers());
   out += ',';
   append_metrics_section(out, b.last_counters);
-  {
-    MutexLock section_lock(b.section_mutex);
-    for (const auto& [key, fn] : b.sections) {
-      out += ',';
-      append_json_string(out, key);
-      out += ':';
-      fn(out);
-    }
-  }
   if (hw::enabled()) {
     out += ',';
     append_hw_section(out, b, now_us);

@@ -6,10 +6,12 @@
 // snapshots of the whole system — pipeline progress (tasks done / failed /
 // in flight, with per-task matrix id, phase, elapsed and deadline margin),
 // journal-derived completion fraction and an EWMA-based ETA, the metrics
-// registry with per-counter deltas since the previous snapshot, registered
-// subsystem sections (the engine contributes its plan-cache hit/size
-// stats), and the latest hardware-counter window (IPC, LLC miss rate,
-// achieved-vs-peak GB/s) when an ORDO_HW session is live.
+// registry with per-counter deltas since the previous snapshot, and the
+// latest hardware-counter window (IPC, LLC miss rate, achieved-vs-peak
+// GB/s) when an ORDO_HW session is live. Subsystems add no sections of
+// their own: the engine's plan cache (engine.plan_cache.*) and the ordering
+// selector (select.*) publish through registry instruments, so they appear
+// under "metrics" like every other layer.
 //
 // The one out-of-process consumer is the heartbeat file (heartbeat.hpp):
 // an atomically-renamed ordo_status.json rewritten every interval
@@ -31,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,17 +44,11 @@ namespace ordo::obs::status {
 /// buckets) and run.rate_tasks_per_second.
 /// v3: metrics.histograms entries carry percentiles and buckets (see
 /// obs::append_histogram_json), and the "latency" section is gone.
-inline constexpr int kStatusSchemaVersion = 3;
-
-/// A subsystem section provider: appends one complete JSON value (object,
-/// array or scalar) to `out`. Must be callable from any thread and must not
-/// block on locks a stalled worker could hold.
-using SectionFn = std::function<void(std::string&)>;
-
-/// Registers (or replaces) a named top-level section of every snapshot.
-/// The engine registers "plan_cache" this way; new subsystems add theirs
-/// without touching the board.
-void register_section(const std::string& key, SectionFn fn);
+/// v4: the "plan_cache" and "select" sections are gone; their numbers are
+/// the engine.plan_cache.* and select.* instruments under "metrics". The
+/// top-level keys are schema_version, pid, uptime_seconds, run, workers,
+/// metrics and, with a hw session, hw.
+inline constexpr int kStatusSchemaVersion = 4;
 
 // --- pipeline hooks --------------------------------------------------------
 // Called by the study scheduler (src/pipeline/study_pipeline.cpp). A task is

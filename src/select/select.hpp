@@ -13,9 +13,14 @@
 // Inference is dependency-free C++ over coefficient tables committed in
 // model_coeffs.inc and regenerated offline by tools/ordo_train_selector.py
 // from study result files (model.hpp documents the versioning contract).
+//
+// Telemetry: select::record_decision (selector.hpp) tallies each annotated
+// study row in the metrics registry (select.decisions, select.oracle_hits,
+// select.picks.<Ordering>, select.never_amortizes, the select.regret and
+// select.amortize_calls histograms, the select.model_version gauge), so
+// the heartbeat's "metrics" section carries the selector's live tally.
 #pragma once
 
 #include "select/amortize.hpp"  // IWYU pragma: export
 #include "select/model.hpp"     // IWYU pragma: export
 #include "select/selector.hpp"  // IWYU pragma: export
-#include "select/stats.hpp"     // IWYU pragma: export

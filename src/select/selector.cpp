@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "select/amortize.hpp"
 
@@ -59,6 +60,42 @@ Decision select_ordering(const CsrMatrix& a, const SpmvKernel& kernel,
   return select_ordering(features::compute_selector_features(a, threads),
                          baseline_seconds, a.num_rows(), a.num_nonzeros(),
                          kernel.id(), options);
+}
+
+void record_decision(int pick, int oracle, double regret,
+                     double amortize_calls) {
+#if defined(ORDO_OBS_ENABLED)
+  // Looked up once: the pick counters' names come from the ordering table,
+  // which ORDO_COUNTER_ADD's per-site cache cannot hold. All seven register
+  // on the first decision, so a pick distribution shows its zeros.
+  static const std::array<obs::Counter*, kNumOrderings> picks = [] {
+    std::array<obs::Counter*, kNumOrderings> out{};
+    const auto kinds = study_orderings();
+    for (std::size_t k = 0; k < kNumOrderings; ++k) {
+      out[k] = &obs::counter("select.picks." + ordering_name(kinds[k]));
+    }
+    return out;
+  }();
+  static obs::Gauge& version = obs::gauge("select.model_version");
+  static obs::Histogram& regrets = obs::histogram("select.regret");
+  static obs::Histogram& amortize = obs::histogram("select.amortize_calls");
+  version.set(model_version());
+  ORDO_COUNTER_ADD("select.decisions", 1);
+  // Added even when 0, so the counter exists from the first decision.
+  ORDO_COUNTER_ADD("select.oracle_hits", pick == oracle ? 1 : 0);
+  if (pick >= 0 && pick < static_cast<int>(kNumOrderings)) {
+    picks[static_cast<std::size_t>(pick)]->increment();
+  }
+  regrets.record(regret);
+  const bool never = amortize_calls < 0.0;  // kNeverAmortizes
+  ORDO_COUNTER_ADD("select.never_amortizes", never ? 1 : 0);
+  if (!never) amortize.record(amortize_calls);
+#else
+  (void)pick;
+  (void)oracle;
+  (void)regret;
+  (void)amortize_calls;
+#endif
 }
 
 }  // namespace ordo::select

@@ -51,4 +51,13 @@ Decision select_ordering(const CsrMatrix& a, const SpmvKernel& kernel,
                          int threads, double baseline_seconds,
                          const SelectorOptions& options = {});
 
+/// Records one annotated row's decision in the metrics registry (select.*
+/// counters, the select.regret and select.amortize_calls histograms and
+/// the select.model_version gauge; a no-op when telemetry is compiled out).
+/// `amortize_calls` uses the study's encoding: kNeverAmortizes (-1) for
+/// "never", 0 for "pick was Original". Thread-safe; the study's pool
+/// workers call it concurrently.
+void record_decision(int pick, int oracle, double regret,
+                     double amortize_calls);
+
 }  // namespace ordo::select

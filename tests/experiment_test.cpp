@@ -8,11 +8,14 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "core/experiment.hpp"
+#include "obs/hw/hw_counters.hpp"
 #include "obs/hw/membw.hpp"
 #include "obs/obs.hpp"
+#include "obs/report.hpp"
 #include "obs/status/status.hpp"
 
 namespace ordo {
@@ -253,7 +256,11 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
   setenv("ORDO_CACHE_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(model_options_from_env().cache_scale, 1.0);
   unsetenv("ORDO_CACHE_SCALE");
-  const std::pair<std::function<void()>, const char*> refusals[] = {
+  // ORDO_MEMBW_THREADS is capped at the affinity mask's CPUs; the cap is
+  // checked by parsing alone, so no probe thread starts.
+  const std::string max_threads = std::to_string(obs::affinity_cpu_count());
+  const std::string over_threads = std::to_string(obs::affinity_cpu_count() + 1);
+  const std::pair<std::function<void()>, std::string> refusals[] = {
       {[] { parse_jobs("four", "ORDO_JOBS"); },
        "ORDO_JOBS: expected a whole number >= 0, got 'four'"},
       {[] { parse_whole_number<int>("x", "run_study: --count", 1); },
@@ -275,10 +282,18 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
          setenv("ORDO_MEMBW_THREADS", "-1", 1);
          obs::hw::membw_options_from_env();
        },
-       "ORDO_MEMBW_THREADS: expected a whole number >= 0, got '-1'"},
+       "ORDO_MEMBW_THREADS: expected a whole number in [0, " + max_threads +
+           "], got '-1'"},
+      {[&over_threads] {
+         setenv("ORDO_MEMBW_THREADS", over_threads.c_str(), 1);
+         obs::hw::membw_options_from_env();
+       },
+       "ORDO_MEMBW_THREADS: expected a whole number in [0, " + max_threads +
+           "], got '" + over_threads + "'"},
       {[] {
+         // Parsed once at start-up, not on each measured_peak_gbps() read.
          setenv("ORDO_PEAK_GBPS", "fast", 1);
-         obs::hw::measured_peak_gbps();
+         obs::hw::init_from_env();
        },
        "ORDO_PEAK_GBPS: expected a real number >= 0, got 'fast'"},
       {[] {
@@ -322,7 +337,7 @@ TEST(ParseWholeNumber, HoldsEachFlagToItsRange) {
       parse();
       ADD_FAILURE() << "accepted: " << message;
     } catch (const invalid_argument_error& e) {
-      EXPECT_STREQ(e.what(), message);
+      EXPECT_EQ(e.what(), message);
     }
   }
   for (const char* name :

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,7 +16,9 @@
 
 #include "core/experiment.hpp"
 #include "obs/hw/membw.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "sparse/types.hpp"
 
 namespace ordo::obs::hw {
 namespace {
@@ -170,6 +173,40 @@ TEST(NullBackend, SessionTotalsReportAbsent) {
 TEST(NullBackend, PeakBandwidthHonoursEnvOverride) {
   // No measurement has run in this process and ORDO_PEAK_GBPS is unset.
   EXPECT_EQ(measured_peak_gbps(), 0.0);
+}
+
+TEST(NullBackend, PeakOverrideIsParsedOnceAtInit) {
+  // The variable is read by init_from_env, not by each measured_peak_gbps()
+  // call: a later value, even a malformed one, waits for the next init.
+  setenv("ORDO_PEAK_GBPS", "12.5", 1);
+  EXPECT_EQ(measured_peak_gbps(), 0.0);
+  init_from_env();
+  EXPECT_DOUBLE_EQ(measured_peak_gbps(), 12.5);
+  setenv("ORDO_PEAK_GBPS", "fast", 1);
+  EXPECT_DOUBLE_EQ(measured_peak_gbps(), 12.5);
+  EXPECT_THROW(init_from_env(), invalid_argument_error);
+  // 0 keeps the measured value, as if the variable were unset.
+  setenv("ORDO_PEAK_GBPS", "0", 1);
+  init_from_env();
+  EXPECT_EQ(measured_peak_gbps(), 0.0);
+  unsetenv("ORDO_PEAK_GBPS");
+  init_from_env();
+  EXPECT_EQ(measured_peak_gbps(), 0.0);
+}
+
+TEST(MembwProbe, RunsOnThePoolAndFeedsThePeakGauge) {
+  // A tiny two-thread probe: its slices run through pipeline::run_tasks,
+  // and its peak reaches measured_peak_gbps() only through the gauge.
+  MembwOptions options;
+  options.array_bytes = std::size_t{1} << 16;
+  options.reps = 1;
+  options.threads = 2;
+  const MembwResult result = measure_membw(options);
+  EXPECT_EQ(result.threads, 2);
+  ASSERT_EQ(result.kernels.size(), 4u);
+  EXPECT_GT(result.peak_gbps, 0.0);
+  EXPECT_DOUBLE_EQ(gauge("hw.peak_gbps").value(), result.peak_gbps);
+  EXPECT_DOUBLE_EQ(measured_peak_gbps(), result.peak_gbps);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +16,7 @@
 #include "core/experiment.hpp"
 #include "features/features.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/journal.hpp"
 #include "select/select.hpp"
@@ -328,11 +330,28 @@ TEST(AutoOrderStudy, CachedReloadAndJobsCountAreByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Live status section.
+// Live telemetry: the selector's tally lives in the metrics registry.
 // ---------------------------------------------------------------------------
 
+#if defined(ORDO_OBS_ENABLED)
 TEST(SelectStatus, RecordedDecisionsAppearInStatusSnapshot) {
-  select::reset_stats();
+  // The registry is process-wide and other tests in this process record
+  // decisions too (--auto-order studies), so check deltas, not totals.
+  const auto counter_value = [](const obs::JsonValue& doc,
+                                const std::string& name) -> std::int64_t {
+    const obs::JsonValue* entry =
+        doc.at("metrics").at("counters").find(name);
+    return entry != nullptr ? entry->at("value").as_int() : 0;
+  };
+  const auto histogram = [](const std::string& name) {
+    return obs::histogram(name).snapshot();
+  };
+  const obs::JsonValue before =
+      obs::parse_json(obs::status::snapshot_json());
+  const obs::Histogram::Snapshot regret_before = histogram("select.regret");
+  const obs::Histogram::Snapshot amortize_before =
+      histogram("select.amortize_calls");
+
   select::record_decision(/*pick=*/1, /*oracle=*/1, /*regret=*/0.0,
                           /*amortize_calls=*/50.0);
   select::record_decision(/*pick=*/0, /*oracle=*/6, /*regret=*/0.25,
@@ -340,24 +359,35 @@ TEST(SelectStatus, RecordedDecisionsAppearInStatusSnapshot) {
   select::record_decision(/*pick=*/2, /*oracle=*/2, /*regret=*/0.0,
                           select::kNeverAmortizes);
 
-  const select::StatsSnapshot stats = select::stats_snapshot();
-  EXPECT_EQ(stats.decisions, 3);
-  EXPECT_EQ(stats.oracle_hits, 2);
-  EXPECT_DOUBLE_EQ(stats.mean_regret(), 0.25 / 3.0);
-  EXPECT_DOUBLE_EQ(stats.regret_max, 0.25);
-  EXPECT_EQ(stats.amortize_hist[1], 1);  // 50 calls -> (1, 1e2] bucket
-  EXPECT_EQ(stats.amortize_hist[select::kAmortizeBuckets - 1], 1);  // never
-
-  const obs::JsonValue doc = obs::parse_json(obs::status::snapshot_json());
-  const obs::JsonValue* section = doc.find("select");
-  ASSERT_NE(section, nullptr) << obs::status::snapshot_json();
-  EXPECT_EQ(section->at("decisions").as_int(), 3);
-  EXPECT_EQ(section->at("oracle_hits").as_int(), 2);
-  EXPECT_EQ(section->at("model_version").as_int(), select::model_version());
-  EXPECT_EQ(section->at("picks").at("RCM").as_int(), 1);
-  EXPECT_EQ(section->at("amortize_hist").at("never").as_int(), 1);
-  select::reset_stats();
+  const obs::JsonValue after = obs::parse_json(obs::status::snapshot_json());
+  const auto delta = [&](const std::string& name) {
+    return counter_value(after, name) - counter_value(before, name);
+  };
+  EXPECT_EQ(delta("select.decisions"), 3);
+  EXPECT_EQ(delta("select.oracle_hits"), 2);
+  EXPECT_EQ(delta("select.picks.Original"), 1);
+  EXPECT_EQ(delta("select.picks.RCM"), 1);
+  EXPECT_EQ(delta("select.picks.AMD"), 1);
+  EXPECT_EQ(delta("select.picks.Gray"), 0);
+  EXPECT_EQ(delta("select.never_amortizes"), 1);
+  EXPECT_EQ(after.at("metrics").at("gauges").at("select.model_version")
+                .as_int(),
+            select::model_version());
+  // The regret histogram's exact sum and max replace the old micro-unit
+  // tally; amortization points are recorded only when finite.
+  const obs::Histogram::Snapshot regret = histogram("select.regret");
+  EXPECT_EQ(regret.count - regret_before.count, 3);
+  EXPECT_DOUBLE_EQ(regret.sum - regret_before.sum, 0.25);
+  EXPECT_GE(regret.max, 0.25);
+  const obs::Histogram::Snapshot amortize =
+      histogram("select.amortize_calls");
+  EXPECT_EQ(amortize.count - amortize_before.count, 2);
+  EXPECT_DOUBLE_EQ(amortize.sum - amortize_before.sum, 50.0);
+  EXPECT_NE(after.at("metrics").at("histograms").find("select.regret"),
+            nullptr);
+  EXPECT_EQ(after.find("select"), nullptr);
 }
+#endif
 
 }  // namespace
 }  // namespace ordo

@@ -16,11 +16,15 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/corpus.hpp"
+#include "engine/engine.hpp"
+#include "obs/hw/hw_counters.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status/heartbeat.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/fork_join.hpp"
+#include "select/select.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo {
@@ -68,6 +72,33 @@ TEST(StatusTest, SnapshotJsonParsesAndCarriesSchema) {
   EXPECT_NE(metrics.find("gauges"), nullptr);
   EXPECT_NE(metrics.find("histograms"), nullptr);
   status::end_run();
+}
+
+TEST(StatusTest, SubsystemsPublishOnlyThroughMetrics) {
+  // The plan cache and the selector keep their numbers in the metrics
+  // registry: after a plan lookup and a recorded decision the snapshot's
+  // top-level keys are still only the board's own.
+  const CorpusEntry entry = generate_named("333SP", 0.03);
+  (void)engine::prepare_plan(entry.matrix, "csr_1d", /*threads=*/2);
+  select::record_decision(/*pick=*/1, /*oracle=*/1, /*regret=*/0.0,
+                          /*amortize_calls=*/50.0);
+
+  const obs::JsonValue doc = obs::parse_json(status::snapshot_json());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members) keys.push_back(key);
+  std::vector<std::string> expected = {"schema_version", "pid",
+                                       "uptime_seconds", "run",
+                                       "workers",        "metrics"};
+  if (obs::hw::enabled()) expected.push_back("hw");
+  EXPECT_EQ(keys, expected);
+#if defined(ORDO_OBS_ENABLED)
+  const obs::JsonValue& metrics = doc.at("metrics");
+  EXPECT_NE(metrics.at("counters").find("engine.plan_cache.misses"),
+            nullptr);
+  EXPECT_NE(metrics.at("gauges").find("engine.plan_cache.size"), nullptr);
+  EXPECT_NE(metrics.at("counters").find("select.decisions"), nullptr);
+  EXPECT_NE(metrics.at("histograms").find("select.regret"), nullptr);
+#endif
 }
 
 TEST(StatusTest, EtaAbsentNotZeroBeforeFirstCompletion) {

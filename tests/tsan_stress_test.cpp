@@ -31,6 +31,7 @@
 #include "corpus/generators.hpp"
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/cancel.hpp"
@@ -432,19 +433,29 @@ TEST(TsanStressTest, StatusBoardSnapshotsDuringTaskChurn) {
 
 TEST(TsanStressTest, ConcurrentSelectorDecisionsAndSnapshots) {
   // --auto-order annotates rows from pool workers: every worker runs model
-  // inference and records into select:: stats while a monitor thread drains
-  // snapshot_json() (which renders the registered "select" section). The
-  // stats are plain relaxed atomics plus one CAS loop for max-regret; this
-  // makes those claims TSan-checkable.
-  select::reset_stats();
+  // inference and records into the select.* instruments while a monitor
+  // thread drains snapshot_json(), which reads the same registry. The
+  // registry is process-wide, so an earlier run in this process (say
+  // --gtest_repeat) has left its counts behind: check deltas, not totals.
   const CorpusEntry entry = generate_named("333SP", 0.03);
   const features::SelectorFeatures f =
       features::compute_selector_features(entry.matrix, 72);
+  auto picks_total = [] {
+    std::int64_t total = 0;
+    for (const OrderingKind kind : study_orderings()) {
+      total += obs::counter("select.picks." + ordering_name(kind)).value();
+    }
+    return total;
+  };
+  const std::int64_t decisions_before =
+      obs::counter("select.decisions").value();
+  const std::int64_t picks_before = picks_total();
+  const std::int64_t regrets_before =
+      obs::histogram("select.regret").snapshot().count;
   std::atomic<bool> stop{false};
   std::thread sampler([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       (void)obs::status::snapshot_json();
-      (void)select::stats_snapshot();
       std::this_thread::yield();
     }
   });
@@ -462,12 +473,18 @@ TEST(TsanStressTest, ConcurrentSelectorDecisionsAndSnapshots) {
   });
   stop.store(true, std::memory_order_relaxed);
   sampler.join();
-  const select::StatsSnapshot stats = select::stats_snapshot();
-  EXPECT_EQ(stats.decisions, kTasks);
-  std::int64_t picks = 0;
-  for (const std::int64_t count : stats.picks) picks += count;
-  EXPECT_EQ(picks, kTasks);
-  select::reset_stats();
+#if defined(ORDO_OBS_ENABLED)
+  EXPECT_EQ(obs::counter("select.decisions").value() - decisions_before,
+            kTasks);
+  EXPECT_EQ(picks_total() - picks_before, kTasks);
+  EXPECT_EQ(obs::histogram("select.regret").snapshot().count -
+                regrets_before,
+            kTasks);
+#else
+  (void)decisions_before;
+  (void)picks_before;
+  (void)regrets_before;
+#endif
 }
 
 TEST(TsanStressTest, TraceSpansOverlappedWithCollection) {

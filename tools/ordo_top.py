@@ -10,9 +10,10 @@ docs/ARCHITECTURE.md "Live telemetry") from its heartbeat file:
 and renders a top-style view: progress bar, completed/failed/timeout
 tally, EWMA ETA, per-worker in-flight matrices with their current phase
 (reorder/profile/features/spmv/model/journal) and deadline margin, plan
-cache hit rate, the ordering selector's tally when the study runs with
---auto-order (decisions, oracle hit rate, mean regret, per-ordering
-picks), histogram percentiles (p50/p90/p99/p999: per task, per phase,
+cache hit rate (engine.plan_cache.* metrics), the ordering selector's
+tally when the study runs with --auto-order (select.* metrics: decisions,
+oracle hit rate, mean and max regret, per-ordering picks, amortization
+points), histogram percentiles (p50/p90/p99/p999: per task, per phase,
 per ordering),
 and — when the study runs with --hw — the latest counter window
 (IPC, LLC miss rate, achieved vs peak GB/s).
@@ -35,7 +36,7 @@ import time
 
 PHASES = ("reorder", "profile", "features", "spmv", "model", "journal")
 PERCENTILE_KEYS = ("p50", "p90", "p99", "p999")
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def fetch(args):
@@ -129,20 +130,6 @@ def validate(snap):
         if isinstance(hw, dict) and "achieved_frac" in hw:
             _expect(errors, "gbps" in hw and "peak_gbps" in hw,
                     "hw.achieved_frac without gbps/peak_gbps")
-
-    # select is optional (registered on the first --auto-order decision);
-    # when present it carries the selector's full tally.
-    sel = snap.get("select")
-    if sel is not None:
-        _expect(errors, isinstance(sel, dict),
-                "select present but not an object")
-        if isinstance(sel, dict):
-            for key in ("model_version", "decisions", "oracle_hits",
-                        "hit_rate", "mean_regret", "max_regret", "picks",
-                        "amortize_hist"):
-                _expect(errors, key in sel, f"select.{key} missing")
-            _expect(errors, isinstance(sel.get("picks"), dict),
-                    "select.picks is not an object")
     return errors
 
 
@@ -219,6 +206,56 @@ def latency_lines(histograms):
     return lines
 
 
+def counter_value(counters, name):
+    """A counter's value from metrics.counters, 0 when absent."""
+    entry = counters.get(name)
+    return entry.get("value", 0) if isinstance(entry, dict) else 0
+
+
+def plan_cache_lines(counters, gauges):
+    """The engine's plan cache, from its engine.plan_cache.* metrics."""
+    hits = counter_value(counters, "engine.plan_cache.hits")
+    lookups = hits + counter_value(counters, "engine.plan_cache.misses")
+    if lookups == 0:
+        return []
+    return [f"plan cache: {hits} hits / {lookups} lookups "
+            f"({100.0 * hits / lookups:.0f}%), "
+            f"{gauges.get('engine.plan_cache.size', 0):.0f} plans, "
+            f"{counter_value(counters, 'engine.plan_cache.evictions')} "
+            f"evictions"]
+
+
+def select_lines(counters, gauges, histograms):
+    """The ordering selector's tally, from its select.* metrics."""
+    decisions = counter_value(counters, "select.decisions")
+    if decisions == 0:
+        return []
+    version = gauges.get("select.model_version")
+    regret = histograms.get("select.regret") or {}
+    hits = counter_value(counters, "select.oracle_hits")
+    lines = [f"select[v{'?' if version is None else f'{version:.0f}'}]: "
+             f"{decisions} decisions, "
+             f"{100.0 * hits / decisions:.0f}% oracle hits, "
+             f"mean regret {100.0 * regret.get('mean', 0.0):.2f}%, "
+             f"max {100.0 * regret.get('max', 0.0):.2f}%"]
+    prefix = "select.picks."
+    picks = ", ".join(
+        f"{name[len(prefix):]} {count}"
+        for name, count in sorted(
+            ((name, counter_value(counters, name)) for name in counters
+             if name.startswith(prefix)),
+            key=lambda kv: -kv[1])
+        if count > 0)
+    if picks:
+        lines.append(f"  picks: {picks}")
+    amortize = histograms.get("select.amortize_calls") or {}
+    lines.append(
+        f"  amortizes: p50 {amortize.get('p50', 0.0):.0f} calls, "
+        f"p90 {amortize.get('p90', 0.0):.0f}, "
+        f"never {counter_value(counters, 'select.never_amortizes')}")
+    return lines
+
+
 def render(snap, width=78):
     """Returns the frame as a list of lines (shared by all display modes)."""
     run = snap.get("run", {})
@@ -243,28 +280,12 @@ def render(snap, width=78):
         tally += f"  eta {format_seconds(run['eta_seconds'])}"
     lines.append(tally)
 
-    cache = snap.get("plan_cache")
-    if isinstance(cache, dict):
-        lines.append(
-            f"plan cache: {cache.get('hits', 0)} hits / "
-            f"{cache.get('hits', 0) + cache.get('misses', 0)} lookups "
-            f"({100.0 * cache.get('hit_rate', 0.0):.0f}%), "
-            f"{cache.get('size', 0)}/{cache.get('capacity', 0)} plans")
-
-    sel = snap.get("select")
-    if isinstance(sel, dict):
-        lines.append(
-            f"select[v{sel.get('model_version', '?')}]: "
-            f"{sel.get('decisions', 0)} decisions, "
-            f"{100.0 * sel.get('hit_rate', 0.0):.0f}% oracle hits, "
-            f"mean regret {100.0 * sel.get('mean_regret', 0.0):.2f}%")
-        picks = ", ".join(
-            f"{name} {count}"
-            for name, count in sorted((sel.get("picks") or {}).items(),
-                                      key=lambda kv: -kv[1])
-            if count > 0)
-        if picks:
-            lines.append(f"  picks: {picks}")
+    metrics = snap.get("metrics") or {}
+    counters = metrics.get("counters") or {}
+    gauges = metrics.get("gauges") or {}
+    histograms = metrics.get("histograms") or {}
+    lines.extend(plan_cache_lines(counters, gauges))
+    lines.extend(select_lines(counters, gauges, histograms))
 
     hw = snap.get("hw")
     if isinstance(hw, dict):
@@ -280,8 +301,7 @@ def render(snap, width=78):
                          f"{hw['peak_gbps']:.1f} GB/s peak")
         lines.append("  ".join(parts))
 
-    lines.extend(latency_lines(
-        (snap.get("metrics") or {}).get("histograms")))
+    lines.extend(latency_lines(histograms))
 
     workers = snap.get("workers") or []
     lines.append("")
